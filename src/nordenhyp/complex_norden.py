@@ -16,6 +16,8 @@ from .multilinear import (
     MultilinearForm,
     Tolerance,
     invert_metric,
+    kulkarni_nomizu,
+    read_only,
     signature,
     twist_last,
 )
@@ -41,6 +43,9 @@ class ComplexNordenPoint:
 
     g is anti-compatible with J: g(Jx, Jy) = -g(x, y), which forces the
     neutral signature (n_prime, n_prime).
+
+    g and J are stored as read-only float copies, so the values cached on
+    the point (g_inv, gJ, the pi' family) cannot go stale.
     """
 
     n_prime: int
@@ -49,8 +54,7 @@ class ComplexNordenPoint:
 
     def __post_init__(self):
         d = 2 * self.n_prime
-        g = np.asarray(self.g, dtype=float)
-        J = np.asarray(self.J, dtype=float)
+        g, J = read_only(self.g), read_only(self.J)
         if g.shape != (d, d) or J.shape != (d, d):
             raise ValueError(f"g and J must be {d}x{d}")
         object.__setattr__(self, "g", g)
@@ -62,12 +66,19 @@ class ComplexNordenPoint:
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        return invert_metric(self.g)
+        return read_only(invert_metric(self.g))
 
     @cached_property
     def gJ(self) -> np.ndarray:
         """Matrix of g(x, Jy); symmetric for a valid point."""
-        return self.g @ self.J
+        return read_only(self.g @ self.J)
+
+    @cached_property
+    def _pi_prime_family(self) -> tuple[MultilinearForm, ...]:
+        """pi'_1..pi'_3, built once per point; see `pi_prime`."""
+        g, gJ = self.g, associated_metric_prime(self)
+        ents = (0.5 * kulkarni_nomizu(g, g), 0.5 * kulkarni_nomizu(gJ, gJ), -kulkarni_nomizu(g, gJ))
+        return tuple(MultilinearForm(read_only(e)) for e in ents)
 
     @classmethod
     def standard(cls, n_prime: int) -> "ComplexNordenPoint":
@@ -121,23 +132,15 @@ def associated_metric_prime(point: ComplexNordenPoint) -> np.ndarray:
 
 
 def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
-    """The three curvature-like building blocks over (g', J)."""
+    """The three curvature-like building blocks over (g', J).
+
+    With g~' = g'(., J .) and the Kulkarni-Nomizu product o:
+    pi'_1 = g' o g' / 2, pi'_2 = g~' o g~' / 2, pi'_3 = -g' o g~'.
+    The forms are cached on the point and read-only.
+    """
     if i not in (1, 2, 3):
         raise BadIndex(f"pi_prime index must be 1..3, got {i}")
-    g = point.g
-    gJ = associated_metric_prime(point)
-    if i == 1:
-        ent = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-    elif i == 2:
-        ent = np.einsum("jk,il->ijkl", gJ, gJ) - np.einsum("ik,jl->ijkl", gJ, gJ)
-    else:
-        ent = (
-            -np.einsum("jk,il->ijkl", g, gJ)
-            + np.einsum("ik,jl->ijkl", g, gJ)
-            - np.einsum("jk,il->ijkl", gJ, g)
-            + np.einsum("ik,jl->ijkl", gJ, g)
-        )
-    return MultilinearForm(ent)
+    return point._pi_prime_family[i - 1]
 
 
 def model_curvature(model: AmbientModel) -> MultilinearForm:

@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .complex_norden import SectionKind as _AmbientKind  # noqa: F401  (re-export symmetry)
 from .complex_norden import span_residual
 from .errors import (
     BadIndex,
@@ -31,7 +30,10 @@ from .multilinear import (
     MultilinearForm,
     Tolerance,
     invert_metric,
+    kulkarni_nomizu,
+    read_only,
     signature,
+    substitute_endo_last_two,
 )
 from .report import Check, ValidationReport
 
@@ -59,6 +61,10 @@ class ContactNordenPoint:
     forces signature (n + 1 positive, n negative): eta(xi) = 1 pins
     g(xi, xi) = 1, so the extra direction is positive.  The source
     convention writes the pair as (n, n+1) without fixing the order.
+
+    The fields are stored as read-only float copies, so the values derived
+    from them and cached on the point (g_inv, g_phi, the pi family) cannot
+    go stale.
     """
 
     n: int
@@ -69,10 +75,7 @@ class ContactNordenPoint:
 
     def __post_init__(self):
         d = 2 * self.n + 1
-        g = np.asarray(self.g, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
+        g, phi, xi, eta = (read_only(a) for a in (self.g, self.phi, self.xi, self.eta))
         if g.shape != (d, d) or phi.shape != (d, d) or xi.shape != (d,) or eta.shape != (d,):
             raise ValueError(f"fields must have dimension d = {d}")
         for name, arr in (("g", g), ("phi", phi), ("xi", xi), ("eta", eta)):
@@ -84,13 +87,26 @@ class ContactNordenPoint:
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        return invert_metric(self.g)
+        return read_only(invert_metric(self.g))
 
     @cached_property
     def g_phi(self) -> np.ndarray:
         """Matrix of g(x, phi y); symmetric for a valid point."""
         m = self.g @ self.phi
-        return 0.5 * (m + m.T)
+        return read_only(0.5 * (m + m.T))
+
+    @cached_property
+    def _pi_family(self) -> tuple[MultilinearForm, ...]:
+        """pi_1..pi_5, built once per point; see `pi`."""
+        g, gp, ee = self.g, self.g_phi, np.outer(self.eta, self.eta)
+        ents = (
+            0.5 * kulkarni_nomizu(g, g),
+            0.5 * kulkarni_nomizu(gp, gp),
+            -kulkarni_nomizu(g, gp),
+            kulkarni_nomizu(g, ee),
+            kulkarni_nomizu(gp, ee),
+        )
+        return tuple(MultilinearForm(read_only(e)) for e in ents)
 
     @classmethod
     def standard(cls, n: int) -> "ContactNordenPoint":
@@ -166,36 +182,16 @@ def associated_metric(point: ContactNordenPoint) -> np.ndarray:
 
 
 def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
-    """The five curvature-like building blocks over (g, phi, xi, eta)."""
+    """The five curvature-like building blocks over (g, phi, xi, eta).
+
+    With g~ = g(., phi .) and the Kulkarni-Nomizu product o:
+    pi_1 = g o g / 2, pi_2 = g~ o g~ / 2, pi_3 = -g o g~,
+    pi_4 = g o (eta (x) eta), pi_5 = g~ o (eta (x) eta).
+    The forms are cached on the point and read-only.
+    """
     if i not in (1, 2, 3, 4, 5):
         raise BadIndex(f"pi index must be 1..5, got {i}")
-    g, gp, eta = point.g, point.g_phi, point.eta
-    if i == 1:
-        ent = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-    elif i == 2:
-        ent = np.einsum("jk,il->ijkl", gp, gp) - np.einsum("ik,jl->ijkl", gp, gp)
-    elif i == 3:
-        ent = (
-            -np.einsum("jk,il->ijkl", g, gp)
-            + np.einsum("ik,jl->ijkl", g, gp)
-            - np.einsum("jk,il->ijkl", gp, g)
-            + np.einsum("ik,jl->ijkl", gp, g)
-        )
-    elif i == 4:
-        ent = (
-            np.einsum("j,k,il->ijkl", eta, eta, g)
-            - np.einsum("i,k,jl->ijkl", eta, eta, g)
-            + np.einsum("i,l,jk->ijkl", eta, eta, g)
-            - np.einsum("j,l,ik->ijkl", eta, eta, g)
-        )
-    else:
-        ent = (
-            np.einsum("j,k,il->ijkl", eta, eta, gp)
-            - np.einsum("i,k,jl->ijkl", eta, eta, gp)
-            + np.einsum("i,l,jk->ijkl", eta, eta, gp)
-            - np.einsum("j,l,ik->ijkl", eta, eta, gp)
-        )
-    return MultilinearForm(ent)
+    return point._pi_family[i - 1]
 
 
 def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> OneForms:
@@ -290,9 +286,7 @@ def is_curvature_like(L: MultilinearForm, point: ContactNordenPoint | None = Non
 
 def kaehler_residual(L: MultilinearForm, point: ContactNordenPoint) -> float:
     """Max over basis tuples of |L(x, y, z, u) + L(x, y, phi z, phi u)|."""
-    phi = point.phi
-    twisted = np.einsum("ijab,ak,bl->ijkl", L.entries, phi, phi)
-    return float(np.max(np.abs(L.entries + twisted)))
+    return (L + substitute_endo_last_two(L, point.phi)).max_norm
 
 
 def _pi1_area(point: ContactNordenPoint, x, y) -> float:
@@ -310,14 +304,6 @@ def sectional_curvature(
     if abs(denom) <= tol.abs_tol:
         raise DegenerateSection(f"area factor {denom!r} within tolerance of zero")
     return L.evaluate(x, y, y, x) / denom
-
-
-def assoc_sectional_curvature(
-    L: MultilinearForm, point: ContactNordenPoint, x, y, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Sectional curvature of the phi-twisted tensor L(.,.,., phi .)."""
-    twisted = MultilinearForm(np.einsum("ijka,al->ijkl", L.entries, point.phi))
-    return sectional_curvature(twisted, point, x, y, tol)
 
 
 def classify_section(

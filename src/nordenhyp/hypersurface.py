@@ -43,6 +43,7 @@ from .multilinear import (
     scalar_contract,
     substitute_endo_first_two,
     substitute_endo_last_two,
+    substitute_pairs,
     trace_compose,
     trace_endo,
     twist_last,
@@ -184,7 +185,7 @@ def pi_relations_residual(structure: InducedStructure) -> float:
     res.append(float(np.max(np.abs(metric_rel - (p.g_phi + tan_t * np.outer(p.eta, p.eta))))))
 
     def pull(form: MultilinearForm) -> np.ndarray:
-        return np.einsum("ijkl,ia,jb,kc,ld->abcd", form.entries, B, B, B, B)
+        return substitute_pairs(form.entries, B, B)
 
     pis = {i: pi(i, p).entries for i in range(1, 6)}
     res.append(float(np.max(np.abs(pull(pi_prime(1, amb)) - pis[1]))))
@@ -304,23 +305,6 @@ def gauss_identities_residual(
     rhs2 = raise_xi(rhs_form) - raise_xi(substitute_endo_first_two(p1, A))
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
     return max(res1, res2)
-
-
-def codazzi_rhs(
-    point: ContactNordenPoint, nu: float, nu_tilde: float, t: float, x, y
-) -> np.ndarray:
-    """Right-hand side of the derivative identity for A, as a tangent vector.
-
-    The left side is a covariant derivative along the manifold and is out
-    of scope; this side exists so the main-class relations can be checked
-    through it.
-    """
-    cos_t = math.cos(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    form = nu * pi(5, point) + nu_tilde * pi(4, point)
-    w = np.einsum("ijal,i,j,a->l", form.entries, x, y, point.xi)
-    return (point.g_inv @ w) / cos_t
 
 
 def scalar_curvatures(R: MultilinearForm, point: ContactNordenPoint) -> ScalarCurvatures:

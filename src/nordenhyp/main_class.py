@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .contact_norden import F4_F5, ContactNordenPoint, OneForms, class_form, pi
-from .errors import DegenerateFlat, DegenerateSection
+from .errors import DegenerateFlat, DegenerateSection, InconsistentStructure
 from .hypersurface import HyperScalars, ScalarCurvatures
 from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance
 
@@ -83,8 +83,9 @@ def shape_F45(data: MainClassData) -> np.ndarray:
     tr_A_target = -sc.dt_xi / (2 * cos_t) - th * cos_t - ths * sin_t
     tr_Aphi = float(np.trace(A @ p.phi))
     tr_Aphi_target = th * sin_t - ths * cos_t
-    assert abs(tr_A - tr_A_target) < 1e-9 * (1 + abs(tr_A_target))
-    assert abs(tr_Aphi - tr_Aphi_target) < 1e-9 * (1 + abs(tr_Aphi_target))
+    for name, got, want in (("tr A", tr_A, tr_A_target), ("tr A phi", tr_Aphi, tr_Aphi_target)):
+        if not abs(got - want) < 1e-9 * (1 + abs(want)):
+            raise InconsistentStructure(f"{name} = {got!r} misses its closed form {want!r}")
     return A
 
 

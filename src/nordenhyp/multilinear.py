@@ -2,7 +2,9 @@
 
 Covariant tensors of rank 1..4 are stored as dense numpy arrays indexed
 against a fixed basis.  Dimensions stay small (d <= 9), so nothing here
-tries to be clever about memory or sparsity; everything is einsum.
+tries to be clever about memory or sparsity.  The one contraction order
+that matters is in `substitute_pairs`: every 4-slot substitution runs as
+two (d^2 x d^2) matrix products instead of one unordered einsum.
 """
 from __future__ import annotations
 
@@ -102,6 +104,13 @@ class MultilinearForm:
     __rmul__ = __mul__
 
 
+def read_only(a) -> np.ndarray:
+    """A float copy of a that refuses writes."""
+    arr = np.array(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_square(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -163,16 +172,50 @@ def trace_compose(A, B) -> float:
     return float(np.trace(A @ B))
 
 
+def kulkarni_nomizu(h, k) -> np.ndarray:
+    """Kulkarni-Nomizu product of two symmetric bilinear forms, as a rank-4 array.
+
+    (h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z).
+    """
+    hk = np.multiply.outer(h, k)  # [a, b, c, d] = h[a, b] k[c, d]
+    return (
+        hk.transpose(0, 2, 3, 1)
+        + hk.transpose(2, 0, 1, 3)
+        - hk.transpose(0, 2, 1, 3)
+        - hk.transpose(2, 0, 3, 1)
+    )
+
+
+def pair_matrix(M) -> np.ndarray:
+    """M (x) M as a (p^2, q^2) matrix: entry [(i, j), (a, b)] = M[i, a] M[j, b]."""
+    p, q = M.shape
+    return np.multiply.outer(M, M).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+
+
+def substitute_pairs(T: np.ndarray, M, N) -> np.ndarray:
+    """T(Mx, My, Nz, Nu) for a rank-4 array T and (p, q), (p, r) matrices M, N.
+
+    The first slot pair and the last slot pair are each one matrix product,
+    so the cost is O(p^4 (q^2 + r^2)) rather than a single O(p^4 q^2 r^2) loop.
+    """
+    M = np.asarray(M, dtype=float)
+    N = np.asarray(N, dtype=float)
+    p, q = M.shape
+    r = N.shape[1]
+    flat = pair_matrix(M).T @ T.reshape(p * p, p * p) @ pair_matrix(N)
+    return flat.reshape(q, q, r, r)
+
+
 def substitute_endo_first_two(T: MultilinearForm, A) -> MultilinearForm:
     """T(Ax, Ay, z, u) as a rank-4 form."""
     A = _as_square(A)
-    return MultilinearForm(np.einsum("abkl,ai,bj->ijkl", T.entries, A, A))
+    return MultilinearForm(substitute_pairs(T.entries, A, np.eye(T.dim)))
 
 
 def substitute_endo_last_two(T: MultilinearForm, B) -> MultilinearForm:
     """T(x, y, Bz, Bu) as a rank-4 form."""
     B = _as_square(B)
-    return MultilinearForm(np.einsum("ijab,ak,bl->ijkl", T.entries, B, B))
+    return MultilinearForm(substitute_pairs(T.entries, np.eye(T.dim), B))
 
 
 def twist_last(T: MultilinearForm, B) -> MultilinearForm:

@@ -56,6 +56,16 @@ def test_pi_prime_curvature_like(gen):
         assert is_curvature_like(pi_prime(i, p)) < 1e-12
 
 
+def test_pi_prime_cached_and_read_only(gen):
+    p = random_complex_point(gen, 2)
+    q = ComplexNordenPoint(p.n_prime, p.g.copy(), p.J.copy())
+    for i in (1, 2, 3):
+        assert pi_prime(i, p) is pi_prime(i, p)
+        assert np.array_equal(pi_prime(i, p).entries, pi_prime(i, q).entries)
+        with pytest.raises(ValueError):
+            pi_prime(i, p).entries[0, 0, 0, 0] = 1.0
+
+
 class TestModelCurvature:
     def setup_method(self):
         self.p = ComplexNordenPoint.standard(3)

@@ -94,6 +94,61 @@ class TestPiFamily:
             assert kaehler_residual(pis[0] - pis[1] - pis[3], p) < 1e-12
             assert kaehler_residual(pis[2] + pis[4], p) < 1e-12
 
+    def test_matches_defining_formulas(self, gen):
+        p = random_contact_point(gen, 2)
+        x, y, z, u = (gen.uniform(-1, 1, size=p.dim) for _ in range(4))
+
+        def g(a, b):
+            return float(a @ p.g @ b)
+
+        def gp(a, b):
+            return float(a @ p.g_phi @ b)
+
+        def eta(a):
+            return float(p.eta @ a)
+
+        def wedge(h, k):
+            return h(y, z) * k(x, u) - h(x, z) * k(y, u)
+
+        def with_eta(h):
+            return (
+                eta(y) * eta(z) * h(x, u)
+                - eta(x) * eta(z) * h(y, u)
+                + eta(x) * eta(u) * h(y, z)
+                - eta(y) * eta(u) * h(x, z)
+            )
+
+        want = [wedge(g, g), wedge(gp, gp), -wedge(g, gp) - wedge(gp, g), with_eta(g), with_eta(gp)]
+        for i, w in enumerate(want, start=1):
+            assert pi(i, p)(x, y, z, u) == pytest.approx(w, abs=1e-12)
+
+    def test_cached_per_point(self, gen):
+        p = random_contact_point(gen, 2)
+        for i in range(1, 6):
+            assert pi(i, p) is pi(i, p)
+
+    def test_entries_read_only(self, gen):
+        p = random_contact_point(gen, 2)
+        with pytest.raises(ValueError):
+            pi(1, p).entries[0, 0, 0, 0] = 1.0
+
+    def test_equal_points_equal_generators(self, gen):
+        p = random_contact_point(gen, 2)
+        q = ContactNordenPoint(p.n, p.g.copy(), p.phi.copy(), p.xi.copy(), p.eta.copy())
+        for i in range(1, 6):
+            assert np.array_equal(pi(i, p).entries, pi(i, q).entries)
+
+
+def test_point_fields_are_read_only_copies():
+    p = ContactNordenPoint.standard(1)
+    phi = p.phi.copy()
+    q = ContactNordenPoint(1, p.g, phi, p.xi, p.eta)
+    phi[0, 0] = 5.0
+    assert q.phi[0, 0] == 0.0
+    for arr in (q.g, q.phi, q.xi, q.eta, q.g_inv, q.g_phi):
+        with pytest.raises(ValueError):
+            arr[0, ...] = 1.0
+
 
 class TestClassForms:
     def test_f6_not_constructive(self, gen):

@@ -57,6 +57,11 @@ class TestInduce:
             assert validate_contact_axioms(st.point).passed
             assert pi_relations_residual(st) < 1e-10
 
+    @pytest.mark.parametrize("n_prime", [2, 3, 4])
+    def test_pullback_round_off(self, gen, n_prime):
+        for _ in range(3):
+            assert pi_relations_residual(induce(random_timelike_frame(gen, n_prime))) < 1e-12
+
     def test_angle_matches_normal_pairing(self, gen):
         frame = random_timelike_frame(gen, 3)
         st = induce(frame)

@@ -9,7 +9,7 @@ from nordenhyp.contact_norden import (
     kaehler_residual,
     sectional_curvature,
 )
-from nordenhyp.errors import DegenerateFlat
+from nordenhyp.errors import DegenerateFlat, InconsistentStructure
 from nordenhyp.hypersurface import (
     HyperScalars,
     canonical_K_from_R,
@@ -45,6 +45,15 @@ class TestShapeAndForm:
         data = random_main_class_data(gen, 2)
         A = shape_F45(data)
         assert np.allclose(A, shape_from_class(data.point, F4_F5, data.scalars))
+
+    def test_faulted_phi_raises_typed_error(self, gen):
+        data = random_main_class_data(gen, 2)
+        p = data.point
+        phi = p.phi.copy()
+        phi[0, 0] += 1e-3
+        faulted = ContactNordenPoint(p.n, p.g, phi, p.xi, p.eta)
+        with pytest.raises(InconsistentStructure):
+            shape_F45(MainClassData(point=faulted, scalars=data.scalars))
 
     def test_form_in_class(self, gen):
         data = random_main_class_data(gen, 2)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from nordenhyp.multilinear import (
     signature,
     substitute_endo_first_two,
     substitute_endo_last_two,
+    substitute_pairs,
     trace_compose,
     trace_endo,
     twist_last,
@@ -26,6 +29,20 @@ def brute_ricci(T, g_inv):
         for k in range(d):
             out[j, k] = sum(g_inv[i, l] * T[i, j, k, l] for i in range(d) for l in range(d))
     return out
+
+
+def brute_substitute_entry(T, M, N, a, b, c, e):
+    """Loop-level oracle for one entry: sum T[i, j, k, l] M[i, a] M[j, b] N[k, c] N[l, e]."""
+    p = T.shape[0]
+    return sum(
+        T[i, j, k, l] * M[i, a] * M[j, b] * N[k, c] * N[l, e]
+        for i, j, k, l in itertools.product(range(p), repeat=4)
+    )
+
+
+def assert_matches_oracle(got, T, M, N, indices):
+    for idx in indices:
+        assert got[idx] == pytest.approx(brute_substitute_entry(T, M, N, *idx), rel=0, abs=1e-12)
 
 
 class TestMultilinearForm:
@@ -144,3 +161,31 @@ class TestContractions:
         assert last(x, y, z, u) == pytest.approx(T(x, y, A @ z, A @ u))
         tw = twist_last(T, A)
         assert tw(x, y, z, u) == pytest.approx(T(x, y, z, A @ u))
+
+
+class TestSubstitutePairs:
+    @pytest.mark.parametrize("n_prime", [2, 3])
+    def test_rectangular_pullback(self, gen, n_prime):
+        p, q = 2 * n_prime, 2 * n_prime - 1
+        T = gen.uniform(-1, 1, size=(p, p, p, p))
+        B = gen.uniform(-1, 1, size=(p, q))
+        got = substitute_pairs(T, B, B)
+        assert got.shape == (q, q, q, q)
+        indices = list(itertools.product(range(q), repeat=4))
+        if n_prime == 3:  # 625 entries of 1296 terms each: check a sample
+            indices = [tuple(gen.integers(0, q, size=4)) for _ in range(40)]
+        assert_matches_oracle(got, T, B, B, indices)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_square_maps(self, gen, d):
+        T = gen.uniform(-1, 1, size=(d, d, d, d))
+        A = gen.uniform(-1, 1, size=(d, d))
+        eye = np.eye(d)
+        first = substitute_endo_first_two(MultilinearForm(T), A).entries
+        last = substitute_endo_last_two(MultilinearForm(T), A).entries
+        if d == 3:
+            indices = list(itertools.product(range(d), repeat=4))
+        else:  # d^8 terms in all: check a sample of entries
+            indices = [tuple(gen.integers(0, d, size=4)) for _ in range(10)]
+        assert_matches_oracle(first, T, A, eye, indices)
+        assert_matches_oracle(last, T, eye, A, indices)
