@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,38 +69,63 @@ def _need(payload: dict, *keys):
     return [payload[k] for k in keys]
 
 
+def _as_int(value, key: str, minimum: int | None = None) -> int:
+    """An integer field; booleans, floats and null are schema errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _as_real(value, key: str) -> float:
+    """A finite number field; booleans, null and NaN or infinities are schema errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(payload: dict, *keys: str) -> list[float]:
+    return [_as_real(v, k) for v, k in zip(_need(payload, *keys), keys)]
+
+
+def _size(payload: dict, key: str) -> int:
+    """A required size field such as n or n_prime: an integer >= 1."""
+    (value,) = _need(payload, key)
+    return _as_int(value, key, minimum=1)
+
+
 def _contact_point(payload: dict) -> ContactNordenPoint:
+    n = _size(payload, "n")
     if "g" not in payload:
-        return ContactNordenPoint.standard(int(payload["n"]))
-    n, g, phi, xi, eta = _need(payload, "n", "g", "phi", "xi", "eta")
-    return ContactNordenPoint(int(n), np.array(g), np.array(phi), np.array(xi), np.array(eta))
+        return ContactNordenPoint.standard(n)
+    g, phi, xi, eta = _need(payload, "g", "phi", "xi", "eta")
+    return ContactNordenPoint(n, np.array(g), np.array(phi), np.array(xi), np.array(eta))
 
 
 def _complex_point(payload: dict) -> ComplexNordenPoint:
+    n_prime = _size(payload, "n_prime")
     if "g" not in payload:
-        return ComplexNordenPoint.standard(int(payload["n_prime"]))
-    n_prime, g, J = _need(payload, "n_prime", "g", "J")
-    return ComplexNordenPoint(int(n_prime), np.array(g), np.array(J))
+        return ComplexNordenPoint.standard(n_prime)
+    g, J = _need(payload, "g", "J")
+    return ComplexNordenPoint(n_prime, np.array(g), np.array(J))
+
+
+_SCALAR_KEYS = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
 
 
 def _scalars(payload: dict, t: float | None = None) -> HyperScalars:
     if t is None:
         if "t" not in payload:
             raise SchemaError("scalars need a t value")
-        t = float(payload["t"])
-    elif "t" in payload and abs(float(payload["t"]) - t) > 1e-9:
+        t = _as_real(payload["t"], "t")
+    elif "t" in payload and not abs(_as_real(payload["t"], "t") - t) <= 1e-9:
         raise SchemaError(
             f"scalars give t = {payload['t']} but the embedding forces t = {t}"
         )
-    return HyperScalars(
-        t=t,
-        dt_xi=float(payload.get("dt_xi", 0.0)),
-        theta_xi=float(payload.get("theta_xi", 0.0)),
-        theta_star_xi=float(payload.get("theta_star_xi", 0.0)),
-        xi_theta_xi=float(payload.get("xi_theta_xi", 0.0)),
-        xi_theta_star_xi=float(payload.get("xi_theta_star_xi", 0.0)),
-        Omega=np.array(payload["Omega"]) if payload.get("Omega") is not None else None,
-    )
+    values = {k: _as_real(payload.get(k, 0.0), k) for k in _SCALAR_KEYS}
+    Omega = np.array(payload["Omega"]) if payload.get("Omega") is not None else None
+    return HyperScalars(t=t, Omega=Omega, **values)
 
 
 def _hyper_inputs(payload: dict, tol: Tolerance):
@@ -107,7 +133,7 @@ def _hyper_inputs(payload: dict, tol: Tolerance):
     tag = payload.get("class", "F0")
     if tag not in CONSTRUCTIVE_TAGS:
         raise SchemaError(f"class must be one of {CONSTRUCTIVE_TAGS}")
-    nu, nut = (float(v) for v in _need(payload, "nu", "nu_tilde"))
+    nu, nut = _reals(payload, "nu", "nu_tilde")
     if "ambient" in payload:
         frame = TimelikeNormalFrame(
             ambient=_complex_point(payload["ambient"]), N=np.array(payload["N"])
@@ -153,7 +179,7 @@ def _run_curvature(payload: dict, args) -> tuple[ValidationReport, dict]:
     got = scalar_curvatures(R, point)
     want = closed_form_scalars(A, scalars, nu, nut, point)
     checks = (
-        Check("curvature_symmetries", is_curvature_like(R, point), 1e-9),
+        Check("curvature_symmetries", is_curvature_like(R), 1e-9),
         Check("tau_closed_form", abs(got.tau - want.tau) / (1 + abs(want.tau)), 1e-8),
         Check(
             "tau_twisted_closed_form",
@@ -185,9 +211,9 @@ def _run_canonical(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
-    n, t, nu, nut = (float(v) for v in _need(payload, "n", "t", "nu", "nu_tilde"))
-    n = int(n)
-    branch = SolverBranch(int(payload.get("epsilon", 1)))
+    n = _size(payload, "n")
+    t, nu, nut = _reals(payload, "t", "nu", "nu_tilde")
+    branch = SolverBranch(_as_int(payload.get("epsilon", 1), "epsilon"))
     try:
         th, ths = solve_theta(NuPair(nu, nut), t, branch, n, args.tol)
     except DegenerateFlat as exc:
@@ -208,10 +234,8 @@ def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
-    n = int(payload["n"])
-    th = float(payload.get("theta_xi", 0.0))
-    ths = float(payload.get("theta_star_xi", 0.0))
-    t = float(payload.get("t", 0.0))
+    n = _size(payload, "n")
+    th, ths, t = (_as_real(payload.get(k, 0.0), k) for k in ("theta_xi", "theta_star_xi", "t"))
     point = ContactNordenPoint.standard(n)
     res = theorem31(point, th, ths, t=t, tol=args.tol)
     got = scalar_curvatures(res.R, point)
@@ -235,20 +259,23 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
-    seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(payload.get("trials", 20))
+    seed = args.seed if args.seed is not None else _as_int(payload.get("seed", 0), "seed")
+    trials = args.trials if args.trials is not None else _as_int(payload.get("trials", 20), "trials")
     n_values = args.n or payload.get("n_values") or [1, 2, 3]
-    fault = args.fault_inject if args.fault_inject is not None else float(payload.get("fault", 0.0))
+    if not isinstance(n_values, list):
+        raise SchemaError(f"n_values must be a list, got {n_values!r}")
+    n_values = [_as_int(v, "n", minimum=1) for v in n_values]
+    fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
     reading = args.cor32_reading or payload.get("cor32_reading")
     report = run_suite(
         seed=seed,
         trials=trials,
-        n_values=[int(v) for v in n_values],
+        n_values=n_values,
         fault=fault,
         cor32_reading=reading,
         tol=args.tol,
     )
-    meta = {"seed": seed, "trials": trials, "n_values": [int(v) for v in n_values]}
+    meta = {"seed": seed, "trials": trials, "n_values": n_values}
     return report, meta
 
 
@@ -311,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.tol = Tolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     try:
+        args.tol = Tolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
         scenario = _load_scenario(args.scenario)
         kind = scenario.get("kind")
         if kind not in _HANDLERS:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -15,10 +15,13 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    combine,
+    generator_stack,
     invert_metric,
-    kulkarni_nomizu,
     read_only,
+    require_finite,
     signature,
+    stack_rows,
     twist_last,
 )
 from .report import Check, ValidationReport
@@ -45,7 +48,8 @@ class ComplexNordenPoint:
     neutral signature (n_prime, n_prime).
 
     g and J are stored as read-only float copies, so the values cached on
-    the point (g_inv, gJ, the pi' family) cannot go stale.
+    the point (g_inv, gJ, the pi' stack) cannot go stale.  Non-finite
+    entries are rejected here, once.
     """
 
     n_prime: int
@@ -57,6 +61,8 @@ class ComplexNordenPoint:
         g, J = read_only(self.g), read_only(self.J)
         if g.shape != (d, d) or J.shape != (d, d):
             raise ValueError(f"g and J must be {d}x{d}")
+        require_finite(g, "g")
+        require_finite(J, "J")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "J", J)
 
@@ -74,15 +80,27 @@ class ComplexNordenPoint:
         return read_only(self.g @ self.J)
 
     @cached_property
-    def _pi_prime_family(self) -> tuple[MultilinearForm, ...]:
-        """pi'_1..pi'_3, built once per point; see `pi_prime`."""
+    def pi_prime_stack(self) -> np.ndarray:
+        """pi'_1..pi'_3 as the rows of one read-only (3, d^4) array, built once."""
         g, gJ = self.g, associated_metric_prime(self)
-        ents = (0.5 * kulkarni_nomizu(g, g), 0.5 * kulkarni_nomizu(gJ, gJ), -kulkarni_nomizu(g, gJ))
-        return tuple(MultilinearForm(read_only(e)) for e in ents)
+        return generator_stack((g, gJ, g), (g, gJ, gJ), (0.5, 0.5, -1.0))
+
+    @cached_property
+    def _pi_prime_family(self) -> tuple[MultilinearForm, ...]:
+        return stack_rows(self.pi_prime_stack)
+
+    def pi_prime_combination(self, c) -> MultilinearForm:
+        """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3 for a coefficient vector c, in one product."""
+        return combine(self.pi_prime_stack, c)
 
     @classmethod
+    @lru_cache(maxsize=8)
     def standard(cls, n_prime: int) -> "ComplexNordenPoint":
-        """Flat model: basis {a_1..a_n', Ja_1..Ja_n'}, diagonal metric."""
+        """Flat model: basis {a_1..a_n', Ja_1..Ja_n'}, diagonal metric.
+
+        Points are immutable, so one instance per size is shared, with its
+        cached generators.
+        """
         d = 2 * n_prime
         g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
         J = np.zeros((d, d))
@@ -136,7 +154,7 @@ def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
 
     With g~' = g'(., J .) and the Kulkarni-Nomizu product o:
     pi'_1 = g' o g' / 2, pi'_2 = g~' o g~' / 2, pi'_3 = -g' o g~'.
-    The forms are cached on the point and read-only.
+    The forms are read-only rows of the point's cached `pi_prime_stack`.
     """
     if i not in (1, 2, 3):
         raise BadIndex(f"pi_prime index must be 1..3, got {i}")
@@ -145,11 +163,8 @@ def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
 
 def model_curvature(model: AmbientModel) -> MultilinearForm:
     """Curvature of the constant totally-real-curvature model."""
-    p = model.point
-    return (
-        model.nu_prime * (pi_prime(1, p) - pi_prime(2, p))
-        + model.nu_tilde_prime * pi_prime(3, p)
-    )
+    nu, nut = model.nu_prime, model.nu_tilde_prime
+    return model.point.pi_prime_combination((nu, -nu, nut))
 
 
 def associated_curvature(R: MultilinearForm, J: np.ndarray) -> MultilinearForm:

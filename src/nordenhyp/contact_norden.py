@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,10 +29,13 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    combine,
+    generator_stack,
     invert_metric,
-    kulkarni_nomizu,
     read_only,
+    require_finite,
     signature,
+    stack_rows,
     substitute_endo_last_two,
 )
 from .report import Check, ValidationReport
@@ -42,6 +45,13 @@ from .report import Check, ValidationReport
 F0, F4, F5, F6, F11, F4_F5 = "F0", "F4", "F5", "F6", "F11", "F4+F5"
 CONSTRUCTIVE_TAGS = (F0, F4, F5, F11, F4_F5)
 ALL_TAGS = CONSTRUCTIVE_TAGS + (F6,)
+
+# Coefficient vectors over (pi_1, ..., pi_5), for `pi_combination`: the
+# unit vectors, one per generator, and the two Kaehlerian combinations every
+# canonical curvature is built from, pi_1 - pi_2 - pi_4 and pi_3 + pi_5.
+PI_UNITS = read_only(np.eye(5))
+PI_KAEHLER = read_only([1.0, -1.0, 0.0, -1.0, 0.0])
+PI_TWISTED = read_only([0.0, 0.0, 1.0, 0.0, 1.0])
 
 
 class ContactSectionKind(enum.Enum):
@@ -63,8 +73,9 @@ class ContactNordenPoint:
     convention writes the pair as (n, n+1) without fixing the order.
 
     The fields are stored as read-only float copies, so the values derived
-    from them and cached on the point (g_inv, g_phi, the pi family) cannot
-    go stale.
+    from them and cached on the point (g_inv, g_phi, the pi stack) cannot
+    go stale.  Non-finite entries are rejected here, once, so nothing
+    derived from the point is rescanned.
     """
 
     n: int
@@ -79,6 +90,7 @@ class ContactNordenPoint:
         if g.shape != (d, d) or phi.shape != (d, d) or xi.shape != (d,) or eta.shape != (d,):
             raise ValueError(f"fields must have dimension d = {d}")
         for name, arr in (("g", g), ("phi", phi), ("xi", xi), ("eta", eta)):
+            require_finite(arr, name)
             object.__setattr__(self, name, arr)
 
     @property
@@ -96,24 +108,27 @@ class ContactNordenPoint:
         return read_only(0.5 * (m + m.T))
 
     @cached_property
-    def _pi_family(self) -> tuple[MultilinearForm, ...]:
-        """pi_1..pi_5, built once per point; see `pi`."""
+    def pi_stack(self) -> np.ndarray:
+        """pi_1..pi_5 as the rows of one read-only (5, d^4) array, built once; see `pi`."""
         g, gp, ee = self.g, self.g_phi, np.outer(self.eta, self.eta)
-        ents = (
-            0.5 * kulkarni_nomizu(g, g),
-            0.5 * kulkarni_nomizu(gp, gp),
-            -kulkarni_nomizu(g, gp),
-            kulkarni_nomizu(g, ee),
-            kulkarni_nomizu(gp, ee),
-        )
-        return tuple(MultilinearForm(read_only(e)) for e in ents)
+        return generator_stack((g, gp, g, g, gp), (g, gp, gp, ee, ee), (0.5, 0.5, -1.0, 1.0, 1.0))
+
+    @cached_property
+    def _pi_family(self) -> tuple[MultilinearForm, ...]:
+        return stack_rows(self.pi_stack)
+
+    def pi_combination(self, c) -> MultilinearForm:
+        """c_1 pi_1 + ... + c_5 pi_5 for a coefficient vector c, in one product."""
+        return combine(self.pi_stack, c)
 
     @classmethod
+    @lru_cache(maxsize=8)
     def standard(cls, n: int) -> "ContactNordenPoint":
         """Canonical model: g = diag(1..1, -1..-1, 1), phi the block rotation.
 
         Basis {e_1..e_n, phi e_1..phi e_n, xi}; phi e_i = e_{n+i},
-        phi e_{n+i} = -e_i, phi xi = 0.
+        phi e_{n+i} = -e_i, phi xi = 0.  Points are immutable, so one
+        instance per size is shared, with its cached generators.
         """
         d = 2 * n + 1
         g = np.diag(np.concatenate([np.ones(n), -np.ones(n), [1.0]]))
@@ -187,7 +202,8 @@ def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
     With g~ = g(., phi .) and the Kulkarni-Nomizu product o:
     pi_1 = g o g / 2, pi_2 = g~ o g~ / 2, pi_3 = -g o g~,
     pi_4 = g o (eta (x) eta), pi_5 = g~ o (eta (x) eta).
-    The forms are cached on the point and read-only.
+    The forms are read-only rows of the point's cached `pi_stack`; build a
+    combination of them with `ContactNordenPoint.pi_combination`.
     """
     if i not in (1, 2, 3, 4, 5):
         raise BadIndex(f"pi index must be 1..5, got {i}")
@@ -235,7 +251,7 @@ def class_form(tag: str, point: ContactNordenPoint, params: OneForms) -> Multili
     return MultilinearForm(ent)
 
 
-def f_tensor_residual(F: MultilinearForm, tol: Tolerance = DEFAULT_TOL) -> float:
+def f_tensor_residual(F: MultilinearForm) -> float:
     """Symmetry residual of F in its last two slots."""
     return float(np.max(np.abs(F.entries - np.transpose(F.entries, (0, 2, 1)))))
 
@@ -268,7 +284,7 @@ def _f6_residual(F: MultilinearForm, point: ContactNordenPoint) -> float:
     return max(res)
 
 
-def is_curvature_like(L: MultilinearForm, point: ContactNordenPoint | None = None) -> float:
+def is_curvature_like(L: MultilinearForm) -> float:
     """Max residual over the four curvature symmetry families.
 
     Antisymmetry in (1,2) and (3,4), symmetry under pair swap, and the

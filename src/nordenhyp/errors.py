@@ -51,3 +51,7 @@ class InconsistentStructure(GeometryError):
 
 class DegenerateFlat(GeometryError):
     """The solver radicand is too small for a stable branch."""
+
+
+class NonFiniteInput(GeometryError, ValueError):
+    """Input data holds a NaN or an infinity; raised where data enters, not inside."""

@@ -16,6 +16,9 @@ import numpy as np
 from .complex_norden import ComplexNordenPoint
 from .contact_norden import (
     CONSTRUCTIVE_TAGS,
+    PI_KAEHLER,
+    PI_TWISTED,
+    PI_UNITS,
     ContactNordenPoint,
     ContactSectionKind,
     F4,
@@ -39,6 +42,7 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    require_finite,
     ricci_contract,
     scalar_contract,
     substitute_endo_first_two,
@@ -49,6 +53,8 @@ from .multilinear import (
     twist_last,
 )
 
+P1, P2, P3, P4, P5 = PI_UNITS  # coefficient vectors of the generators pi_1..pi_5
+
 
 @dataclass(frozen=True)
 class TimelikeNormalFrame:
@@ -58,7 +64,9 @@ class TimelikeNormalFrame:
     N: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "N", np.asarray(self.N, dtype=float))
+        N = np.asarray(self.N, dtype=float)
+        require_finite(N, "N")
+        object.__setattr__(self, "N", N)
 
     def normal_square(self) -> float:
         return float(self.N @ self.ambient.g @ self.N)
@@ -85,7 +93,7 @@ class HyperScalars:
 
     Omega is the rank-11 covector parameter as a vector, omega(.) = g(., Omega);
     it is projected onto ker eta where consumed, since the class form only
-    ever sees that component.
+    ever sees that component.  Every scalar and Omega must be finite.
     """
 
     t: float
@@ -97,10 +105,17 @@ class HyperScalars:
     Omega: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        require_finite(
+            [self.t, self.dt_xi, self.theta_xi, self.theta_star_xi, self.xi_theta_xi,
+             self.xi_theta_star_xi],
+            "scalars",
+        )
         if not -math.pi / 2 < self.t < math.pi / 2:
             raise ValueError(f"t = {self.t} outside (-pi/2, pi/2)")
         if self.Omega is not None:
-            object.__setattr__(self, "Omega", np.asarray(self.Omega, dtype=float))
+            Omega = np.asarray(self.Omega, dtype=float)
+            require_finite(Omega, "Omega")
+            object.__setattr__(self, "Omega", Omega)
 
     @property
     def cos_t(self) -> float:
@@ -273,9 +288,8 @@ def gauss_induced_R(
 ) -> MultilinearForm:
     """Induced curvature of a hypersurface of the constant-curvature model."""
     tan_t = scalars.tan_t
-    p1, p2, p3, p4, p5 = (pi(i, point) for i in range(1, 6))
-    R = nu * (p1 - p2 - tan_t * p5) + nu_tilde * (p3 - tan_t * p4)
-    return R - substitute_endo_first_two(p1, A)
+    R = point.pi_combination(nu * (P1 - P2 - tan_t * P5) + nu_tilde * (P3 - tan_t * P4))
+    return R - substitute_endo_first_two(pi(1, point), A)
 
 
 def gauss_identities_residual(
@@ -288,22 +302,18 @@ def gauss_identities_residual(
 ) -> float:
     """Residual of the two companion curvature identities of the construction."""
     tan_t = scalars.tan_t
-    phi = point.phi
-    p1, p2, p3, p4, p5 = (pi(i, point) for i in range(1, 6))
+    model = point.pi_combination(nu * (P4 - tan_t * P5) - nu_tilde * (P5 + tan_t * P4))
 
-    lhs = substitute_endo_last_two(R, phi)
-    rhs = -(R - nu * (p4 - tan_t * p5) + nu_tilde * (p5 + tan_t * p4))
-    rhs = rhs - substitute_endo_first_two(p1 + p2, A)
+    lhs = substitute_endo_last_two(R, point.phi)
+    rhs = model - R - substitute_endo_first_two(point.pi_combination(P1 + P2), A)
     res1 = (lhs - rhs).max_norm
 
     def raise_xi(form: MultilinearForm) -> np.ndarray:
         w = np.einsum("ijal,a->ijl", form.entries, point.xi)
         return np.einsum("ml,ijl->ijm", point.g_inv, w)
 
-    lhs2 = raise_xi(R)
-    rhs_form = nu * (p4 - tan_t * p5) - nu_tilde * (p5 + tan_t * p4)
-    rhs2 = raise_xi(rhs_form) - raise_xi(substitute_endo_first_two(p1, A))
-    res2 = float(np.max(np.abs(lhs2 - rhs2)))
+    rhs2 = raise_xi(model - substitute_endo_first_two(pi(1, point), A))
+    res2 = float(np.max(np.abs(raise_xi(R) - rhs2)))
     return max(res1, res2)
 
 
@@ -403,11 +413,9 @@ def canonical_K_from_R(
     """Canonical curvature assembled from R, A and the angle t."""
     cos_t, sin_t = math.cos(t), math.sin(t)
     phi = point.phi
-    phi2 = phi @ phi
-    p1, p2, p3, p4, p5 = (pi(i, point) for i in range(1, 6))
-    K = substitute_endo_last_two(R, phi2)
-    K = K + substitute_endo_last_two(substitute_endo_first_two(p1, A), phi)
-    mix = sin_t * (sin_t * (p1 - p2 - p4) - cos_t * (p3 + p5))
+    K = substitute_endo_last_two(R, phi @ phi)
+    K = K + substitute_endo_last_two(substitute_endo_first_two(pi(1, point), A), phi)
+    mix = point.pi_combination(sin_t * (sin_t * PI_KAEHLER - cos_t * PI_TWISTED))
     return K + substitute_endo_first_two(mix, A)
 
 
@@ -422,13 +430,9 @@ def canonical_K_model(
     n = point.n
     cos_t, sin_t = scalars.cos_t, scalars.sin_t
     phi, xi, eta, g = point.phi, point.xi, point.eta, point.g
-    p1, p2, p3, p4, p5 = (pi(i, point) for i in range(1, 6))
-    kaehler_block = p1 - p2 - p4
-    twisted_block = p3 + p5
-    K = nu * kaehler_block + nu_tilde * twisted_block
-    K = K - cos_t * substitute_endo_first_two(
-        cos_t * kaehler_block + sin_t * twisted_block, A
-    )
+    K = point.pi_combination(nu * PI_KAEHLER + nu_tilde * PI_TWISTED)
+    shape_part = point.pi_combination(cos_t * (cos_t * PI_KAEHLER + sin_t * PI_TWISTED))
+    K = K - substitute_endo_first_two(shape_part, A)
 
     tr_A = trace_endo(A)
     tr_A2 = trace_compose(A, A)

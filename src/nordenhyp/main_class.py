@@ -14,12 +14,25 @@ from typing import Callable
 
 import numpy as np
 
-from .contact_norden import F4_F5, ContactNordenPoint, OneForms, class_form, pi
+from .contact_norden import (
+    F4_F5,
+    PI_KAEHLER,
+    PI_TWISTED,
+    PI_UNITS,
+    ContactNordenPoint,
+    OneForms,
+    class_form,
+)
 from .errors import DegenerateFlat, DegenerateSection, InconsistentStructure
-from .hypersurface import HyperScalars, ScalarCurvatures
+from .hypersurface import HyperScalars, ScalarCurvatures, shape_from_class
 from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance
 
 COR32_READINGS = ("literal", "squared")
+
+# Every curvature below is a combination of pi_1..pi_5, written as a
+# coefficient vector in the shape of its display and built in one product
+# by `ContactNordenPoint.pi_combination`.
+P1, P2, P3, P4, P5 = PI_UNITS
 
 
 @dataclass(frozen=True)
@@ -73,11 +86,7 @@ def shape_F45(data: MainClassData) -> np.ndarray:
     p, sc = data.point, data.scalars
     cos_t, sin_t = sc.cos_t, sc.sin_t
     th, ths = sc.theta_xi, sc.theta_star_xi
-    two_n = 2 * p.n
-    phi2 = p.phi @ p.phi
-    A = -(sc.dt_xi / (2 * cos_t)) * np.outer(p.xi, p.eta)
-    A -= ((th * sin_t - ths * cos_t) / two_n) * p.phi
-    A += ((th * cos_t + ths * sin_t) / two_n) * phi2
+    A = shape_from_class(p, F4_F5, sc)
 
     tr_A = float(np.trace(A))
     tr_A_target = -sc.dt_xi / (2 * cos_t) - th * cos_t - ths * sin_t
@@ -97,15 +106,14 @@ def curvature_F45(data: MainClassData, nupair: NuPair) -> CurvatureF45:
     c, s, tan_t = sc.cos_t, sc.sin_t, sc.tan_t
     th, ths = sc.theta_xi, sc.theta_star_xi
     dt = sc.dt_xi
-    p1, p2, p3, p4, p5 = (pi(i, p) for i in range(1, 6))
     proj = th * c + ths * s
     twist = th * s - ths * c
 
-    R = nu * (p1 - p2 - tan_t * p5) + nut * (p3 - tan_t * p4)
-    R = R - (dt / (4 * n * c)) * (th * (s * p5 + c * p4) + ths * (s * p4 - c * p5))
-    R = R - ((th**2 + ths**2) / (4 * n**2)) * p2
-    R = R - (proj**2 / (4 * n**2)) * (p1 - p2 - p4)
-    R = R + ((proj * twist) / (4 * n**2)) * (p3 + p5)
+    coef = nu * (P1 - P2 - tan_t * P5) + nut * (P3 - tan_t * P4)
+    coef -= (dt / (4 * n * c)) * (th * (s * P5 + c * P4) + ths * (s * P4 - c * P5))
+    coef -= ((th**2 + ths**2) / (4 * n**2)) * P2
+    coef -= (proj**2 / (4 * n**2)) * PI_KAEHLER
+    coef += ((proj * twist) / (4 * n**2)) * PI_TWISTED
 
     tau = (
         4 * n * (n * nu - nut * tan_t)
@@ -126,7 +134,7 @@ def curvature_F45(data: MainClassData, nupair: NuPair) -> CurvatureF45:
     k_hol = -(th**2 + ths**2) / (4 * n**2)
     k_tr = nu - proj**2 / (4 * n**2)
     return CurvatureF45(
-        R=R,
+        R=p.pi_combination(coef),
         scalars=ScalarCurvatures(tau=tau, tau_tilde=tau_tilde),
         k_phi_holomorphic=k_hol,
         k_totally_real=k_tr,
@@ -173,10 +181,10 @@ def K_F45_0(data: MainClassData, R: MultilinearForm) -> MultilinearForm:
     p, sc = data.point, data.scalars
     n = p.n
     th, ths = sc.theta_xi, sc.theta_star_xi
-    p1, p2, p3, p4, p5 = (pi(i, p) for i in range(1, 6))
-    K = R + (sc.xi_theta_xi / (2 * n)) * p5 + (sc.xi_theta_star_xi / (2 * n)) * p4
-    K = K + (th**2 / (4 * n**2)) * (p2 - p4) + (ths**2 / (4 * n**2)) * p1
-    return K - ((th * ths) / (4 * n**2)) * (p3 - p5)
+    coef = (sc.xi_theta_xi / (2 * n)) * P5 + (sc.xi_theta_star_xi / (2 * n)) * P4
+    coef += (th**2 / (4 * n**2)) * (P2 - P4) + (ths**2 / (4 * n**2)) * P1
+    coef -= ((th * ths) / (4 * n**2)) * (P3 - P5)
+    return R + p.pi_combination(coef)
 
 
 def K_cor32(data: MainClassData, nupair: NuPair, reading: str = "squared") -> MultilinearForm:
@@ -195,30 +203,30 @@ def K_cor32(data: MainClassData, nupair: NuPair, reading: str = "squared") -> Mu
     c, s, tan_t = sc.cos_t, sc.sin_t, sc.tan_t
     th, ths = sc.theta_xi, sc.theta_star_xi
     dt = sc.dt_xi
-    p1, p2, p3, p4, p5 = (pi(i, p) for i in range(1, 6))
     proj = th * c + ths * s
     twist = th * s - ths * c
     four_n2 = 4 * n**2
 
     first = ths / four_n2 if reading == "literal" else ths**2 / four_n2
-    K = (nu + first) * (p1 - p2)
-    K = K + (nut - th * ths / four_n2) * p3
-    K = K - (
+    coef = (nu + first) * (P1 - P2)
+    coef += (nut - th * ths / four_n2) * P3
+    coef -= (
         nut * tan_t
         + dt * th / (4 * n)
         + (dt * ths / (4 * n)) * tan_t
         - sc.xi_theta_star_xi / (2 * n)
         + th**2 / four_n2
-    ) * p4
-    K = K - (
+    ) * P4
+    coef -= (
         nu * tan_t
         + (dt * th / (4 * n)) * tan_t
         - dt * ths / (4 * n)
         - sc.xi_theta_xi / (2 * n)
         - th * ths / four_n2
-    ) * p5
-    K = K - (proj**2 / four_n2) * (p1 - p2 - p4)
-    return K + ((twist * proj) / four_n2) * (p3 + p5)
+    ) * P5
+    coef -= (proj**2 / four_n2) * PI_KAEHLER
+    coef += ((twist * proj) / four_n2) * PI_TWISTED
+    return p.pi_combination(coef)
 
 
 def nu_from_scalars(data: MainClassData) -> NuPair:
@@ -274,11 +282,11 @@ def R_lambda_mu(data: MainClassData) -> MultilinearForm:
     n = p.n
     th, ths = sc.theta_xi, sc.theta_star_xi
     lm = lambda_mu(data)
-    p1, p2, p3, p4, p5 = (pi(i, p) for i in range(1, 6))
-    R = lm.lam * (p1 - p2 - p4) + lm.mu * (p3 + p5)
-    R = R - (sc.xi_theta_star_xi / (2 * n)) * p4 - (sc.xi_theta_xi / (2 * n)) * p5
-    R = R - (ths**2 / (4 * n**2)) * p1 - (th**2 / (4 * n**2)) * (p2 - p4)
-    return R + ((th * ths) / (4 * n**2)) * (p3 - p5)
+    coef = lm.lam * PI_KAEHLER + lm.mu * PI_TWISTED
+    coef -= (sc.xi_theta_star_xi / (2 * n)) * P4 + (sc.xi_theta_xi / (2 * n)) * P5
+    coef -= (ths**2 / (4 * n**2)) * P1 + (th**2 / (4 * n**2)) * (P2 - P4)
+    coef += ((th * ths) / (4 * n**2)) * (P3 - P5)
+    return p.pi_combination(coef)
 
 
 def solve_theta(
@@ -334,12 +342,11 @@ def theorem31(
     data = MainClassData(point=point, scalars=scalars)
     nupair = nu_from_scalars(data)
     K = K_cor32(data, nupair, reading="squared")
-    p1, p2, p3, p4, p5 = (pi(i, point) for i in range(1, 6))
     four_n2 = 4 * n**2
-    R = (
-        -(th**2 / four_n2) * (p2 - p4)
-        - (ths**2 / four_n2) * p1
-        + ((th * ths) / four_n2) * (p3 - p5)
+    R = point.pi_combination(
+        -(th**2 / four_n2) * (P2 - P4)
+        - (ths**2 / four_n2) * P1
+        + ((th * ths) / four_n2) * (P3 - P5)
     )
     tau = th**2 / (2 * n) - (2 * n + 1) * ths**2 / (2 * n)
     # twisted traces give (p3 - p5) -> 4n^2, so the 1/(4n^2) prefactor cancels

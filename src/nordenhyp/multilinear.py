@@ -3,16 +3,26 @@
 Covariant tensors of rank 1..4 are stored as dense numpy arrays indexed
 against a fixed basis.  Dimensions stay small (d <= 9), so nothing here
 tries to be clever about memory or sparsity.  The one contraction order
-that matters is in `substitute_pairs`: every 4-slot substitution runs as
-two (d^2 x d^2) matrix products instead of one unordered einsum.
+that matters is in the substitutions: every 4-slot substitution runs as at
+most two (d^2 x d^2) matrix products instead of one unordered einsum.
+
+Generator families are stacks: the rows of one read-only (m, d^4) array,
+built by a single batched Kulkarni-Nomizu product, so a linear combination
+of generators is one vector-matrix product (`combine`).
+
+Finiteness is checked where data enters: the public `MultilinearForm`
+constructor, a scalar factor, a coefficient vector, and the point and
+scalar types built on this module.  Forms derived from checked forms by
+arithmetic or by the kernels below are not rescanned.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, DegenerateMetric, DimensionMismatch
+from .errors import ArityMismatch, DegenerateMetric, DimensionMismatch, NonFiniteInput
 
 MAX_DIM = 9
 
@@ -28,8 +38,8 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def close(self, a, b) -> bool:
         a = np.asarray(a, dtype=float)
@@ -59,9 +69,15 @@ class MultilinearForm:
             raise DimensionMismatch(f"all axes must agree, got shape {arr.shape}")
         if arr.shape[0] > MAX_DIM:
             raise DimensionMismatch(f"dimension {arr.shape[0]} exceeds the supported {MAX_DIM}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+        require_finite(arr, "entries")
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "MultilinearForm":
+        """Wrap a float array derived from checked forms, skipping the entry checks."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "entries", entries)
+        return form
 
     @property
     def rank(self) -> int:
@@ -76,32 +92,42 @@ class MultilinearForm:
         return float(np.max(np.abs(self.entries)))
 
     def evaluate(self, *args) -> float:
-        """Evaluate on rank-many vectors."""
+        """Evaluate on rank-many vectors, contracting the last slot first."""
         if len(args) != self.rank:
             raise ArityMismatch(f"expected {self.rank} vectors, got {len(args)}")
-        out = self.entries
-        for v in args:
-            v = np.asarray(v, dtype=float)
+        vectors = [np.asarray(v, dtype=float) for v in args]
+        for v in vectors:
             if v.shape != (self.dim,):
                 raise DimensionMismatch(f"vector of length {v.shape} against dimension {self.dim}")
-            out = np.tensordot(out, v, axes=([0], [0]))
+        out = self.entries
+        for v in reversed(vectors):
+            out = out @ v
         return float(out)
 
     __call__ = evaluate
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
-        return MultilinearForm(self.entries + other.entries)
+        return MultilinearForm._trusted(self.entries + other.entries)
 
     def __sub__(self, other: "MultilinearForm") -> "MultilinearForm":
-        return MultilinearForm(self.entries - other.entries)
+        return MultilinearForm._trusted(self.entries - other.entries)
 
     def __neg__(self) -> "MultilinearForm":
-        return MultilinearForm(-self.entries)
+        return MultilinearForm._trusted(-self.entries)
 
     def __mul__(self, c: float) -> "MultilinearForm":
-        return MultilinearForm(self.entries * float(c))
+        c = float(c)
+        if not math.isfinite(c):
+            raise NonFiniteInput(f"factor {c} is not finite")
+        return MultilinearForm._trusted(self.entries * c)
 
     __rmul__ = __mul__
+
+
+def require_finite(a, name: str) -> None:
+    """Raise NonFiniteInput unless every entry of a is finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{name} must be finite")
 
 
 def read_only(a) -> np.ndarray:
@@ -148,7 +174,7 @@ def ricci_contract(T: MultilinearForm, g_inv) -> MultilinearForm:
     if T.rank != 4:
         raise ArityMismatch(f"ricci_contract needs rank 4, got {T.rank}")
     g_inv = _as_square(g_inv, "inverse metric")
-    return MultilinearForm(np.einsum("il,ijkl->jk", g_inv, T.entries))
+    return MultilinearForm._trusted(np.einsum("il,ijkl->jk", g_inv, T.entries))
 
 
 def scalar_contract(rho: MultilinearForm, g_inv) -> float:
@@ -173,17 +199,56 @@ def trace_compose(A, B) -> float:
 
 
 def kulkarni_nomizu(h, k) -> np.ndarray:
-    """Kulkarni-Nomizu product of two symmetric bilinear forms, as a rank-4 array.
+    """Kulkarni-Nomizu product of symmetric bilinear forms, as a rank-4 array.
 
     (h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z).
+    h and k may carry matching leading batch axes, (..., d, d); the result
+    is then (..., d, d, d, d), one product per batch entry.
     """
-    hk = np.multiply.outer(h, k)  # [a, b, c, d] = h[a, b] k[c, d]
-    return (
-        hk.transpose(0, 2, 3, 1)
-        + hk.transpose(2, 0, 1, 3)
-        - hk.transpose(0, 2, 1, 3)
-        - hk.transpose(2, 0, 3, 1)
-    )
+    h = np.asarray(h, dtype=float)
+    k = np.asarray(k, dtype=float)
+    # X(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u); the product is X - X(x, y, u, z)
+    X = h[..., :, None, None, :] * k[..., None, :, :, None]
+    X += k[..., :, None, None, :] * h[..., None, :, :, None]
+    return X - X.swapaxes(-1, -2)
+
+
+def generator_stack(h, k, scale) -> np.ndarray:
+    """Rows scale_i * (h_i o k_i), flattened, as one read-only (m, d^4) array.
+
+    h and k are sequences of m symmetric (d, d) matrices.  The stack is
+    checked once here (dimension, finiteness), so `stack_rows` and
+    `combine` can trust it.
+    """
+    scale = np.asarray(scale, dtype=float)
+    h = np.asarray(h, dtype=float) * scale[:, None, None]  # (s h) o k = s (h o k)
+    d = h.shape[-1]
+    if d > MAX_DIM:
+        raise DimensionMismatch(f"dimension {d} exceeds the supported {MAX_DIM}")
+    stack = kulkarni_nomizu(h, k).reshape(len(scale), d**4)
+    require_finite(stack, "generator entries")
+    stack.setflags(write=False)
+    return stack
+
+
+def _stack_dim(stack: np.ndarray) -> int:
+    return math.isqrt(math.isqrt(stack.shape[1]))
+
+
+def stack_rows(stack: np.ndarray) -> tuple[MultilinearForm, ...]:
+    """The rows of a generator stack as rank-4 forms; read-only views, no copies."""
+    d = _stack_dim(stack)
+    return tuple(MultilinearForm._trusted(row.reshape(d, d, d, d)) for row in stack)
+
+
+def combine(stack: np.ndarray, c) -> MultilinearForm:
+    """sum_i c_i * row_i of a generator stack, as one rank-4 form in one product."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != stack.shape[:1]:
+        raise DimensionMismatch(f"{stack.shape[0]} generators, coefficients of shape {c.shape}")
+    require_finite(c, "coefficients")
+    d = _stack_dim(stack)
+    return MultilinearForm._trusted((c @ stack).reshape(d, d, d, d))
 
 
 def pair_matrix(M) -> np.ndarray:
@@ -207,18 +272,20 @@ def substitute_pairs(T: np.ndarray, M, N) -> np.ndarray:
 
 
 def substitute_endo_first_two(T: MultilinearForm, A) -> MultilinearForm:
-    """T(Ax, Ay, z, u) as a rank-4 form."""
-    A = _as_square(A)
-    return MultilinearForm(substitute_pairs(T.entries, A, np.eye(T.dim)))
+    """T(Ax, Ay, z, u) as a rank-4 form: one (d^2 x d^2) matrix product."""
+    d2 = T.dim**2
+    flat = pair_matrix(_as_square(A)).T @ T.entries.reshape(d2, d2)
+    return MultilinearForm._trusted(flat.reshape(T.entries.shape))
 
 
 def substitute_endo_last_two(T: MultilinearForm, B) -> MultilinearForm:
-    """T(x, y, Bz, Bu) as a rank-4 form."""
-    B = _as_square(B)
-    return MultilinearForm(substitute_pairs(T.entries, np.eye(T.dim), B))
+    """T(x, y, Bz, Bu) as a rank-4 form: one (d^2 x d^2) matrix product."""
+    d2 = T.dim**2
+    flat = T.entries.reshape(d2, d2) @ pair_matrix(_as_square(B))
+    return MultilinearForm._trusted(flat.reshape(T.entries.shape))
 
 
 def twist_last(T: MultilinearForm, B) -> MultilinearForm:
     """T(x, y, z, Bu) as a rank-4 form."""
     B = _as_square(B)
-    return MultilinearForm(np.einsum("ijka,al->ijkl", T.entries, B))
+    return MultilinearForm._trusted(T.entries @ B)

@@ -28,10 +28,11 @@ from .contact_norden import (
     ContactSectionKind,
     F11,
     F4_F5,
+    PI_KAEHLER,
+    PI_TWISTED,
     canonical_difference,
     is_curvature_like,
     kaehler_residual,
-    pi,
     sectional_curvature,
     validate_contact_axioms,
 )
@@ -131,9 +132,8 @@ def battery_kaehlerity(
     for _ in range(trials):
         for n in n_values:
             p = random_contact_point(gen, n, fault=fault)
-            pis = [pi(i, p) for i in range(1, 6)]
-            w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(pis[0] - pis[1] - pis[3], p), 1e-10)
-            w.add("pi3_plus_pi5", kaehler_residual(pis[2] + pis[4], p), 1e-10)
+            w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p), 1e-10)
+            w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p), 1e-10)
     return w.checks()
 
 
@@ -220,7 +220,7 @@ def battery_induced_curvature(
                 want = closed_form_scalars(A, sc, nu, nut, p)
                 w.add(f"{tag}.tau", _rel(got.tau, want.tau), 1e-8)
                 w.add(f"{tag}.tau_twisted", _rel(got.tau_tilde, want.tau_tilde), 1e-8)
-                w.add(f"{tag}.curvature_symmetries", is_curvature_like(R, p), 1e-9)
+                w.add(f"{tag}.curvature_symmetries", is_curvature_like(R), 1e-9)
                 x = gen.uniform(-1.0, 1.0, size=p.dim)
                 k_xi = special_sectional(p, A, sc, nu, nut, ContactSectionKind.XI_SECTION, x)
                 w.add(
@@ -453,6 +453,8 @@ def run_suite(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_values = tuple(n_values)
+    if not n_values or min(n_values) < 1:
+        raise ValueError(f"n values must be >= 1, got {n_values}")
     checks: list[Check] = []
     for name, battery in BATTERIES.items():
         gen = rng(seed + sum(ord(c) for c in name))

@@ -115,8 +115,133 @@ def test_suite_fault_injection_fails(tmp_path, capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_bad_tolerance_exit_2(tmp_path, capsys, flag, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "validate", "n": 1}))
+    assert cli.main([str(path), "--json", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_run_suite_rejects_sizes_below_one():
+    from nordenhyp.suite import run_suite
+
+    for n_values in ((0,), (1, -1), ()):
+        with pytest.raises(ValueError):
+            run_suite(seed=1, trials=1, n_values=n_values)
+
+
 def test_stdin_scenario(tmp_path, capsys, monkeypatch):
     import io
 
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"kind": "validate", "n": 1})))
     assert cli.main(["-", "--json"]) == 0
+
+
+def _contact_fields(n=1):
+    from nordenhyp.contact_norden import ContactNordenPoint
+
+    p = ContactNordenPoint.standard(n)
+    return {"n": n, "g": p.g.tolist(), "phi": p.phi.tolist(), "xi": p.xi.tolist(), "eta": p.eta.tolist()}
+
+
+def _ambient_fields():
+    from nordenhyp.complex_norden import ComplexNordenPoint
+
+    amb = ComplexNordenPoint.standard(2)
+    # N = e_3 has g'(N, N) = -1 in the standard neutral metric
+    return {"ambient": {"n_prime": 2, "g": amb.g.tolist(), "J": amb.J.tolist()}, "N": [0.0, 0.0, 1.0, 0.0]}
+
+
+def _base_scenario(kind, ambient=False):
+    hyper = {"class": "F4+F5", "nu": 1.5, "nu_tilde": -0.5}
+    scalars = {"theta_xi": 1.0, "theta_star_xi": 0.7, "dt_xi": 0.2}
+    if kind == "validate":
+        return {"kind": kind, **_contact_fields()}
+    if kind == "classify":
+        return {"kind": kind, **_contact_fields(), "x": [1, 0, 0], "y": [0, 1, 0]}
+    if kind == "induce":
+        return {"kind": kind, **_ambient_fields()}
+    if ambient:
+        return {"kind": kind, **hyper, **_ambient_fields(), "scalars": scalars}
+    return {"kind": kind, **hyper, **_contact_fields(), "scalars": {"t": 0.3, **scalars}}
+
+
+# (kind, uses the ambient form, path of the poisoned entry)
+NONFINITE_CASES = [
+    ("validate", False, ("g", 0, 0)),
+    ("validate", False, ("phi", 1, 0)),
+    ("classify", False, ("g", 1, 1)),
+    ("classify", False, ("phi", 0, 1)),
+    ("induce", False, ("ambient", "g", 0, 0)),
+    ("induce", False, ("N", 2)),
+    ("curvature", False, ("g", 0, 0)),
+    ("curvature", False, ("phi", 1, 0)),
+    ("curvature", False, ("nu",)),
+    ("curvature", False, ("scalars", "theta_xi")),
+    ("curvature", False, ("scalars", "t")),
+    ("curvature", True, ("N", 2)),
+    ("curvature", True, ("ambient", "g", 0, 0)),
+    ("curvature", True, ("scalars", "dt_xi")),
+    ("canonical", False, ("g", 2, 2)),
+    ("canonical", False, ("phi", 0, 1)),
+    ("canonical", False, ("nu",)),
+    ("canonical", False, ("scalars", "theta_star_xi")),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind, ambient, path",
+    NONFINITE_CASES,
+    ids=[f"{k}{'-ambient' if a else ''}-{'.'.join(map(str, p))}" for k, a, p in NONFINITE_CASES],
+)
+def test_nonfinite_input_exit_2(tmp_path, capsys, kind, ambient, path, bad):
+    scenario = _base_scenario(kind, ambient)
+    code, _ = run(tmp_path, capsys, scenario)
+    assert code in (0, 1)
+    target = scenario
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    path_file = tmp_path / "poisoned.json"
+    path_file.write_text(json.dumps(scenario))
+    assert cli.main([str(path_file), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"kind": "validate", "n": None},
+        {"kind": "validate", "n": True},
+        {"kind": "solve", "n": 0, "t": 0.1, "nu": 1, "nu_tilde": 0.5},
+        {"kind": "solve", "n": 1, "t": 0.1, "nu": 1, "nu_tilde": 0.5, "epsilon": 1.0},
+        {"kind": "solve", "n": 1, "t": None, "nu": 1, "nu_tilde": 0.5},
+        {"kind": "theorem31", "n": 0, "theta_xi": 1.0, "theta_star_xi": 0.5},
+        {"kind": "theorem31", "n": 1.5, "theta_xi": 1.0, "theta_star_xi": 0.5},
+        {"kind": "suite", "trials": 1, "n_values": [0]},
+    ],
+    ids=[
+        "validate-n-null",
+        "validate-n-bool",
+        "solve-n-zero",
+        "solve-epsilon-float",
+        "solve-t-null",
+        "theorem31-n-zero",
+        "theorem31-n-float",
+        "suite-n-zero",
+    ],
+)
+def test_bad_field_type_exit_2(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from nordenhyp.complex_norden import (
     validate_complex_norden,
 )
 from nordenhyp.contact_norden import is_curvature_like
-from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors
+from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors, NonFiniteInput
 from nordenhyp.sampling import random_complex_point, random_totally_real_pair
 
 
@@ -54,6 +56,48 @@ def test_pi_prime_curvature_like(gen):
     p = random_complex_point(gen, 2)
     for i in (1, 2, 3):
         assert is_curvature_like(pi_prime(i, p)) < 1e-12
+
+
+def loop_pi_prime_combination(point, c):
+    """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3, entry by entry from the defining formulas."""
+    d = point.dim
+    g, gJ = point.g.tolist(), associated_metric_prime(point).tolist()
+    out = np.zeros((d, d, d, d))
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        def wedge(h, q):  # h(y, z) q(x, u) - h(x, z) q(y, u)
+            return h[j][k] * q[i][l] - h[i][k] * q[j][l]
+
+        pis = (wedge(g, g), wedge(gJ, gJ), -wedge(g, gJ) - wedge(gJ, g))
+        out[i, j, k, l] = sum(cm * v for cm, v in zip(c, pis))
+    return out
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
+def test_pi_prime_combination_matches_defining_formulas(gen, n_prime):
+    p = random_complex_point(gen, n_prime)
+    c = gen.uniform(-2, 2, size=3)
+    got = p.pi_prime_combination(c).entries
+    assert np.allclose(got, loop_pi_prime_combination(p, c), rtol=0, atol=1e-12)
+
+
+def test_pi_prime_stack_cached_and_read_only(gen):
+    p = random_complex_point(gen, 2)
+    stack = p.pi_prime_stack
+    assert stack.shape == (3, p.dim**4)
+    assert p.pi_prime_stack is stack
+    assert not stack.flags.writeable
+    assert ComplexNordenPoint.standard(3) is ComplexNordenPoint.standard(3)
+    with pytest.raises(NonFiniteInput):
+        p.pi_prime_combination([1.0, np.inf, 0.0])
+
+
+@pytest.mark.parametrize("field", ["g", "J"])
+def test_nonfinite_field_rejected(field):
+    p = ComplexNordenPoint.standard(1)
+    fields = {"g": p.g.copy(), "J": p.J.copy()}
+    fields[field][0, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        ComplexNordenPoint(1, **fields)
 
 
 def test_pi_prime_cached_and_read_only(gen):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from nordenhyp.contact_norden import (
     pi,
     validate_contact_axioms,
 )
-from nordenhyp.errors import BadIndex, DependentVectors, NotConstructive
+from nordenhyp.errors import BadIndex, DependentVectors, NonFiniteInput, NotConstructive
 from nordenhyp.sampling import random_contact_point, random_congruence
 
 
@@ -137,6 +139,66 @@ class TestPiFamily:
         q = ContactNordenPoint(p.n, p.g.copy(), p.phi.copy(), p.xi.copy(), p.eta.copy())
         for i in range(1, 6):
             assert np.array_equal(pi(i, p).entries, pi(i, q).entries)
+
+
+def loop_pi_combination(point, c):
+    """sum_m c_m pi_m, entry by entry from the defining formulas of pi_1..pi_5."""
+    d = point.dim
+    g, gp, eta = point.g.tolist(), point.g_phi.tolist(), point.eta.tolist()
+    out = np.zeros((d, d, d, d))
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        def wedge(h, q):  # h(y, z) q(x, u) - h(x, z) q(y, u)
+            return h[j][k] * q[i][l] - h[i][k] * q[j][l]
+
+        def with_eta(h):
+            return (
+                eta[j] * eta[k] * h[i][l]
+                - eta[i] * eta[k] * h[j][l]
+                + eta[i] * eta[l] * h[j][k]
+                - eta[j] * eta[l] * h[i][k]
+            )
+
+        pis = (wedge(g, g), wedge(gp, gp), -wedge(g, gp) - wedge(gp, g), with_eta(g), with_eta(gp))
+        out[i, j, k, l] = sum(cm * v for cm, v in zip(c, pis))
+    return out
+
+
+class TestPiStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_combination_matches_defining_formulas(self, gen, n):
+        p = random_contact_point(gen, n)
+        c = gen.uniform(-2, 2, size=5)
+        got = p.pi_combination(c).entries
+        assert np.allclose(got, loop_pi_combination(p, c), rtol=0, atol=1e-12)
+        assert np.array_equal(got, np.tensordot(c, p.pi_stack, axes=1).reshape(got.shape))
+
+    def test_stack_cached_and_read_only(self, gen):
+        p = random_contact_point(gen, 2)
+        stack = p.pi_stack
+        assert stack.shape == (5, p.dim**4)
+        assert p.pi_stack is stack
+        assert not stack.flags.writeable
+        for i in range(1, 6):
+            assert np.shares_memory(pi(i, p).entries, stack)
+
+    def test_nonfinite_coefficient_rejected(self, gen):
+        p = random_contact_point(gen, 1)
+        with pytest.raises(NonFiniteInput):
+            p.pi_combination([1.0, 0.0, np.nan, 0.0, 0.0])
+
+    def test_standard_point_shared(self):
+        assert ContactNordenPoint.standard(2) is ContactNordenPoint.standard(2)
+        assert ContactNordenPoint.standard(2) is not ContactNordenPoint.standard(3)
+
+
+@pytest.mark.parametrize("field", ["g", "phi", "xi", "eta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_field_rejected(field, bad):
+    p = ContactNordenPoint.standard(1)
+    fields = {"g": p.g.copy(), "phi": p.phi.copy(), "xi": p.xi.copy(), "eta": p.eta.copy()}
+    fields[field].flat[0] = bad
+    with pytest.raises(NonFiniteInput):
+        ContactNordenPoint(1, **fields)
 
 
 def test_point_fields_are_read_only_copies():

@@ -21,6 +21,7 @@ from nordenhyp.contact_norden import (
 )
 from nordenhyp.errors import (
     DegenerateSection,
+    NonFiniteInput,
     NotConstructive,
     NotTimelike,
     WrongSectionKind,
@@ -75,6 +76,14 @@ class TestInduce:
         with pytest.raises(NotTimelike):
             induce(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_normal_rejected(self, gen, bad):
+        frame = random_timelike_frame(gen, 2)
+        N = frame.N.copy()
+        N[1] = bad
+        with pytest.raises(NonFiniteInput):
+            TimelikeNormalFrame(ambient=frame.ambient, N=N)
+
     def test_tangent_basis_is_tangent(self, gen):
         frame = random_timelike_frame(gen, 3)
         st = induce(frame)
@@ -87,6 +96,19 @@ class TestHyperScalars:
         with pytest.raises(ValueError):
             HyperScalars(t=math.pi / 2)
         HyperScalars(t=1.5)
+
+    @pytest.mark.parametrize(
+        "field", ["t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scalar_rejected(self, field, bad):
+        values = {"t": 0.2, field: bad}
+        with pytest.raises(NonFiniteInput):
+            HyperScalars(**values)
+
+    def test_nonfinite_omega_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            HyperScalars(t=0.2, Omega=[0.0, np.nan, 1.0])
 
     def test_trig_properties(self):
         sc = HyperScalars(t=0.4)
@@ -177,7 +199,7 @@ class TestScalarCurvatures:
         nu, nut = random_nu_pair(gen)
         A = shape_from_class(p, F4_F5, sc)
         R = gauss_induced_R(p, A, sc, nu, nut)
-        assert is_curvature_like(R, p) < 1e-12
+        assert is_curvature_like(R) < 1e-12
 
     def test_gauss_identities(self, gen):
         p = random_contact_point(gen, 2)

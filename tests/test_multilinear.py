@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from nordenhyp.errors import ArityMismatch, DegenerateMetric, DimensionMismatch
+from nordenhyp.errors import ArityMismatch, DegenerateMetric, DimensionMismatch, NonFiniteInput
 from nordenhyp.multilinear import (
     MAX_DIM,
     MultilinearForm,
     Tolerance,
+    combine,
+    generator_stack,
     invert_metric,
+    kulkarni_nomizu,
     ricci_contract,
     scalar_contract,
     signature,
@@ -94,6 +97,27 @@ class TestMultilinearForm:
         assert np.allclose((2.5 * a).entries, 2.5 * a.entries)
         assert np.allclose((-a).entries, -a.entries)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_factor_rejected(self, c):
+        a = MultilinearForm(np.ones((3, 3)))
+        with pytest.raises(NonFiniteInput):
+            a * c
+        with pytest.raises(NonFiniteInput):
+            c * a
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_evaluate_matches_loop_contraction(self, gen, rank):
+        d = 4
+        T = gen.uniform(-1, 1, size=(d,) * rank)
+        vs = [gen.uniform(-1, 1, size=d) for _ in range(rank)]
+        want = 0.0
+        for idx in itertools.product(range(d), repeat=rank):
+            term = T[idx]
+            for v, i in zip(vs, idx):
+                term *= v[i]
+            want += term
+        assert MultilinearForm(T).evaluate(*vs) == pytest.approx(want, rel=0, abs=1e-12)
+
 
 class TestTolerance:
     def test_close_mixed(self):
@@ -105,6 +129,13 @@ class TestTolerance:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             Tolerance(abs_tol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_required(self, bad):
+        with pytest.raises(ValueError):
+            Tolerance(abs_tol=bad)
+        with pytest.raises(ValueError):
+            Tolerance(rel_tol=bad)
 
 
 class TestMetricOps:
@@ -189,3 +220,57 @@ class TestSubstitutePairs:
             indices = [tuple(gen.integers(0, d, size=4)) for _ in range(10)]
         assert_matches_oracle(first, T, A, eye, indices)
         assert_matches_oracle(last, T, eye, A, indices)
+
+
+def loop_kulkarni_nomizu(h, k):
+    """(h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z)."""
+    d = h.shape[0]
+    out = np.zeros((d, d, d, d))
+    for i, j, k_, l in itertools.product(range(d), repeat=4):
+        out[i, j, k_, l] = (
+            h[i, l] * k[j, k_] + h[j, k_] * k[i, l] - h[i, k_] * k[j, l] - h[j, l] * k[i, k_]
+        )
+    return out
+
+
+def random_symmetric(gen, *shape):
+    a = gen.uniform(-1, 1, size=shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+class TestGeneratorStack:
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_batched_kn_equals_per_pair(self, gen, d):
+        h, k = random_symmetric(gen, 4, d, d), random_symmetric(gen, 4, d, d)
+        batched = kulkarni_nomizu(h, k)
+        assert batched.shape == (4, d, d, d, d)
+        for m in range(4):
+            single = kulkarni_nomizu(h[m], k[m])
+            assert np.array_equal(batched[m], single)
+            assert np.allclose(single, loop_kulkarni_nomizu(h[m], k[m]), rtol=0, atol=1e-14)
+
+    def test_stack_rows_and_combination(self, gen):
+        d = 3
+        h, k = random_symmetric(gen, 3, d, d), random_symmetric(gen, 3, d, d)
+        scale = (0.5, -1.0, 2.0)
+        stack = generator_stack(h, k, scale)
+        assert stack.shape == (3, d**4)
+        assert not stack.flags.writeable
+        c = gen.uniform(-2, 2, size=3)
+        want = sum(c[m] * scale[m] * loop_kulkarni_nomizu(h[m], k[m]) for m in range(3))
+        got = combine(stack, c)
+        assert got.entries.shape == (d, d, d, d)
+        assert np.allclose(got.entries, want, rtol=0, atol=1e-13)
+
+    def test_combination_guards(self, gen):
+        stack = generator_stack(random_symmetric(gen, 2, 3, 3), random_symmetric(gen, 2, 3, 3), (1, 1))
+        with pytest.raises(DimensionMismatch):
+            combine(stack, [1.0, 2.0, 3.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInput):
+                combine(stack, [1.0, bad])
+
+    def test_stack_dimension_bound(self):
+        d = MAX_DIM + 1
+        with pytest.raises(DimensionMismatch):
+            generator_stack(np.eye(d)[None], np.eye(d)[None], (1.0,))
