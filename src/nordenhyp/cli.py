@@ -8,6 +8,7 @@ output; a human rendering goes to standard error under --verbose.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,7 +51,7 @@ from .main_class import (
     theorem31,
 )
 from .multilinear import DEFAULT_TOL, Tolerance
-from .report import Check, ValidationReport
+from .report import Check, ValidationReport, finite_or_none
 from .suite import run_suite
 
 
@@ -85,6 +86,26 @@ def _as_real(value, key: str) -> float:
     return float(value)
 
 
+def _as_object(value, key: str) -> dict:
+    """A JSON-object field such as ambient or scalars."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _as_array(value, key: str, ndim: int) -> np.ndarray:
+    """A numeric field given as nested JSON arrays of rank ndim (1 vector, 2 matrix)."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be an array, got {value!r}")
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} must be a numeric array: {exc}") from None
+    if arr.ndim != ndim:
+        raise SchemaError(f"{key} must be an array of rank {ndim}, got shape {arr.shape}")
+    return arr
+
+
 def _reals(payload: dict, *keys: str) -> list[float]:
     return [_as_real(v, k) for v, k in zip(_need(payload, *keys), keys)]
 
@@ -100,7 +121,13 @@ def _contact_point(payload: dict) -> ContactNordenPoint:
     if "g" not in payload:
         return ContactNordenPoint.standard(n)
     g, phi, xi, eta = _need(payload, "g", "phi", "xi", "eta")
-    return ContactNordenPoint(n, np.array(g), np.array(phi), np.array(xi), np.array(eta))
+    return ContactNordenPoint(
+        n,
+        _as_array(g, "g", 2),
+        _as_array(phi, "phi", 2),
+        _as_array(xi, "xi", 1),
+        _as_array(eta, "eta", 1),
+    )
 
 
 def _complex_point(payload: dict) -> ComplexNordenPoint:
@@ -108,13 +135,22 @@ def _complex_point(payload: dict) -> ComplexNordenPoint:
     if "g" not in payload:
         return ComplexNordenPoint.standard(n_prime)
     g, J = _need(payload, "g", "J")
-    return ComplexNordenPoint(n_prime, np.array(g), np.array(J))
+    return ComplexNordenPoint(n_prime, _as_array(g, "g", 2), _as_array(J, "J", 2))
+
+
+def _normal_frame(payload: dict) -> TimelikeNormalFrame:
+    """The ambient point and the time-like normal N of an embedding."""
+    ambient, N = _need(payload, "ambient", "N")
+    return TimelikeNormalFrame(
+        ambient=_complex_point(_as_object(ambient, "ambient")), N=_as_array(N, "N", 1)
+    )
 
 
 _SCALAR_KEYS = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
 
 
-def _scalars(payload: dict, t: float | None = None) -> HyperScalars:
+def _scalars(payload, t: float | None = None) -> HyperScalars:
+    payload = _as_object(payload, "scalars")
     if t is None:
         if "t" not in payload:
             raise SchemaError("scalars need a t value")
@@ -124,7 +160,9 @@ def _scalars(payload: dict, t: float | None = None) -> HyperScalars:
             f"scalars give t = {payload['t']} but the embedding forces t = {t}"
         )
     values = {k: _as_real(payload.get(k, 0.0), k) for k in _SCALAR_KEYS}
-    Omega = np.array(payload["Omega"]) if payload.get("Omega") is not None else None
+    Omega = payload.get("Omega")
+    if Omega is not None:
+        Omega = _as_array(Omega, "Omega", 1)
     return HyperScalars(t=t, Omega=Omega, **values)
 
 
@@ -135,10 +173,7 @@ def _hyper_inputs(payload: dict, tol: Tolerance):
         raise SchemaError(f"class must be one of {CONSTRUCTIVE_TAGS}")
     nu, nut = _reals(payload, "nu", "nu_tilde")
     if "ambient" in payload:
-        frame = TimelikeNormalFrame(
-            ambient=_complex_point(payload["ambient"]), N=np.array(payload["N"])
-        )
-        structure = induce(frame, tol)
+        structure = induce(_normal_frame(payload), tol)
         point = structure.point
         scalars = _scalars(payload.get("scalars", {}), t=structure.t)
     else:
@@ -155,17 +190,15 @@ def _run_validate(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_induce(payload: dict, args) -> tuple[ValidationReport, dict]:
-    frame = TimelikeNormalFrame(
-        ambient=_complex_point(payload["ambient"]), N=np.array(payload["N"])
-    )
-    structure = induce(frame, args.tol)
+    structure = induce(_normal_frame(payload), args.tol)
     checks = list(validate_contact_axioms(structure.point, args.tol).checks)
     checks.append(Check("pullback_identities", pi_relations_residual(structure), 1e-9))
     return ValidationReport(tuple(checks)), {"t": structure.t}
 
 
 def _run_classify(payload: dict, args) -> tuple[ValidationReport, dict]:
-    x, y = np.array(payload["x"]), np.array(payload["y"])
+    x, y = _need(payload, "x", "y")
+    x, y = _as_array(x, "x", 1), _as_array(y, "y", 1)
     if "n_prime" in payload:
         kind = classify_section_prime(_complex_point(payload), x, y, args.tol)
     else:
@@ -335,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.tol = Tolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
         scenario = _load_scenario(args.scenario)
@@ -348,11 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    results = {k: finite_or_none(v) for k, v in results.items()}
     doc = {"kind": kind, **report.to_dict(), "results": results}
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=None if args.json else 2, sort_keys=True, allow_nan=False))
     if args.verbose:
         print(report.render_text(), file=sys.stderr)
     return 0 if report.passed else 1

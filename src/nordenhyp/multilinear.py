@@ -144,15 +144,20 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate symmetry and nondegeneracy of a metric candidate."""
+def _metric_eigenvalues(g, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """A validated metric candidate and the eigenvalues of its symmetric part."""
     g = _as_square(g, "metric")
     if np.max(np.abs(g - g.T)) > tol.abs_tol + tol.rel_tol * np.max(np.abs(g)):
         raise DegenerateMetric("metric is not symmetric")
     eig = np.linalg.eigvalsh(0.5 * (g + g.T))
     if np.min(np.abs(eig)) <= tol.abs_tol:
         raise DegenerateMetric("metric has an eigenvalue inside the zero band")
-    return g
+    return g, eig
+
+
+def check_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Validate symmetry and nondegeneracy of a metric candidate."""
+    return _metric_eigenvalues(g, tol)[0]
 
 
 def invert_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -164,8 +169,7 @@ def invert_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def signature(g, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
     """Counts (positive, negative) of eigenvalues; errors on the zero band."""
-    g = check_metric(g, tol)
-    eig = np.linalg.eigvalsh(0.5 * (g + g.T))
+    _, eig = _metric_eigenvalues(g, tol)
     return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 
 
@@ -207,9 +211,14 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    # X(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u); the product is X - X(x, y, u, z)
-    X = h[..., :, None, None, :] * k[..., None, :, :, None]
-    X += k[..., :, None, None, :] * h[..., None, :, :, None]
+    *batch, d, _ = h.shape
+    b = len(batch)
+    # P[(x, u), (y, z)] = h(x, u) k(y, z) + h(y, z) k(x, u): one flat (d^2 x d^2)
+    # outer product plus its transpose
+    P = h.reshape(*batch, d * d, 1) * k.reshape(*batch, 1, d * d)
+    P = P + P.swapaxes(-1, -2)
+    # X(x, y, z, u) = P[(x, u), (y, z)]; the product is X - X(x, y, u, z)
+    X = P.reshape(*batch, d, d, d, d).transpose(*range(b), b, b + 2, b + 3, b + 1)
     return X - X.swapaxes(-1, -2)
 
 

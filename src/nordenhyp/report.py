@@ -1,7 +1,15 @@
 """Named residual checks and the reports built from them."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def finite_or_none(value):
+    """A value for strict JSON: a NaN or infinite float becomes None (null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass(frozen=True)
@@ -15,9 +23,10 @@ class Check:
         return abs(self.residual) <= self.threshold
 
     def to_dict(self) -> dict:
+        """Strict-JSON fields: a NaN or infinite residual is None (and never passes)."""
         return {
             "name": self.name,
-            "residual": float(self.residual),
+            "residual": finite_or_none(float(self.residual)),
             "threshold": float(self.threshold),
             "passed": bool(self.passed),
         }

@@ -245,3 +245,90 @@ def test_bad_field_type_exit_2(tmp_path, capsys, scenario):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# (scenario, field named in the error, what the field holds instead)
+CONTAINER_CASES = [
+    ({**_base_scenario("curvature"), "scalars": {"t": 0.1, "Omega": {"a": 1}}}, "Omega", "object"),
+    ({**_base_scenario("curvature"), "scalars": {"t": 0.1, "Omega": 5}}, "Omega", "number"),
+    ({**_base_scenario("curvature"), "scalars": [0.1]}, "scalars", "array"),
+    ({**_base_scenario("curvature", ambient=True), "ambient": 5}, "ambient", "number"),
+    ({**_base_scenario("curvature", ambient=True), "N": {"a": 1}}, "N", "object"),
+    ({**_base_scenario("induce"), "ambient": [1, 2]}, "ambient", "array"),
+    ({**_base_scenario("induce"), "N": 3}, "N", "number"),
+    ({**_base_scenario("classify"), "x": {"a": 1}}, "x", "object"),
+    ({**_base_scenario("classify"), "y": 1.0}, "y", "number"),
+    ({**_base_scenario("classify"), "x": [[1, 0, 0]]}, "x", "matrix"),
+    ({**_base_scenario("validate"), "g": 5}, "g", "number"),
+    ({**_base_scenario("validate"), "phi": {"a": 1}}, "phi", "object"),
+    ({**_base_scenario("validate"), "xi": [[0, 0, 1]]}, "xi", "matrix"),
+    ({**_base_scenario("validate"), "eta": [0, [0], 1]}, "eta", "ragged"),
+    ({**_base_scenario("validate"), "g": [[1, 0, 0], [0, "a", 0], [0, 0, 1]]}, "g", "string-entry"),
+    ({**_base_scenario("induce"), "ambient": {**_ambient_fields()["ambient"], "J": {"a": 1}}}, "J", "object"),
+    ({**_base_scenario("induce"), "ambient": {**_ambient_fields()["ambient"], "g": [1, 2]}}, "g", "vector"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, field, wrong",
+    CONTAINER_CASES,
+    ids=[f"{s['kind']}-{f}-{w}" for s, f, w in CONTAINER_CASES],
+)
+def test_bad_container_type_exit_2(tmp_path, capsys, scenario, field, wrong):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} ")
+    assert captured.err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_faulted_suite_output_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
+    for flags in (["--json"], []):
+        assert cli.main([str(path), *flags, "--fault-inject"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        nulls = [c for c in doc["checks"] if c["residual"] is None]
+        assert nulls
+        assert not any(c["passed"] for c in nulls)
+        assert doc["passed"] is False
+
+
+def test_nonfinite_values_encode_as_null(tmp_path, capsys, monkeypatch):
+    from nordenhyp.report import Check, ValidationReport
+
+    def handler(payload, args):
+        checks = (Check("nan", float("nan"), 1.0), Check("inf", float("inf"), 1.0), Check("ok", 0.5, 1.0))
+        return ValidationReport(checks), {"a": float("-inf"), "b": 2.0, "c": "text"}
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    code, doc = run(tmp_path, capsys, {"kind": "validate"})
+    assert code == 1
+    assert doc["results"] == {"a": None, "b": 2.0, "c": "text"}
+    assert [(c["name"], c["residual"], c["passed"]) for c in doc["checks"]] == [
+        ("inf", None, False),
+        ("nan", None, False),
+        ("ok", 0.5, True),
+    ]
+
+
+def test_parser_is_shared_without_leaking_state(tmp_path, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
+    argvs = ([str(path), "--json", "--n", "1", "--n", "2", "--seed", "3"], [str(path), "--json"])
+
+    def outputs():
+        return [(cli.main(argv), capsys.readouterr().out) for argv in argvs]
+
+    shared = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+    assert shared == outputs()
+    assert json.loads(shared[0][1])["results"] == {"n_values": [1, 2], "seed": 3, "trials": 1}
+    assert json.loads(shared[1][1])["results"] == {"n_values": [1, 2, 3], "seed": 0, "trials": 1}

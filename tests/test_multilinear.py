@@ -153,6 +153,20 @@ class TestMetricOps:
         assert signature(np.diag([1.0, 1.0, -1.0])) == (2, 1)
         assert signature(np.diag([-1.0, -1.0])) == (0, 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signature_of_standard_points(self, n):
+        from nordenhyp.complex_norden import ComplexNordenPoint
+        from nordenhyp.contact_norden import ContactNordenPoint
+
+        assert signature(ContactNordenPoint.standard(n).g) == (n + 1, n)
+        assert signature(ComplexNordenPoint.standard(n).g) == (n, n)
+
+    def test_signature_rejects_zero_band(self):
+        with pytest.raises(DegenerateMetric):
+            signature(np.diag([1.0, 0.0, -1.0]))
+        with pytest.raises(DegenerateMetric):
+            signature(np.diag([1.0, 1e-12, -1.0]))
+
 
 class TestContractions:
     def test_ricci_against_bruteforce(self, gen):
@@ -233,6 +247,13 @@ def loop_kulkarni_nomizu(h, k):
     return out
 
 
+def broadcast_kulkarni_nomizu(h, k):
+    """The product as four broadcast terms in the (x, y, z, u) layout, batch axes leading."""
+    X = h[..., :, None, None, :] * k[..., None, :, :, None]
+    X += k[..., :, None, None, :] * h[..., None, :, :, None]
+    return X - X.swapaxes(-1, -2)
+
+
 def random_symmetric(gen, *shape):
     a = gen.uniform(-1, 1, size=shape)
     return a + np.swapaxes(a, -1, -2)
@@ -248,6 +269,23 @@ class TestGeneratorStack:
             single = kulkarni_nomizu(h[m], k[m])
             assert np.array_equal(batched[m], single)
             assert np.allclose(single, loop_kulkarni_nomizu(h[m], k[m]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [(4,), (2, 3)], ids=["one-axis", "two-axis"])
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+    def test_multi_batched_kn_equals_per_pair(self, gen, d, batch):
+        h, k = random_symmetric(gen, *batch, d, d), random_symmetric(gen, *batch, d, d)
+        batched = kulkarni_nomizu(h, k)
+        assert batched.shape == (*batch, d, d, d, d)
+        for m in np.ndindex(*batch):
+            single = kulkarni_nomizu(h[m], k[m])
+            assert np.array_equal(batched[m], single)
+            assert np.allclose(single, loop_kulkarni_nomizu(h[m], k[m]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=["unbatched", "one-axis", "two-axis"])
+    @pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+    def test_kn_bitwise_equals_broadcast_formula(self, gen, d, batch):
+        h, k = random_symmetric(gen, *batch, d, d), random_symmetric(gen, *batch, d, d)
+        assert np.array_equal(kulkarni_nomizu(h, k), broadcast_kulkarni_nomizu(h, k))
 
     def test_stack_rows_and_combination(self, gen):
         d = 3
