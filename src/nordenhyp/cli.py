@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -103,6 +104,10 @@ def _as_array(value, key: str, ndim: int) -> np.ndarray:
         raise SchemaError(f"{key} must be a numeric array: {exc}") from None
     if arr.ndim != ndim:
         raise SchemaError(f"{key} must be an array of rank {ndim}, got shape {arr.shape}")
+    # rank ndim came from ndim levels of nested lists, so one C-level pass reaches every entry
+    leaves = value if ndim == 1 else itertools.chain.from_iterable(value)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise SchemaError(f"{key} must hold JSON numbers only, not booleans, strings or null")
     return arr
 
 

@@ -15,9 +15,10 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
-    combine,
+    generator_factors,
     generator_stack,
     invert_metric,
+    kulkarni_nomizu_sum,
     read_only,
     require_finite,
     signature,
@@ -48,7 +49,7 @@ class ComplexNordenPoint:
     neutral signature (n_prime, n_prime).
 
     g and J are stored as read-only float copies, so the values cached on
-    the point (g_inv, gJ, the pi' stack) cannot go stale.  Non-finite
+    the point (g_inv, gJ, the pi' factors) cannot go stale.  Non-finite
     entries are rejected here, once.
     """
 
@@ -80,18 +81,23 @@ class ComplexNordenPoint:
         return read_only(self.g @ self.J)
 
     @cached_property
-    def pi_prime_stack(self) -> np.ndarray:
-        """pi'_1..pi'_3 as the rows of one read-only (3, d^4) array, built once."""
+    def pi_prime_factors(self) -> np.ndarray:
+        """The h_i and the k_i of pi'_i = h_i o k_i, as one read-only (2, 3, d, d) array."""
         g, gJ = self.g, associated_metric_prime(self)
-        return generator_stack((g, gJ, g), (g, gJ, gJ), (0.5, 0.5, -1.0))
+        return generator_factors((g, gJ, g), (g, gJ, gJ), (0.5, 0.5, -1.0))
+
+    @cached_property
+    def pi_prime_stack(self) -> np.ndarray:
+        """pi'_1..pi'_3 as the rows of one read-only (3, d^4) array, built on the first `pi_prime` call."""
+        return generator_stack(*self.pi_prime_factors)
 
     @cached_property
     def _pi_prime_family(self) -> tuple[MultilinearForm, ...]:
         return stack_rows(self.pi_prime_stack)
 
     def pi_prime_combination(self, c) -> MultilinearForm:
-        """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3 for a coefficient vector c, in one product."""
-        return combine(self.pi_prime_stack, c)
+        """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3 for a coefficient vector c, built from the factor pairs."""
+        return kulkarni_nomizu_sum(*self.pi_prime_factors, c)
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -194,6 +200,8 @@ def classify_section_prime(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_finite(x, "x")
+    require_finite(y, "y")
     basis = np.column_stack([x, y])
     if np.linalg.matrix_rank(basis, tol=1e-12) < 2:
         raise DependentVectors("section basis is linearly dependent")

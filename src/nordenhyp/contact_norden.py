@@ -29,9 +29,10 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
-    combine,
+    generator_factors,
     generator_stack,
     invert_metric,
+    kulkarni_nomizu_sum,
     read_only,
     require_finite,
     signature,
@@ -73,7 +74,7 @@ class ContactNordenPoint:
     convention writes the pair as (n, n+1) without fixing the order.
 
     The fields are stored as read-only float copies, so the values derived
-    from them and cached on the point (g_inv, g_phi, the pi stack) cannot
+    from them and cached on the point (g_inv, g_phi, the pi factors) cannot
     go stale.  Non-finite entries are rejected here, once, so nothing
     derived from the point is rescanned.
     """
@@ -108,18 +109,23 @@ class ContactNordenPoint:
         return read_only(0.5 * (m + m.T))
 
     @cached_property
-    def pi_stack(self) -> np.ndarray:
-        """pi_1..pi_5 as the rows of one read-only (5, d^4) array, built once; see `pi`."""
+    def pi_factors(self) -> np.ndarray:
+        """The h_i and the k_i of pi_i = h_i o k_i, as one read-only (2, 5, d, d) array; see `pi`."""
         g, gp, ee = self.g, self.g_phi, np.outer(self.eta, self.eta)
-        return generator_stack((g, gp, g, g, gp), (g, gp, gp, ee, ee), (0.5, 0.5, -1.0, 1.0, 1.0))
+        return generator_factors((g, gp, g, g, gp), (g, gp, gp, ee, ee), (0.5, 0.5, -1.0, 1.0, 1.0))
+
+    @cached_property
+    def pi_stack(self) -> np.ndarray:
+        """pi_1..pi_5 as the rows of one read-only (5, d^4) array, built on the first `pi` call."""
+        return generator_stack(*self.pi_factors)
 
     @cached_property
     def _pi_family(self) -> tuple[MultilinearForm, ...]:
         return stack_rows(self.pi_stack)
 
     def pi_combination(self, c) -> MultilinearForm:
-        """c_1 pi_1 + ... + c_5 pi_5 for a coefficient vector c, in one product."""
-        return combine(self.pi_stack, c)
+        """c_1 pi_1 + ... + c_5 pi_5 for a coefficient vector c, built from the factor pairs."""
+        return kulkarni_nomizu_sum(*self.pi_factors, c)
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -328,6 +334,8 @@ def classify_section(
     """Classify span{x, y}; precedence Degenerate > Xi > PhiHolomorphic > TotallyReal."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_finite(x, "x")
+    require_finite(y, "y")
     basis = np.column_stack([x, y])
     if np.linalg.matrix_rank(basis, tol=1e-12) < 2:
         raise DependentVectors("section basis is linearly dependent")

@@ -42,6 +42,7 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    kulkarni_nomizu_sum,
     require_finite,
     ricci_contract,
     scalar_contract,
@@ -279,6 +280,20 @@ def F_from_A(point: ContactNordenPoint, A: np.ndarray, t: float) -> MultilinearF
     return MultilinearForm(ent)
 
 
+def _pi_sum(point: ContactNordenPoint, *terms) -> MultilinearForm:
+    """Sum over terms (c, A, B) of (c @ pi)(Ax, Ay, Bz, Bu), in one build from the factor pairs.
+
+    (h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B), so a substitution moves the
+    (5, d, d) factors instead of a d^4 tensor; None stands for the identity.
+    """
+    parts = []
+    for _, A, B in terms:
+        hk = point.pi_factors if A is None else A.T @ point.pi_factors
+        parts.append(hk if B is None else hk @ B)
+    h, k = np.concatenate(parts, axis=1)
+    return kulkarni_nomizu_sum(h, k, np.concatenate([c for c, _, _ in terms]))
+
+
 def gauss_induced_R(
     point: ContactNordenPoint,
     A: np.ndarray,
@@ -287,9 +302,8 @@ def gauss_induced_R(
     nu_tilde: float,
 ) -> MultilinearForm:
     """Induced curvature of a hypersurface of the constant-curvature model."""
-    tan_t = scalars.tan_t
-    R = point.pi_combination(nu * (P1 - P2 - tan_t * P5) + nu_tilde * (P3 - tan_t * P4))
-    return R - substitute_endo_first_two(pi(1, point), A)
+    model = nu * (P1 - P2 - scalars.tan_t * P5) + nu_tilde * (P3 - scalars.tan_t * P4)
+    return _pi_sum(point, (model, None, None), (-P1, A, None))
 
 
 def gauss_identities_residual(
@@ -413,10 +427,8 @@ def canonical_K_from_R(
     """Canonical curvature assembled from R, A and the angle t."""
     cos_t, sin_t = math.cos(t), math.sin(t)
     phi = point.phi
-    K = substitute_endo_last_two(R, phi @ phi)
-    K = K + substitute_endo_last_two(substitute_endo_first_two(pi(1, point), A), phi)
-    mix = point.pi_combination(sin_t * (sin_t * PI_KAEHLER - cos_t * PI_TWISTED))
-    return K + substitute_endo_first_two(mix, A)
+    mix = sin_t * (sin_t * PI_KAEHLER - cos_t * PI_TWISTED)
+    return substitute_endo_last_two(R, phi @ phi) + _pi_sum(point, (P1, A, phi), (mix, A, None))
 
 
 def canonical_K_model(
@@ -430,9 +442,9 @@ def canonical_K_model(
     n = point.n
     cos_t, sin_t = scalars.cos_t, scalars.sin_t
     phi, xi, eta, g = point.phi, point.xi, point.eta, point.g
-    K = point.pi_combination(nu * PI_KAEHLER + nu_tilde * PI_TWISTED)
-    shape_part = point.pi_combination(cos_t * (cos_t * PI_KAEHLER + sin_t * PI_TWISTED))
-    K = K - substitute_endo_first_two(shape_part, A)
+    model = nu * PI_KAEHLER + nu_tilde * PI_TWISTED
+    shape_part = -cos_t * (cos_t * PI_KAEHLER + sin_t * PI_TWISTED)
+    K = _pi_sum(point, (model, None, None), (shape_part, A, None))
 
     tr_A = trace_endo(A)
     tr_A2 = trace_compose(A, A)

@@ -6,9 +6,9 @@ tries to be clever about memory or sparsity.  The one contraction order
 that matters is in the substitutions: every 4-slot substitution runs as at
 most two (d^2 x d^2) matrix products instead of one unordered einsum.
 
-Generator families are stacks: the rows of one read-only (m, d^4) array,
-built by a single batched Kulkarni-Nomizu product, so a linear combination
-of generators is one vector-matrix product (`combine`).
+Generator families are kept as Kulkarni-Nomizu factor pairs (h_i, k_i): a
+combination sum_i c_i h_i o k_i is one build from them (`kulkarni_nomizu_sum`),
+and a substitution moves the factors, (h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B).
 
 Finiteness is checked where data enters: the public `MultilinearForm`
 constructor, a scalar factor, a coefficient vector, and the point and
@@ -202,8 +202,16 @@ def trace_compose(A, B) -> float:
     return float(np.trace(A @ B))
 
 
+def _kn_permute(P: np.ndarray, batch, d: int) -> np.ndarray:
+    """X - X(x, y, u, z) for X(x, y, z, u) = P[(x, u), (y, z)] + P[(y, z), (x, u)]."""
+    b = len(batch)
+    P = P + P.swapaxes(-1, -2)
+    X = P.reshape(*batch, d, d, d, d).transpose(*range(b), b, b + 2, b + 3, b + 1)
+    return X - X.swapaxes(-1, -2)
+
+
 def kulkarni_nomizu(h, k) -> np.ndarray:
-    """Kulkarni-Nomizu product of symmetric bilinear forms, as a rank-4 array.
+    """Kulkarni-Nomizu product of bilinear forms, as a rank-4 array.
 
     (h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z).
     h and k may carry matching leading batch axes, (..., d, d); the result
@@ -212,52 +220,50 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     *batch, d, _ = h.shape
-    b = len(batch)
-    # P[(x, u), (y, z)] = h(x, u) k(y, z) + h(y, z) k(x, u): one flat (d^2 x d^2)
-    # outer product plus its transpose
-    P = h.reshape(*batch, d * d, 1) * k.reshape(*batch, 1, d * d)
-    P = P + P.swapaxes(-1, -2)
-    # X(x, y, z, u) = P[(x, u), (y, z)]; the product is X - X(x, y, u, z)
-    X = P.reshape(*batch, d, d, d, d).transpose(*range(b), b, b + 2, b + 3, b + 1)
-    return X - X.swapaxes(-1, -2)
+    return _kn_permute(h.reshape(*batch, d * d, 1) * k.reshape(*batch, 1, d * d), batch, d)
 
 
-def generator_stack(h, k, scale) -> np.ndarray:
-    """Rows scale_i * (h_i o k_i), flattened, as one read-only (m, d^4) array.
+def kulkarni_nomizu_sum(h: np.ndarray, k: np.ndarray, c) -> MultilinearForm:
+    """sum_i c_i (h_i o k_i) for (m, d, d) factor stacks, as one rank-4 form.
 
-    h and k are sequences of m symmetric (d, d) matrices.  The stack is
-    checked once here (dimension, finiteness), so `stack_rows` and
-    `combine` can trust it.
+    One (d^2, m) @ (m, d^2) product, then the permutation step of `kulkarni_nomizu`;
+    the four-term formula is taken as written, so the factors need not be symmetric.
     """
-    scale = np.asarray(scale, dtype=float)
-    h = np.asarray(h, dtype=float) * scale[:, None, None]  # (s h) o k = s (h o k)
-    d = h.shape[-1]
+    c = np.asarray(c, dtype=float)
+    m, d, _ = h.shape
+    if c.shape != (m,) or d > MAX_DIM:
+        raise DimensionMismatch(f"{m} pairs of dimension {d} (at most {MAX_DIM}), coefficients {c.shape}")
+    require_finite(c, "coefficients")
+    P = (h.reshape(m, d * d).T * c) @ k.reshape(m, d * d)
+    return MultilinearForm._trusted(_kn_permute(P, (), d))
+
+
+def generator_factors(h, k, scale) -> np.ndarray:
+    """Factor pairs of the generators scale_i * (h_i o k_i), as one read-only (2, m, d, d) array.
+
+    Row 0 holds the h_i with the scales folded in, since (s h) o k = s (h o k),
+    and row 1 the k_i.  The pairs are checked for finiteness once, here.
+    """
+    hk = np.stack([np.asarray(h, dtype=float) * np.asarray(scale, dtype=float)[:, None, None], k])
+    require_finite(hk, "generator factors")
+    hk.setflags(write=False)
+    return hk
+
+
+def generator_stack(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Rows h_i o k_i of (m, d, d) factor pairs, flattened, as one read-only (m, d^4) array."""
+    m, d, _ = h.shape
     if d > MAX_DIM:
         raise DimensionMismatch(f"dimension {d} exceeds the supported {MAX_DIM}")
-    stack = kulkarni_nomizu(h, k).reshape(len(scale), d**4)
-    require_finite(stack, "generator entries")
+    stack = kulkarni_nomizu(h, k).reshape(m, d**4)
     stack.setflags(write=False)
     return stack
 
 
-def _stack_dim(stack: np.ndarray) -> int:
-    return math.isqrt(math.isqrt(stack.shape[1]))
-
-
 def stack_rows(stack: np.ndarray) -> tuple[MultilinearForm, ...]:
     """The rows of a generator stack as rank-4 forms; read-only views, no copies."""
-    d = _stack_dim(stack)
+    d = math.isqrt(math.isqrt(stack.shape[1]))
     return tuple(MultilinearForm._trusted(row.reshape(d, d, d, d)) for row in stack)
-
-
-def combine(stack: np.ndarray, c) -> MultilinearForm:
-    """sum_i c_i * row_i of a generator stack, as one rank-4 form in one product."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != stack.shape[:1]:
-        raise DimensionMismatch(f"{stack.shape[0]} generators, coefficients of shape {c.shape}")
-    require_finite(c, "coefficients")
-    d = _stack_dim(stack)
-    return MultilinearForm._trusted((c @ stack).reshape(d, d, d, d))
 
 
 def pair_matrix(M) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from nordenhyp import cli
@@ -266,6 +267,13 @@ CONTAINER_CASES = [
     ({**_base_scenario("validate"), "g": [[1, 0, 0], [0, "a", 0], [0, 0, 1]]}, "g", "string-entry"),
     ({**_base_scenario("induce"), "ambient": {**_ambient_fields()["ambient"], "J": {"a": 1}}}, "J", "object"),
     ({**_base_scenario("induce"), "ambient": {**_ambient_fields()["ambient"], "g": [1, 2]}}, "g", "vector"),
+    ({**_base_scenario("classify"), "x": [True, False, False]}, "x", "booleans"),
+    ({**_base_scenario("classify"), "y": [0, 1, True]}, "y", "boolean"),
+    ({**_base_scenario("validate"), "g": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "g", "boolean"),
+    ({**_base_scenario("induce"), "N": [0.0, 0.0, True, 0.0]}, "N", "boolean"),
+    ({**_base_scenario("curvature"), "scalars": {"t": 0.1, "Omega": [0, False, 0]}}, "Omega", "boolean"),
+    ({**_base_scenario("classify"), "x": ["1", "0", "0"]}, "x", "numeric-strings"),
+    ({**_base_scenario("validate"), "eta": [0, None, 1]}, "eta", "null-entry"),
 ]
 
 
@@ -282,6 +290,61 @@ def test_bad_container_type_exit_2(tmp_path, capsys, scenario, field, wrong):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize(
+    "point",
+    [{"n": 1, "x": [1, 0, 0], "y": [0, 1, 0]}, {"n_prime": 1, "x": [1, 0], "y": [0, 1]}],
+    ids=["contact", "complex"],
+)
+def test_classify_nonfinite_vector_names_field(tmp_path, capsys, point, field, bad):
+    scenario = {"kind": "classify", **point}
+    scenario[field] = [bad] + scenario[field][1:]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be finite\n"
+
+
+def _random_hyper_scenario(gen, kind, tag, n, ambient):
+    """A curvature or canonical scenario on a congruence-randomized point or ambient."""
+    from nordenhyp.sampling import random_congruence, random_contact_point, random_timelike_frame
+
+    keys = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
+    scalars = {k: float(gen.uniform(-2, 2)) for k in keys}
+    if tag == "F11":
+        scalars["Omega"] = gen.uniform(-1, 1, size=2 * n + 1).tolist()
+    nu, nu_tilde = gen.uniform(-2, 2, size=2).tolist()
+    scenario = {"kind": kind, "class": tag, "nu": nu, "nu_tilde": nu_tilde, "scalars": scalars}
+    if ambient:
+        frame = random_timelike_frame(gen, n + 1)
+        S = random_congruence(gen, 2 * n + 2)
+        amb = frame.ambient.congruence(S)
+        scenario["ambient"] = {"n_prime": n + 1, "g": amb.g.tolist(), "J": amb.J.tolist()}
+        scenario["N"] = np.linalg.solve(S, frame.N).tolist()
+    else:
+        p = random_contact_point(gen, n)
+        scenario.update(n=n, g=p.g.tolist(), phi=p.phi.tolist(), xi=p.xi.tolist(), eta=p.eta.tolist())
+        scalars["t"] = float(gen.uniform(-1.2, 1.2))
+    return scenario
+
+
+HYPER_SIZES = [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)]
+HYPER_IDS = [f"n{n}{'-ambient' if a else ''}" for n, a in HYPER_SIZES]
+
+
+@pytest.mark.parametrize("tag", ["F0", "F4", "F5", "F11", "F4+F5"])
+@pytest.mark.parametrize("n, ambient", HYPER_SIZES, ids=HYPER_IDS)
+@pytest.mark.parametrize("kind", ["curvature", "canonical"])
+def test_hyper_scenarios_pass_on_random_points(tmp_path, capsys, gen, kind, n, ambient, tag):
+    code, doc = run(tmp_path, capsys, _random_hyper_scenario(gen, kind, tag, n, ambient))
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["checks"] and all(c["passed"] for c in doc["checks"])
 
 
 def _reject_constant(name):

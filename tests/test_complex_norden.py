@@ -17,6 +17,7 @@ from nordenhyp.complex_norden import (
 )
 from nordenhyp.contact_norden import is_curvature_like
 from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors, NonFiniteInput
+from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import random_complex_point, random_totally_real_pair
 
 
@@ -78,6 +79,20 @@ def test_pi_prime_combination_matches_defining_formulas(gen, n_prime):
     c = gen.uniform(-2, 2, size=3)
     got = p.pi_prime_combination(c).entries
     assert np.allclose(got, loop_pi_prime_combination(p, c), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
+def test_pi_prime_substitution_moves_the_factors(gen, n_prime):
+    p = random_complex_point(gen, n_prime)
+    A, B = gen.uniform(-1, 1, size=(2, p.dim, p.dim))  # not symmetric
+    c = gen.uniform(-2, 2, size=3)
+    h, k = p.pi_prime_factors
+    got = kulkarni_nomizu_sum(A.T @ h @ B, A.T @ k @ B, c).entries
+    want = substitute_endo_last_two(substitute_endo_first_two(p.pi_prime_combination(c), A), B).entries
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert "pi_prime_stack" not in vars(p)  # combinations never build the d^4 rows
+    for i, e in enumerate(np.eye(3), 1):
+        assert np.array_equal(p.pi_prime_combination(e).entries, pi_prime(i, p).entries)
 
 
 def test_pi_prime_stack_cached_and_read_only(gen):

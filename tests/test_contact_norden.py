@@ -27,6 +27,7 @@ from nordenhyp.contact_norden import (
     validate_contact_axioms,
 )
 from nordenhyp.errors import BadIndex, DependentVectors, NonFiniteInput, NotConstructive
+from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import random_contact_point, random_congruence
 
 
@@ -170,7 +171,19 @@ class TestPiStack:
         c = gen.uniform(-2, 2, size=5)
         got = p.pi_combination(c).entries
         assert np.allclose(got, loop_pi_combination(p, c), rtol=0, atol=1e-12)
-        assert np.array_equal(got, np.tensordot(c, p.pi_stack, axes=1).reshape(got.shape))
+        for i, e in enumerate(np.eye(5), 1):
+            assert np.array_equal(p.pi_combination(e).entries, pi(i, p).entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_substitution_moves_the_factors(self, gen, n):
+        p = random_contact_point(gen, n)
+        A, B = gen.uniform(-1, 1, size=(2, p.dim, p.dim))  # not symmetric, not g-self-adjoint
+        c = gen.uniform(-2, 2, size=5)
+        h, k = p.pi_factors
+        got = kulkarni_nomizu_sum(A.T @ h @ B, A.T @ k @ B, c).entries
+        want = substitute_endo_last_two(substitute_endo_first_two(p.pi_combination(c), A), B).entries
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert "pi_stack" not in vars(p)  # combinations never build the d^4 rows
 
     def test_stack_cached_and_read_only(self, gen):
         p = random_contact_point(gen, 2)

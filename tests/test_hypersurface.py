@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from nordenhyp.contact_norden import (
+    PI_KAEHLER,
+    PI_TWISTED,
+    PI_UNITS,
     ContactNordenPoint,
     ContactSectionKind,
     F0,
@@ -16,6 +19,7 @@ from nordenhyp.contact_norden import (
     is_curvature_like,
     kaehler_residual,
     one_forms,
+    pi,
     sectional_curvature,
     validate_contact_axioms,
 )
@@ -42,6 +46,7 @@ from nordenhyp.hypersurface import (
     special_sectional,
     validate_F6_shape,
 )
+from nordenhyp.multilinear import substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import (
     random_contact_point,
     random_hyper_scalars,
@@ -278,3 +283,27 @@ class TestCanonicalCurvature:
         got = scalar_curvatures(K2, p)
         assert got.tau == pytest.approx(tau_K)
         assert got.tau_tilde == pytest.approx(tau_K_t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factored_routes_match_dense_substitutions(gen, n):
+    """The three factored curvature routes against their displays, substituted on the d^4 tensors."""
+    p = random_contact_point(gen, n)
+    sc = random_hyper_scalars(gen, p)
+    nu, nut = random_nu_pair(gen)
+    A = gen.uniform(-1, 1, size=(p.dim, p.dim))  # any endomorphism, not only a shape operator
+    P1, P2, P3, P4, P5 = PI_UNITS
+    c, s, tan_t = sc.cos_t, sc.sin_t, sc.tan_t
+    pi1_A = substitute_endo_first_two(pi(1, p), A)
+    R = p.pi_combination(nu * (P1 - P2 - tan_t * P5) + nut * (P3 - tan_t * P4)) - pi1_A
+    K_from_R = substitute_endo_last_two(R, p.phi @ p.phi) + substitute_endo_last_two(pi1_A, p.phi)
+    K_from_R += substitute_endo_first_two(p.pi_combination(s * (s * PI_KAEHLER - c * PI_TWISTED)), A)
+    K_model = p.pi_combination(nu * PI_KAEHLER + nut * PI_TWISTED)
+    K_model -= substitute_endo_first_two(p.pi_combination(c * (c * PI_KAEHLER + s * PI_TWISTED)), A)
+    got_R = gauss_induced_R(p, A, sc, nu, nut)
+    for got, want in (
+        (got_R, R),
+        (canonical_K_from_R(p, got_R, A, sc.t), K_from_R),
+        (canonical_K_model(p, A, sc, nu, nut)[0], K_model),
+    ):
+        assert (got - want).max_norm <= 1e-12 * (1 + want.max_norm)

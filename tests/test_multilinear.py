@@ -8,13 +8,15 @@ from nordenhyp.multilinear import (
     MAX_DIM,
     MultilinearForm,
     Tolerance,
-    combine,
+    generator_factors,
     generator_stack,
     invert_metric,
     kulkarni_nomizu,
+    kulkarni_nomizu_sum,
     ricci_contract,
     scalar_contract,
     signature,
+    stack_rows,
     substitute_endo_first_two,
     substitute_endo_last_two,
     substitute_pairs,
@@ -291,24 +293,46 @@ class TestGeneratorStack:
         d = 3
         h, k = random_symmetric(gen, 3, d, d), random_symmetric(gen, 3, d, d)
         scale = (0.5, -1.0, 2.0)
-        stack = generator_stack(h, k, scale)
+        hs, ks = generator_factors(h, k, scale)
+        assert hs.shape == ks.shape == (3, d, d)
+        assert not hs.flags.writeable and not ks.flags.writeable
+        stack = generator_stack(hs, ks)
         assert stack.shape == (3, d**4)
         assert not stack.flags.writeable
+        for m, row in enumerate(stack_rows(stack)):
+            assert np.allclose(row.entries, scale[m] * loop_kulkarni_nomizu(h[m], k[m]), rtol=0, atol=1e-13)
         c = gen.uniform(-2, 2, size=3)
         want = sum(c[m] * scale[m] * loop_kulkarni_nomizu(h[m], k[m]) for m in range(3))
-        got = combine(stack, c)
+        got = kulkarni_nomizu_sum(hs, ks, c)
         assert got.entries.shape == (d, d, d, d)
         assert np.allclose(got.entries, want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("d", [1, 3, 5, 9])
+    def test_kn_sum_matches_loop_for_nonsymmetric_factors(self, gen, d, m):
+        h, k = gen.uniform(-1, 1, size=(m, d, d)), gen.uniform(-1, 1, size=(m, d, d))
+        c = gen.uniform(-2, 2, size=m)
+        got = kulkarni_nomizu_sum(h, k, c).entries
+        if d == 9:  # a Python loop over 9^4 entries per pair is slow; the broadcast four-term formula
+            want = sum(c[i] * broadcast_kulkarni_nomizu(h[i], k[i]) for i in range(m))
+        else:
+            want = sum(c[i] * loop_kulkarni_nomizu(h[i], k[i]) for i in range(m))
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_combination_guards(self, gen):
-        stack = generator_stack(random_symmetric(gen, 2, 3, 3), random_symmetric(gen, 2, 3, 3), (1, 1))
+        h, k = generator_factors(random_symmetric(gen, 2, 3, 3), random_symmetric(gen, 2, 3, 3), (1, 1))
         with pytest.raises(DimensionMismatch):
-            combine(stack, [1.0, 2.0, 3.0])
+            kulkarni_nomizu_sum(h, k, [1.0, 2.0, 3.0])
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(NonFiniteInput):
-                combine(stack, [1.0, bad])
+                kulkarni_nomizu_sum(h, k, [1.0, bad])
+        with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):  # the scale overflows
+            generator_factors(np.full((1, 3, 3), 1e308), np.eye(3)[None], (10.0,))
 
     def test_stack_dimension_bound(self):
         d = MAX_DIM + 1
+        h, k = generator_factors(np.eye(d)[None], np.eye(d)[None], (1.0,))
         with pytest.raises(DimensionMismatch):
-            generator_stack(np.eye(d)[None], np.eye(d)[None], (1.0,))
+            generator_stack(h, k)
+        with pytest.raises(DimensionMismatch):
+            kulkarni_nomizu_sum(h, k, (1.0,))
