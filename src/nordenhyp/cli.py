@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         args.tol = Tolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
         scenario = _load_scenario(args.scenario)
         kind = scenario.get("kind")
-        if kind not in _HANDLERS:
+        if not isinstance(kind, str) or kind not in _HANDLERS:
             raise SchemaError(f"kind must be one of {sorted(_HANDLERS)}, got {kind!r}")
         report, results = _HANDLERS[kind](scenario, args)
     except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:

@@ -10,28 +10,57 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadIndex, DegenerateSection, DependentVectors
+from .errors import BadIndex, DegenerateSection, DependentVectors, GeometryError
 from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    any_entry,
+    apply,
+    area_factor,
     generator_factors,
     generator_stack,
     invert_metric,
     kulkarni_nomizu_sum,
+    pairings,
     read_only,
     require_finite,
+    rows,
     signature,
     stack_rows,
+    transpose,
     twist_last,
 )
 from .report import Check, ValidationReport
 
 
-def span_residual(basis_cols: np.ndarray, v: np.ndarray) -> float:
-    """Max-norm least-squares distance from v to the span of the columns."""
-    coef, *_ = np.linalg.lstsq(basis_cols, v, rcond=None)
-    return float(np.max(np.abs(basis_cols @ coef - v)))
+def section_tests(g, E, gE, x, y, tol: Tolerance, spans=()) -> list:
+    """The plane tests of both section classifiers, in order of precedence, per batch entry.
+
+    For span{x, y}, E = J or phi and gE = g(., E .): degenerate area factor; contains each
+    vector of `spans`; E-invariant; every gE pairing zero.  Absolute thresholds, so a nearly
+    special plane is never promoted.  One SVD gives the rank test and the plane's projector.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    require_finite(x, "x")
+    require_finite(y, "y")
+    basis = transpose(rows(x, y))
+    u, s, _ = np.linalg.svd(basis, full_matrices=False)
+    if any_entry(s[..., -1] <= 1e-12):  # rank < 2, as matrix_rank(basis, tol=1e-12)
+        raise DependentVectors("section basis is linearly dependent")
+    scale = np.maximum(1.0, np.abs(basis).max(axis=(-2, -1)))
+
+    def in_span(*vs) -> np.ndarray:
+        V = transpose(rows(*vs))
+        return np.abs(u @ (transpose(u) @ V) - V).max(axis=(-2, -1)) <= tol.abs_tol * scale
+
+    return [
+        np.abs(area_factor(g, x, y, y, x)) <= tol.abs_tol,
+        *(in_span(v) for v in spans),
+        in_span(apply(E, x), apply(E, y)),
+        np.abs(pairings(gE, x, y, x, y)).max(axis=(-2, -1)) <= tol.abs_tol * scale * scale,
+    ]
 
 
 class SectionKind(enum.Enum):
@@ -143,7 +172,7 @@ def validate_complex_norden(point: ComplexNordenPoint, tol: Tolerance = DEFAULT_
     try:
         p, q = signature(g, tol)
         sig_res = 0.0 if (p, q) == (point.n_prime, point.n_prime) else 1.0
-    except Exception:
+    except (GeometryError, np.linalg.LinAlgError):
         sig_res = 1.0
     checks.append(Check("signature_neutral", sig_res, 0.5))
     return ValidationReport(tuple(checks))
@@ -180,12 +209,15 @@ def associated_curvature(R: MultilinearForm, J: np.ndarray) -> MultilinearForm:
 
 def sectional_curvature_prime(
     R: MultilinearForm, g: np.ndarray, x, y, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """R(x, y, y, x) normalized by the plane's metric area factor."""
+) -> float | np.ndarray:
+    """R(x, y, y, x) normalized by the plane's metric area factor.
+
+    Batched R, g, x and y give one value per entry; any degenerate entry raises.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    denom = (y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2
-    if abs(denom) <= tol.abs_tol:
+    denom = area_factor(g, x, y, y, x)
+    if any_entry(np.abs(denom) <= tol.abs_tol):
         raise DegenerateSection(f"area factor {denom!r} within tolerance of zero")
     return R.evaluate(x, y, y, x) / denom
 
@@ -193,26 +225,10 @@ def sectional_curvature_prime(
 def classify_section_prime(
     point: ComplexNordenPoint, x, y, tol: Tolerance = DEFAULT_TOL
 ) -> SectionKind:
-    """Classify the plane span{x, y} relative to J.
+    """Classify the plane span{x, y} relative to J; see `section_tests`.
 
-    Boundary cases resolve to GENERIC: both membership tests use absolute
-    residual thresholds so a nearly-special plane is never promoted.
+    Boundary cases resolve to GENERIC.  Batched x and y give an array of kinds.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_finite(x, "x")
-    require_finite(y, "y")
-    basis = np.column_stack([x, y])
-    if np.linalg.matrix_rank(basis, tol=1e-12) < 2:
-        raise DependentVectors("section basis is linearly dependent")
-    g, J = point.g, point.J
-    denom = (y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2
-    if abs(denom) <= tol.abs_tol:
-        return SectionKind.DEGENERATE
-    scale = max(1.0, float(np.max(np.abs(basis))))
-    if max(span_residual(basis, J @ x), span_residual(basis, J @ y)) <= tol.abs_tol * scale:
-        return SectionKind.HOLOMORPHIC
-    pairings = [abs(float(a @ point.gJ @ b)) for a in (x, y) for b in (x, y)]
-    if max(pairings) <= tol.abs_tol * scale * scale:
-        return SectionKind.TOTALLY_REAL
-    return SectionKind.GENERIC
+    tests = section_tests(point.g, point.J, point.gJ, x, y, tol)
+    kinds = (SectionKind.DEGENERATE, SectionKind.HOLOMORPHIC, SectionKind.TOTALLY_REAL)
+    return np.select(tests, kinds, SectionKind.GENERIC)[()]

@@ -17,11 +17,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .complex_norden import span_residual
+from .complex_norden import section_tests, sectional_curvature_prime
 from .errors import (
     BadIndex,
-    DegenerateSection,
-    DependentVectors,
+    GeometryError,
     InconsistentStructure,
     NotConstructive,
 )
@@ -29,15 +28,19 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    any_entry,
     generator_factors,
     generator_stack,
     invert_metric,
     kulkarni_nomizu_sum,
+    matrix_max,
+    per_entry,
     read_only,
     require_finite,
     signature,
     stack_rows,
     substitute_endo_last_two,
+    transpose,
 )
 from .report import Check, ValidationReport
 
@@ -77,6 +80,9 @@ class ContactNordenPoint:
     from them and cached on the point (g_inv, g_phi, the pi factors) cannot
     go stale.  Non-finite entries are rejected here, once, so nothing
     derived from the point is rescanned.
+
+    A batch of points of one size n has fields (B, d, d) and (B, d); every
+    cached value then carries the same leading axis.
     """
 
     n: int
@@ -88,8 +94,9 @@ class ContactNordenPoint:
     def __post_init__(self):
         d = 2 * self.n + 1
         g, phi, xi, eta = (read_only(a) for a in (self.g, self.phi, self.xi, self.eta))
-        if g.shape != (d, d) or phi.shape != (d, d) or xi.shape != (d,) or eta.shape != (d,):
-            raise ValueError(f"fields must have dimension d = {d}")
+        batch = g.shape[:-2]
+        if g.shape != (*batch, d, d) or phi.shape != g.shape or xi.shape != (*batch, d) or eta.shape != xi.shape:
+            raise ValueError(f"fields must have dimension d = {d} and one batch shape")
         for name, arr in (("g", g), ("phi", phi), ("xi", xi), ("eta", eta)):
             require_finite(arr, name)
             object.__setattr__(self, name, arr)
@@ -97,6 +104,11 @@ class ContactNordenPoint:
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The batch shape: () for a single point, (B,) for a batch."""
+        return self.g.shape[:-2]
 
     @cached_property
     def g_inv(self) -> np.ndarray:
@@ -106,12 +118,12 @@ class ContactNordenPoint:
     def g_phi(self) -> np.ndarray:
         """Matrix of g(x, phi y); symmetric for a valid point."""
         m = self.g @ self.phi
-        return read_only(0.5 * (m + m.T))
+        return read_only(0.5 * (m + transpose(m)))
 
     @cached_property
     def pi_factors(self) -> np.ndarray:
-        """The h_i and the k_i of pi_i = h_i o k_i, as one read-only (2, 5, d, d) array; see `pi`."""
-        g, gp, ee = self.g, self.g_phi, np.outer(self.eta, self.eta)
+        """The h_i and the k_i of pi_i = h_i o k_i, as one read-only (2, ..., 5, d, d) array; see `pi`."""
+        g, gp, ee = self.g, self.g_phi, self.eta[..., :, None] * self.eta[..., None, :]
         return generator_factors((g, gp, g, g, gp), (g, gp, gp, ee, ee), (0.5, 0.5, -1.0, 1.0, 1.0))
 
     @cached_property
@@ -149,11 +161,11 @@ class ContactNordenPoint:
         return cls(n, g, phi, xi, eta)
 
     def congruence(self, S: np.ndarray) -> "ContactNordenPoint":
-        """Re-express the structure in the basis given by the columns of S."""
+        """Re-express the structure in the basis given by the columns of S; a (B, d, d) stack gives a batch."""
         S = np.asarray(S, dtype=float)
-        S_inv = np.linalg.inv(S)
+        S_inv, S_T = np.linalg.inv(S), transpose(S)
         return ContactNordenPoint(
-            self.n, S.T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S.T @ self.eta
+            self.n, S_T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S_T @ self.eta
         )
 
 
@@ -191,7 +203,7 @@ def validate_contact_axioms(point: ContactNordenPoint, tol: Tolerance = DEFAULT_
     try:
         p, q = signature(g, tol)
         sig_res = 0.0 if (p, q) == (point.n + 1, point.n) else 1.0
-    except Exception:
+    except (GeometryError, np.linalg.LinAlgError):
         sig_res = 1.0
     checks.append(Check("signature", sig_res, 0.5))
     return ValidationReport(tuple(checks))
@@ -241,20 +253,19 @@ def class_form(tag: str, point: ContactNordenPoint, params: OneForms) -> Multili
         raise BadIndex(f"unknown class tag {tag!r}")
     d = point.dim
     eta = point.eta
-    ent = np.zeros((d, d, d))
+    ent = np.zeros(point.batch + (d, d, d))
+
+    def sym(M: np.ndarray) -> np.ndarray:  # M(x, y) eta(z) + M(x, z) eta(y)
+        return np.einsum("...ij,...k->...ijk", M, eta) + np.einsum("...ik,...j->...ijk", M, eta)
+
     if tag in (F4, F4_F5):
         # g(phi x, phi y) as a matrix
-        B = point.phi.T @ point.g @ point.phi
-        c = -params.theta_xi / (2 * point.n)
-        ent += c * (np.einsum("ij,k->ijk", B, eta) + np.einsum("ik,j->ijk", B, eta))
+        ent += per_entry(-params.theta_xi / (2 * point.n), 3) * sym(transpose(point.phi) @ point.g @ point.phi)
     if tag in (F5, F4_F5):
-        c = -params.theta_star_xi / (2 * point.n)
-        gp = point.g_phi
-        ent += c * (np.einsum("ij,k->ijk", gp, eta) + np.einsum("ik,j->ijk", gp, eta))
+        ent += per_entry(-params.theta_star_xi / (2 * point.n), 3) * sym(point.g_phi)
     if tag == F11:
-        om = np.asarray(params.omega, dtype=float)
-        ent += np.einsum("i,j,k->ijk", eta, eta, om) + np.einsum("i,k,j->ijk", eta, eta, om)
-    return MultilinearForm(ent)
+        ent += sym(eta[..., :, None] * np.asarray(params.omega, dtype=float)[..., None, :])
+    return MultilinearForm(ent, len(point.batch))
 
 
 def f_tensor_residual(F: MultilinearForm) -> float:
@@ -296,14 +307,13 @@ def is_curvature_like(L: MultilinearForm) -> float:
     Antisymmetry in (1,2) and (3,4), symmetry under pair swap, and the
     first Bianchi identity, all on basis tuples.
     """
-    T = L.entries
-    res = [
-        float(np.max(np.abs(T + np.transpose(T, (1, 0, 2, 3))))),
-        float(np.max(np.abs(T + np.transpose(T, (0, 1, 3, 2))))),
-        float(np.max(np.abs(T - np.transpose(T, (2, 3, 0, 1))))),
-        float(np.max(np.abs(T + np.transpose(T, (1, 2, 0, 3)) + np.transpose(T, (2, 0, 1, 3))))),
-    ]
-    return max(res)
+    T, b = L.entries, L.batch
+
+    def perm(*axes: int) -> np.ndarray:
+        return T.transpose(*range(b), *(b + a for a in axes))
+
+    res = [T + perm(1, 0, 2, 3), T + perm(0, 1, 3, 2), T - perm(2, 3, 0, 1), T + perm(1, 2, 0, 3) + perm(2, 0, 1, 3)]
+    return np.maximum.reduce([np.abs(r).max(axis=(-4, -3, -2, -1)) for r in res])
 
 
 def kaehler_residual(L: MultilinearForm, point: ContactNordenPoint) -> float:
@@ -311,46 +321,23 @@ def kaehler_residual(L: MultilinearForm, point: ContactNordenPoint) -> float:
     return (L + substitute_endo_last_two(L, point.phi)).max_norm
 
 
-def _pi1_area(point: ContactNordenPoint, x, y) -> float:
-    g = point.g
-    return float((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2)
-
-
 def sectional_curvature(
     L: MultilinearForm, point: ContactNordenPoint, x, y, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """L(x, y, y, x) normalized by the plane's metric area factor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    denom = _pi1_area(point, x, y)
-    if abs(denom) <= tol.abs_tol:
-        raise DegenerateSection(f"area factor {denom!r} within tolerance of zero")
-    return L.evaluate(x, y, y, x) / denom
+) -> float | np.ndarray:
+    """L(x, y, y, x) normalized by the plane's metric area factor; see `sectional_curvature_prime`."""
+    return sectional_curvature_prime(L, point.g, x, y, tol)
 
 
 def classify_section(
     point: ContactNordenPoint, x, y, tol: Tolerance = DEFAULT_TOL
 ) -> ContactSectionKind:
-    """Classify span{x, y}; precedence Degenerate > Xi > PhiHolomorphic > TotallyReal."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_finite(x, "x")
-    require_finite(y, "y")
-    basis = np.column_stack([x, y])
-    if np.linalg.matrix_rank(basis, tol=1e-12) < 2:
-        raise DependentVectors("section basis is linearly dependent")
-    if abs(_pi1_area(point, x, y)) <= tol.abs_tol:
-        return ContactSectionKind.DEGENERATE
-    scale = max(1.0, float(np.max(np.abs(basis))))
-    if span_residual(basis, point.xi) <= tol.abs_tol * scale:
-        return ContactSectionKind.XI_SECTION
-    phi = point.phi
-    if max(span_residual(basis, phi @ x), span_residual(basis, phi @ y)) <= tol.abs_tol * scale:
-        return ContactSectionKind.PHI_HOLOMORPHIC
-    pairings = [abs(float(a @ point.g_phi @ b)) for a in (x, y) for b in (x, y)]
-    if max(pairings) <= tol.abs_tol * scale * scale:
-        return ContactSectionKind.TOTALLY_REAL
-    return ContactSectionKind.GENERIC
+    """Classify span{x, y}; precedence Degenerate > Xi > PhiHolomorphic > TotallyReal.
+
+    Batched x and y (with a batched point) give an array of kinds; see `section_tests`.
+    """
+    tests = section_tests(point.g, point.phi, point.g_phi, x, y, tol, spans=(point.xi,))
+    K = ContactSectionKind
+    return np.select(tests, (K.DEGENERATE, K.XI_SECTION, K.PHI_HOLOMORPHIC, K.TOTALLY_REAL), K.GENERIC)[()]
 
 
 def nabla_phi_from_F(F: MultilinearForm, point: ContactNordenPoint) -> np.ndarray:
@@ -359,7 +346,7 @@ def nabla_phi_from_F(F: MultilinearForm, point: ContactNordenPoint) -> np.ndarra
     Returns P with P[:, i, j] the vector applying the map for direction
     e_i to e_j, so that g(P[:, i, j], e_k) = F(e_i, e_j, e_k).
     """
-    return np.einsum("ab,ijb->aij", point.g_inv, F.entries)
+    return np.einsum("...ab,...ijb->...aij", point.g_inv, F.entries)
 
 
 def nabla_xi_from_F(
@@ -370,17 +357,18 @@ def nabla_xi_from_F(
     Column i solves {eta(v) = 0, g(v, phi e_k) = -F(e_i, xi, e_k)}: the
     metric pairing against phi determines v up to the xi-direction, which
     the eta constraint removes.  A large least-squares residual means F
-    violates the structure identities.
+    violates the structure identities.  A batch is solved as one stack of
+    pseudo-inverses (the minimum-norm least-squares solution, as lstsq gives)
+    and raises if any entry's residual is large.
     """
-    d = point.dim
     # g(v, phi e_k) = (phi^T g v)_k
-    M = np.vstack([point.phi.T @ point.g, point.eta[None, :]])
-    rhs_block = -np.einsum("iak,a->ki", F.entries, point.xi)
-    rhs = np.vstack([rhs_block, np.zeros((1, d))])
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    resid = float(np.max(np.abs(M @ sol - rhs)))
-    if resid > tol.abs_tol + tol.rel_tol * max(1.0, F.max_norm):
-        raise InconsistentStructure(f"xi-derivative system residual {resid:.3e}")
+    M = np.concatenate([transpose(point.phi) @ point.g, point.eta[..., None, :]], axis=-2)
+    rhs = -np.einsum("...iak,...a->...ki", F.entries, point.xi)
+    rhs = np.concatenate([rhs, np.zeros_like(rhs[..., :1, :])], axis=-2)
+    sol = np.linalg.pinv(M) @ rhs
+    resid = matrix_max(M @ sol - rhs)
+    if any_entry(resid > tol.abs_tol + tol.rel_tol * np.maximum(1.0, F.max_norm)):
+        raise InconsistentStructure(f"xi-derivative system residual {np.max(resid):.3e}")
     return sol
 
 
@@ -397,9 +385,9 @@ def canonical_difference(
     nxi = nabla_xi_from_F(F, point, tol)  # columns nabla_{e_i} xi
     phi, g, eta, xi = point.phi, point.g, point.eta, point.xi
     # (nabla_x phi)(phi y): substitute phi into the second argument slot.
-    P_phi = np.einsum("aib,bj->aij", P, phi)
+    P_phi = np.einsum("...aib,...bj->...aij", P, phi)
     # (nabla_x eta)(y) = g(nabla_x xi, y)
-    nabla_eta = np.einsum("ai,ab->ib", nxi, g)  # [i, j] = (nabla_{e_i} eta)(e_j)
-    T = 0.5 * (P_phi + np.einsum("ij,a->aij", nabla_eta, xi))
-    T -= np.einsum("j,ai->aij", eta, nxi)
+    nabla_eta = np.einsum("...ai,...ab->...ib", nxi, g)  # [i, j] = (nabla_{e_i} eta)(e_j)
+    T = 0.5 * (P_phi + np.einsum("...ij,...a->...aij", nabla_eta, xi))
+    T -= np.einsum("...j,...ai->...aij", eta, nxi)
     return T

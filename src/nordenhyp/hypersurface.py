@@ -42,7 +42,14 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    any_entry,
+    apply,
+    area_factor,
+    bilinear,
+    dot,
     kulkarni_nomizu_sum,
+    matrix_max,
+    per_entry,
     require_finite,
     ricci_contract,
     scalar_contract,
@@ -51,6 +58,7 @@ from .multilinear import (
     substitute_pairs,
     trace_compose,
     trace_endo,
+    transpose,
     twist_last,
 )
 
@@ -95,6 +103,10 @@ class HyperScalars:
     Omega is the rank-11 covector parameter as a vector, omega(.) = g(., Omega);
     it is projected onto ker eta where consumed, since the class form only
     ever sees that component.  Every scalar and Omega must be finite.
+
+    For a batch, every scalar is a (B,) array and Omega is (B, d); every
+    element is validated.  cos_t, sin_t and tan_t are computed here, once:
+    floats for one point, read-only (B,) arrays for a batch.
     """
 
     t: float
@@ -106,35 +118,31 @@ class HyperScalars:
     Omega: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        require_finite(
-            [self.t, self.dt_xi, self.theta_xi, self.theta_star_xi, self.xi_theta_xi,
-             self.xi_theta_star_xi],
-            "scalars",
-        )
-        if not -math.pi / 2 < self.t < math.pi / 2:
+        # one (6,) or (6, B) array; scalars of different shapes are a ValueError here
+        values = np.array([getattr(self, k) for k in _SCALAR_FIELDS], dtype=float)
+        if not (np.abs(values).T < _SCALAR_BOUNDS).all():  # one pass for both checks; NaN fails it
+            require_finite(values, "scalars")
             raise ValueError(f"t = {self.t} outside (-pi/2, pi/2)")
+        t = values[:1]
+        values = np.concatenate([values, np.cos(t), np.sin(t), np.tan(t)])
+        values.setflags(write=False)
+        names = _SCALAR_FIELDS + ("cos_t", "sin_t", "tan_t")
+        vars(self).update(zip(names, values.tolist() if values.ndim == 1 else values))
         if self.Omega is not None:
             Omega = np.asarray(self.Omega, dtype=float)
             require_finite(Omega, "Omega")
             object.__setattr__(self, "Omega", Omega)
 
-    @property
-    def cos_t(self) -> float:
-        return math.cos(self.t)
 
-    @property
-    def sin_t(self) -> float:
-        return math.sin(self.t)
 
-    @property
-    def tan_t(self) -> float:
-        return math.tan(self.t)
+_SCALAR_FIELDS = ("t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
+_SCALAR_BOUNDS = np.array([math.pi / 2] + [math.inf] * 5)  # |t| < pi/2, the rest finite
 
 
 @dataclass(frozen=True)
 class ScalarCurvatures:
-    tau: float
-    tau_tilde: float
+    tau: float | np.ndarray
+    tau_tilde: float | np.ndarray
 
 
 def induce(frame: TimelikeNormalFrame, tol: Tolerance = DEFAULT_TOL) -> InducedStructure:
@@ -213,7 +221,7 @@ def pi_relations_residual(structure: InducedStructure) -> float:
 def _omega_part(point: ContactNordenPoint, scalars: HyperScalars) -> np.ndarray:
     Omega = scalars.Omega if scalars.Omega is not None else np.zeros(point.dim)
     # only the ker-eta component of Omega enters the class form
-    return Omega - float(point.eta @ Omega) * point.xi
+    return Omega - per_entry(dot(point.eta, Omega), 1) * point.xi
 
 
 def shape_from_class(
@@ -224,30 +232,34 @@ def shape_from_class(
 ) -> np.ndarray:
     """Second fundamental tensor of a constructive class, as a matrix.
 
-    The g-self-adjointness of the result is re-verified as a postcondition.
+    The g-self-adjointness of the result is re-verified as a postcondition,
+    for every entry of a batch.
     """
     if tag == F6:
         raise NotConstructive("F6 constrains A but has no closed form; see validate_F6_shape")
     if tag not in CONSTRUCTIVE_TAGS:
         raise BadIndex(f"unknown class tag {tag!r}")
-    cos_t, sin_t = scalars.cos_t, scalars.sin_t
+    cos_t, sin_t = per_entry(scalars.cos_t, 2), per_entry(scalars.sin_t, 2)
     phi, phi2 = point.phi, point.phi @ point.phi
     two_n = 2 * point.n
 
-    A = -(scalars.dt_xi / (2 * cos_t)) * np.outer(point.xi, point.eta)
+    def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[..., :, None] * b[..., None, :]
+
+    A = -(per_entry(scalars.dt_xi, 2) / (2 * cos_t)) * outer(point.xi, point.eta)
     if tag in (F4, F4_F5):
-        A -= (scalars.theta_xi / two_n) * (sin_t * phi - cos_t * phi2)
+        A -= (per_entry(scalars.theta_xi, 2) / two_n) * (sin_t * phi - cos_t * phi2)
     if tag in (F5, F4_F5):
-        A += (scalars.theta_star_xi / two_n) * (cos_t * phi + sin_t * phi2)
+        A += (per_entry(scalars.theta_star_xi, 2) / two_n) * (cos_t * phi + sin_t * phi2)
     if tag == F11:
         Omega = _omega_part(point, scalars)
-        omega_cov = point.g @ Omega
-        A -= cos_t * (np.outer(Omega, point.eta) + np.outer(point.xi, omega_cov))
-        A -= sin_t * (np.outer(phi @ Omega, point.eta) + np.outer(point.xi, phi.T @ omega_cov))
+        omega_cov = apply(point.g, Omega)
+        A -= cos_t * (outer(Omega, point.eta) + outer(point.xi, omega_cov))
+        A -= sin_t * (outer(apply(phi, Omega), point.eta) + outer(point.xi, apply(transpose(phi), omega_cov)))
 
-    sym_res = float(np.max(np.abs(point.g @ A - A.T @ point.g)))
-    if sym_res > tol.abs_tol + tol.rel_tol * max(1.0, float(np.max(np.abs(A)))):
-        raise InconsistentStructure(f"shape operator not g-self-adjoint, residual {sym_res:.3e}")
+    sym_res = matrix_max(point.g @ A - transpose(A) @ point.g)
+    if any_entry(sym_res > tol.abs_tol + tol.rel_tol * np.maximum(1.0, matrix_max(A))):
+        raise InconsistentStructure(f"shape operator not g-self-adjoint, residual {np.max(sym_res):.3e}")
     return A
 
 
@@ -284,14 +296,16 @@ def _pi_sum(point: ContactNordenPoint, *terms) -> MultilinearForm:
     """Sum over terms (c, A, B) of (c @ pi)(Ax, Ay, Bz, Bu), in one build from the factor pairs.
 
     (h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B), so a substitution moves the
-    (5, d, d) factors instead of a d^4 tensor; None stands for the identity.
+    (..., 5, d, d) factors instead of a d^4 tensor; None stands for the identity.
     """
     parts = []
     for _, A, B in terms:
-        hk = point.pi_factors if A is None else A.T @ point.pi_factors
-        parts.append(hk if B is None else hk @ B)
-    h, k = np.concatenate(parts, axis=1)
-    return kulkarni_nomizu_sum(h, k, np.concatenate([c for c, _, _ in terms]))
+        hk = point.pi_factors if A is None else A.swapaxes(-1, -2)[..., None, :, :] @ point.pi_factors
+        parts.append(hk if B is None else hk @ B[..., None, :, :])
+    h, k = np.concatenate(parts, axis=-3)
+    shape = point.batch + (5,)  # a constant coefficient vector is broadcast to the batch
+    c = [c if c.shape == shape else np.broadcast_to(c, shape) for c, _, _ in terms]
+    return kulkarni_nomizu_sum(h, k, np.concatenate(c, axis=-1))
 
 
 def gauss_induced_R(
@@ -302,7 +316,8 @@ def gauss_induced_R(
     nu_tilde: float,
 ) -> MultilinearForm:
     """Induced curvature of a hypersurface of the constant-curvature model."""
-    model = nu * (P1 - P2 - scalars.tan_t * P5) + nu_tilde * (P3 - scalars.tan_t * P4)
+    nu, nu_tilde, tan_t = (per_entry(v, 1) for v in (nu, nu_tilde, scalars.tan_t))
+    model = nu * (P1 - P2 - tan_t * P5) + nu_tilde * (P3 - tan_t * P4)
     return _pi_sum(point, (model, None, None), (-P1, A, None))
 
 
@@ -354,7 +369,7 @@ def closed_form_scalars(
     tr_A = trace_endo(A)
     tr_A2 = trace_compose(A, A)
     tr_Aphi = trace_compose(A, phi)
-    tr_A2phi = float(np.trace(A @ A @ phi))
+    tr_A2phi = trace_compose(A @ A, phi)
     tau = 4 * n**2 * nu - 4 * n * nu_tilde * tan_t - tr_A**2 + tr_A2
     # sign of the nu tan t term is pinned by the contraction: the twisted
     # traces of the five generator tensors are (0, 0, 2n(2n-1), 0, -2n)
@@ -362,10 +377,6 @@ def closed_form_scalars(
         2 * n * nu * tan_t + 2 * n * (2 * n - 1) * nu_tilde - tr_A * tr_Aphi + tr_A2phi
     )
     return ScalarCurvatures(tau=tau, tau_tilde=tau_tilde)
-
-
-def _pi1_vectors(g: np.ndarray, a, b, c, d) -> float:
-    return float((b @ g @ c) * (a @ g @ d) - (a @ g @ c) * (b @ g @ d))
 
 
 def special_sectional(
@@ -383,41 +394,41 @@ def special_sectional(
 
     For XI_SECTION the plane is {xi, x}; for PHI_HOLOMORPHIC it is
     {phi x, phi^2 x} built from x; for TOTALLY_REAL both x and y are
-    required and must span a totally real plane in ker eta.
+    required and must span a totally real plane in ker eta; in a batch, any
+    entry of the wrong kind raises.
     """
     g, phi, xi = point.g, point.phi, point.xi
     x = np.asarray(x, dtype=float)
     tan_t = scalars.tan_t
 
+    def nondegenerate(denom, what: str):
+        if any_entry(np.abs(denom) <= tol.abs_tol):
+            raise DegenerateSection(f"{what} within tolerance of zero")
+        return denom
+
     if kind == ContactSectionKind.XI_SECTION:
-        denom = float(x @ g @ x) - float(point.eta @ x) ** 2
-        if abs(denom) <= tol.abs_tol:
-            raise DegenerateSection("g(x, x) - eta(x)^2 within tolerance of zero")
+        denom = nondegenerate(bilinear(g, x, x) - dot(point.eta, x) ** 2, "g(x, x) - eta(x)^2")
         return (
             nu
             - nu_tilde * tan_t
-            - (nu * tan_t + nu_tilde) * float(x @ point.g_phi @ x) / denom
-            - _pi1_vectors(g, A @ xi, A @ x, x, xi) / denom
+            - (nu * tan_t + nu_tilde) * bilinear(point.g_phi, x, x) / denom
+            - area_factor(g, apply(A, xi), apply(A, x), x, xi) / denom
         )
     if kind == ContactSectionKind.PHI_HOLOMORPHIC:
-        px = phi @ x
-        p2x = phi @ px
-        denom = _pi1_vectors(g, px, p2x, p2x, px)
-        if abs(denom) <= tol.abs_tol:
-            raise DegenerateSection("phi-holomorphic area factor within tolerance of zero")
-        return -_pi1_vectors(g, A @ px, A @ p2x, p2x, px) / denom
+        px = apply(phi, x)
+        p2x = apply(phi, px)
+        denom = nondegenerate(area_factor(g, px, p2x, p2x, px), "phi-holomorphic area factor")
+        return -area_factor(g, apply(A, px), apply(A, p2x), p2x, px) / denom
     if kind == ContactSectionKind.TOTALLY_REAL:
         if y is None:
             raise WrongSectionKind("totally real sections need both x and y")
         y = np.asarray(y, dtype=float)
-        if classify_section(point, x, y, tol) != ContactSectionKind.TOTALLY_REAL:
+        if any_entry(classify_section(point, x, y, tol) != ContactSectionKind.TOTALLY_REAL):
             raise WrongSectionKind("{x, y} is not a totally real section")
-        if max(abs(float(point.eta @ x)), abs(float(point.eta @ y))) > tol.abs_tol:
+        if np.max(np.abs([dot(point.eta, x), dot(point.eta, y)])) > tol.abs_tol:
             raise WrongSectionKind("totally real section must lie in ker eta")
-        denom = _pi1_vectors(g, x, y, y, x)
-        if abs(denom) <= tol.abs_tol:
-            raise DegenerateSection("totally real area factor within tolerance of zero")
-        return nu - _pi1_vectors(g, A @ x, A @ y, y, x) / denom
+        denom = nondegenerate(area_factor(g, x, y, y, x), "totally real area factor")
+        return nu - area_factor(g, apply(A, x), apply(A, y), y, x) / denom
     raise WrongSectionKind(f"no closed form for section kind {kind}")
 
 
@@ -425,7 +436,7 @@ def canonical_K_from_R(
     point: ContactNordenPoint, R: MultilinearForm, A: np.ndarray, t: float
 ) -> MultilinearForm:
     """Canonical curvature assembled from R, A and the angle t."""
-    cos_t, sin_t = math.cos(t), math.sin(t)
+    cos_t, sin_t = per_entry(np.cos(t), 1), per_entry(np.sin(t), 1)
     phi = point.phi
     mix = sin_t * (sin_t * PI_KAEHLER - cos_t * PI_TWISTED)
     return substitute_endo_last_two(R, phi @ phi) + _pi_sum(point, (P1, A, phi), (mix, A, None))
@@ -442,26 +453,27 @@ def canonical_K_model(
     n = point.n
     cos_t, sin_t = scalars.cos_t, scalars.sin_t
     phi, xi, eta, g = point.phi, point.xi, point.eta, point.g
-    model = nu * PI_KAEHLER + nu_tilde * PI_TWISTED
-    shape_part = -cos_t * (cos_t * PI_KAEHLER + sin_t * PI_TWISTED)
+    c, s = per_entry(cos_t, 1), per_entry(sin_t, 1)
+    model = per_entry(nu, 1) * PI_KAEHLER + per_entry(nu_tilde, 1) * PI_TWISTED
+    shape_part = -c * (c * PI_KAEHLER + s * PI_TWISTED)
     K = _pi_sum(point, (model, None, None), (shape_part, A, None))
 
     tr_A = trace_endo(A)
     tr_A2 = trace_compose(A, A)
     tr_Aphi = trace_compose(A, phi)
-    tr_Aphi2 = float(np.trace(A @ phi @ A @ phi))
-    tr_A2phi = float(np.trace(A @ A @ phi))
-    Axi = A @ xi
-    eta_Axi = float(eta @ Axi)
+    tr_Aphi2 = trace_compose(A @ phi, A @ phi)
+    tr_A2phi = trace_compose(A @ A, phi)
+    Axi = apply(A, xi)
+    eta_Axi = dot(eta, Axi)
     a = (
         tr_A**2
         - tr_A2
         - tr_Aphi**2
         + tr_Aphi2
         - 2 * eta_Axi * tr_A
-        + 2 * float(Axi @ g @ Axi)
+        + 2 * bilinear(g, Axi, Axi)
     )
-    b = tr_A2phi - tr_A * tr_Aphi + eta_Axi * tr_Aphi - float((phi @ Axi) @ g @ Axi)
+    b = tr_A2phi - tr_A * tr_Aphi + eta_Axi * tr_Aphi - bilinear(g, apply(phi, Axi), Axi)
     tau_K = 4 * n * (n - 1) * nu - cos_t * (a * cos_t + 2 * b * sin_t)
     tau_K_tilde = 4 * n * (n - 1) * nu_tilde - cos_t * (a * sin_t - 2 * b * cos_t)
     return K, tau_K, tau_K_tilde

@@ -25,13 +25,16 @@ from .contact_norden import (
 )
 from .errors import DegenerateFlat, DegenerateSection, InconsistentStructure
 from .hypersurface import HyperScalars, ScalarCurvatures, shape_from_class
-from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance
+from .multilinear import (
+    DEFAULT_TOL, MultilinearForm, Tolerance, any_entry, per_entry, trace_compose, trace_endo, transpose,
+)
 
 COR32_READINGS = ("literal", "squared")
 
 # Every curvature below is a combination of pi_1..pi_5, written as a
 # coefficient vector in the shape of its display and built in one product
-# by `ContactNordenPoint.pi_combination`.
+# by `ContactNordenPoint.pi_combination`.  For a batch the scalars are
+# lifted by `per_entry(., 1)` first, so each display gives a (B, 5) array.
 P1, P2, P3, P4, P5 = PI_UNITS
 
 
@@ -82,18 +85,18 @@ class Theorem31Result:
 
 
 def shape_F45(data: MainClassData) -> np.ndarray:
-    """Main-class shape operator; its two trace closed forms are re-verified."""
+    """Main-class shape operator; its two trace closed forms are re-verified per entry."""
     p, sc = data.point, data.scalars
     cos_t, sin_t = sc.cos_t, sc.sin_t
     th, ths = sc.theta_xi, sc.theta_star_xi
     A = shape_from_class(p, F4_F5, sc)
 
-    tr_A = float(np.trace(A))
+    tr_A = trace_endo(A)
     tr_A_target = -sc.dt_xi / (2 * cos_t) - th * cos_t - ths * sin_t
-    tr_Aphi = float(np.trace(A @ p.phi))
+    tr_Aphi = trace_compose(A, p.phi)
     tr_Aphi_target = th * sin_t - ths * cos_t
     for name, got, want in (("tr A", tr_A, tr_A_target), ("tr A phi", tr_Aphi, tr_Aphi_target)):
-        if not abs(got - want) < 1e-9 * (1 + abs(want)):
+        if any_entry(np.logical_not(abs(got - want) < 1e-9 * (1 + abs(want)))):
             raise InconsistentStructure(f"{name} = {got!r} misses its closed form {want!r}")
     return A
 
@@ -108,12 +111,6 @@ def curvature_F45(data: MainClassData, nupair: NuPair) -> CurvatureF45:
     dt = sc.dt_xi
     proj = th * c + ths * s
     twist = th * s - ths * c
-
-    coef = nu * (P1 - P2 - tan_t * P5) + nut * (P3 - tan_t * P4)
-    coef -= (dt / (4 * n * c)) * (th * (s * P5 + c * P4) + ths * (s * P4 - c * P5))
-    coef -= ((th**2 + ths**2) / (4 * n**2)) * P2
-    coef -= (proj**2 / (4 * n**2)) * PI_KAEHLER
-    coef += ((proj * twist) / (4 * n**2)) * PI_TWISTED
 
     tau = (
         4 * n * (n * nu - nut * tan_t)
@@ -133,6 +130,15 @@ def curvature_F45(data: MainClassData, nupair: NuPair) -> CurvatureF45:
     )
     k_hol = -(th**2 + ths**2) / (4 * n**2)
     k_tr = nu - proj**2 / (4 * n**2)
+
+    nu, nut, c, s, tan_t, th, ths, dt, proj, twist = (
+        per_entry(v, 1) for v in (nu, nut, c, s, tan_t, th, ths, dt, proj, twist)
+    )
+    coef = nu * (P1 - P2 - tan_t * P5) + nut * (P3 - tan_t * P4)
+    coef -= (dt / (4 * n * c)) * (th * (s * P5 + c * P4) + ths * (s * P4 - c * P5))
+    coef -= ((th**2 + ths**2) / (4 * n**2)) * P2
+    coef -= (proj**2 / (4 * n**2)) * PI_KAEHLER
+    coef += ((proj * twist) / (4 * n**2)) * PI_TWISTED
     return CurvatureF45(
         R=p.pi_combination(coef),
         scalars=ScalarCurvatures(tau=tau, tau_tilde=tau_tilde),
@@ -149,15 +155,15 @@ def canonical_difference_F45(data: MainClassData) -> np.ndarray:
     """
     p, sc = data.point, data.scalars
     two_n = 2 * p.n
-    th, ths = sc.theta_xi, sc.theta_star_xi
+    th, ths = per_entry(sc.theta_xi, 3), per_entry(sc.theta_star_xi, 3)
     gp = p.g_phi  # g(x, phi y)
-    B = p.phi.T @ p.g @ p.phi  # g(phi x, phi y)
+    B = transpose(p.phi) @ p.g @ p.phi  # g(phi x, phi y)
     phi2 = p.phi @ p.phi
     T = (th / two_n) * (
-        np.einsum("ij,a->aij", gp, p.xi) - np.einsum("j,ai->aij", p.eta, p.phi)
+        np.einsum("...ij,...a->...aij", gp, p.xi) - np.einsum("...j,...ai->...aij", p.eta, p.phi)
     )
     T -= (ths / two_n) * (
-        np.einsum("ij,a->aij", B, p.xi) - np.einsum("j,ai->aij", p.eta, phi2)
+        np.einsum("...ij,...a->...aij", B, p.xi) - np.einsum("...j,...ai->...aij", p.eta, phi2)
     )
     return T
 
@@ -165,13 +171,13 @@ def canonical_difference_F45(data: MainClassData) -> np.ndarray:
 def main_class_form(data: MainClassData) -> MultilinearForm:
     """The rank-3 structure tensor of the main class for these scalars."""
     p = data.point
-    d = p.dim
+    th, ths = data.scalars.theta_xi, data.scalars.theta_star_xi
     params = OneForms(
-        theta=data.scalars.theta_xi * p.eta,
-        theta_star=data.scalars.theta_star_xi * p.eta,
-        omega=np.zeros(d),
-        theta_xi=data.scalars.theta_xi,
-        theta_star_xi=data.scalars.theta_star_xi,
+        theta=per_entry(th, 1) * p.eta,
+        theta_star=per_entry(ths, 1) * p.eta,
+        omega=np.zeros_like(p.eta),
+        theta_xi=th,
+        theta_star_xi=ths,
     )
     return class_form(F4_F5, p, params)
 
@@ -180,8 +186,10 @@ def K_F45_0(data: MainClassData, R: MultilinearForm) -> MultilinearForm:
     """Canonical curvature of the closed-1-forms regime, from R and the scalars."""
     p, sc = data.point, data.scalars
     n = p.n
-    th, ths = sc.theta_xi, sc.theta_star_xi
-    coef = (sc.xi_theta_xi / (2 * n)) * P5 + (sc.xi_theta_star_xi / (2 * n)) * P4
+    th, ths, xth, xths = (
+        per_entry(v, 1) for v in (sc.theta_xi, sc.theta_star_xi, sc.xi_theta_xi, sc.xi_theta_star_xi)
+    )
+    coef = (xth / (2 * n)) * P5 + (xths / (2 * n)) * P4
     coef += (th**2 / (4 * n**2)) * (P2 - P4) + (ths**2 / (4 * n**2)) * P1
     coef -= ((th * ths) / (4 * n**2)) * (P3 - P5)
     return R + p.pi_combination(coef)
@@ -199,10 +207,11 @@ def K_cor32(data: MainClassData, nupair: NuPair, reading: str = "squared") -> Mu
         raise ValueError(f"reading must be one of {COR32_READINGS}")
     p, sc = data.point, data.scalars
     n = p.n
-    nu, nut = nupair.nu, nupair.nu_tilde
-    c, s, tan_t = sc.cos_t, sc.sin_t, sc.tan_t
-    th, ths = sc.theta_xi, sc.theta_star_xi
-    dt = sc.dt_xi
+    nu, nut, c, s, tan_t, th, ths, dt, xth, xths = (
+        per_entry(v, 1)
+        for v in (nupair.nu, nupair.nu_tilde, sc.cos_t, sc.sin_t, sc.tan_t, sc.theta_xi, sc.theta_star_xi,
+                  sc.dt_xi, sc.xi_theta_xi, sc.xi_theta_star_xi)
+    )
     proj = th * c + ths * s
     twist = th * s - ths * c
     four_n2 = 4 * n**2
@@ -214,14 +223,14 @@ def K_cor32(data: MainClassData, nupair: NuPair, reading: str = "squared") -> Mu
         nut * tan_t
         + dt * th / (4 * n)
         + (dt * ths / (4 * n)) * tan_t
-        - sc.xi_theta_star_xi / (2 * n)
+        - xths / (2 * n)
         + th**2 / four_n2
     ) * P4
     coef -= (
         nu * tan_t
         + (dt * th / (4 * n)) * tan_t
         - dt * ths / (4 * n)
-        - sc.xi_theta_xi / (2 * n)
+        - xth / (2 * n)
         - th * ths / four_n2
     ) * P5
     coef -= (proj**2 / four_n2) * PI_KAEHLER

@@ -14,6 +14,12 @@ Finiteness is checked where data enters: the public `MultilinearForm`
 constructor, a scalar factor, a coefficient vector, and the point and
 scalar types built on this module.  Forms derived from checked forms by
 arithmetic or by the kernels below are not rescanned.
+
+Batch axis: a form, a matrix or a vector may carry leading batch axes, one
+independent tangent space per entry, and every kernel below broadcasts over
+them; the unbatched call is the same code with no batch axis.  Reductions
+that give one number per tangent space return an array when batched and a
+float (numpy float64) when not.
 """
 from __future__ import annotations
 
@@ -57,69 +63,82 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class MultilinearForm:
-    """Dense covariant tensor of rank 1..4 over a fixed basis."""
+    """Dense covariant tensor of rank 1..4 over a fixed basis.
+
+    The first `batch` axes of entries are batch axes, one form per entry;
+    rank, dim and max_norm refer to the remaining axes.
+    """
 
     entries: np.ndarray
+    batch: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim < 1 or arr.ndim > 4:
-            raise ArityMismatch(f"rank must be 1..4, got {arr.ndim}")
-        if len(set(arr.shape)) != 1:
-            raise DimensionMismatch(f"all axes must agree, got shape {arr.shape}")
-        if arr.shape[0] > MAX_DIM:
-            raise DimensionMismatch(f"dimension {arr.shape[0]} exceeds the supported {MAX_DIM}")
+        shape = arr.shape[self.batch:]
+        if not 1 <= len(shape) <= 4:
+            raise ArityMismatch(f"rank must be 1..4, got {len(shape)}")
+        if len(set(shape)) != 1:
+            raise DimensionMismatch(f"all axes must agree, got shape {shape}")
+        if shape[0] > MAX_DIM:
+            raise DimensionMismatch(f"dimension {shape[0]} exceeds the supported {MAX_DIM}")
         require_finite(arr, "entries")
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray) -> "MultilinearForm":
+    def _trusted(cls, entries: np.ndarray, batch: int = 0) -> "MultilinearForm":
         """Wrap a float array derived from checked forms, skipping the entry checks."""
         form = object.__new__(cls)
         object.__setattr__(form, "entries", entries)
+        object.__setattr__(form, "batch", batch)
         return form
 
     @property
     def rank(self) -> int:
-        return self.entries.ndim
+        return self.entries.ndim - self.batch
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+    def max_norm(self) -> float | np.ndarray:
+        return np.abs(self.entries).max(axis=tuple(range(self.batch, self.entries.ndim)) if self.batch else None)
 
-    def evaluate(self, *args) -> float:
-        """Evaluate on rank-many vectors, contracting the last slot first."""
+    def evaluate(self, *args) -> float | np.ndarray:
+        """Evaluate on rank-many vectors; a batched form takes (..., d) vectors."""
         if len(args) != self.rank:
             raise ArityMismatch(f"expected {self.rank} vectors, got {len(args)}")
+        shape = self.entries.shape
+        batch, d = shape[: self.batch], shape[-1]
         vectors = [np.asarray(v, dtype=float) for v in args]
         for v in vectors:
-            if v.shape != (self.dim,):
-                raise DimensionMismatch(f"vector of length {v.shape} against dimension {self.dim}")
-        out = self.entries
-        for v in reversed(vectors):
-            out = out @ v
-        return float(out)
+            if v.shape != (*batch, d):
+                raise DimensionMismatch(f"vector of shape {v.shape} against dimension {d}, batch {batch}")
+        out, flat = self.entries, (*batch, -1, d)
+        for v in reversed(vectors):  # the last slot first: (..., m, d) @ (..., d, 1), slots in front flattened
+            out = (out.reshape(flat) @ v[..., None])[..., 0]
+        return out[..., 0][()]
 
     __call__ = evaluate
 
+    def _wrap(self, entries: np.ndarray, rank: int | None = None) -> "MultilinearForm":
+        """A form of this rank (or the given one) whose leading axes, whatever broadcasting left, are batch axes."""
+        return MultilinearForm._trusted(entries, entries.ndim - (rank or self.rank))
+
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
-        return MultilinearForm._trusted(self.entries + other.entries)
+        return self._wrap(self.entries + other.entries)
 
     def __sub__(self, other: "MultilinearForm") -> "MultilinearForm":
-        return MultilinearForm._trusted(self.entries - other.entries)
+        return self._wrap(self.entries - other.entries)
 
     def __neg__(self) -> "MultilinearForm":
-        return MultilinearForm._trusted(-self.entries)
+        return self._wrap(-self.entries)
 
     def __mul__(self, c: float) -> "MultilinearForm":
         c = float(c)
         if not math.isfinite(c):
             raise NonFiniteInput(f"factor {c} is not finite")
-        return MultilinearForm._trusted(self.entries * c)
+        return self._wrap(self.entries * c)
 
     __rmul__ = __mul__
 
@@ -138,18 +157,39 @@ def read_only(a) -> np.ndarray:
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
+    """m as a float (..., d, d) array: a square matrix, or a stack of them."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     return m
 
 
+def per_entry(c, ndim: int):
+    """One scalar per batch entry, shaped to broadcast over ndim trailing axes; a plain scalar stays as it is."""
+    return c.reshape(c.shape + (1,) * ndim) if isinstance(c, np.ndarray) else c
+
+
+def any_entry(mask) -> bool:
+    """Whether a boolean scalar, or any entry of a boolean batch, is true (cheap on numpy scalars)."""
+    return np.count_nonzero(mask) > 0
+
+
+def transpose(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in a (..., p, q) stack."""
+    return m.swapaxes(-1, -2)
+
+
+def matrix_max(m) -> float | np.ndarray:
+    """Max-norm of each matrix in a (..., p, q) stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
 def _metric_eigenvalues(g, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """A validated metric candidate and the eigenvalues of its symmetric part."""
+    """A validated metric candidate and the eigenvalues of its symmetric part, per batch entry."""
     g = _as_square(g, "metric")
-    if np.max(np.abs(g - g.T)) > tol.abs_tol + tol.rel_tol * np.max(np.abs(g)):
+    if any_entry(matrix_max(g - transpose(g)) > tol.abs_tol + tol.rel_tol * matrix_max(g)):
         raise DegenerateMetric("metric is not symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (g + g.T))
+    eig = np.linalg.eigvalsh(0.5 * (g + transpose(g)))
     if np.min(np.abs(eig)) <= tol.abs_tol:
         raise DegenerateMetric("metric has an eigenvalue inside the zero band")
     return g, eig
@@ -164,7 +204,7 @@ def invert_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a symmetric nondegenerate bilinear form."""
     g = check_metric(g, tol)
     g_inv = np.linalg.inv(g)
-    return 0.5 * (g_inv + g_inv.T)
+    return 0.5 * (g_inv + transpose(g_inv))
 
 
 def signature(g, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
@@ -178,28 +218,60 @@ def ricci_contract(T: MultilinearForm, g_inv) -> MultilinearForm:
     if T.rank != 4:
         raise ArityMismatch(f"ricci_contract needs rank 4, got {T.rank}")
     g_inv = _as_square(g_inv, "inverse metric")
-    return MultilinearForm._trusted(np.einsum("il,ijkl->jk", g_inv, T.entries))
+    return T._wrap(np.einsum("...il,...ijkl->...jk", g_inv, T.entries), rank=2)
 
 
-def scalar_contract(rho: MultilinearForm, g_inv) -> float:
+def scalar_contract(rho: MultilinearForm, g_inv) -> float | np.ndarray:
     """Full trace g^{ij} rho(e_i, e_j) of a rank-2 form."""
     if rho.rank != 2:
         raise ArityMismatch(f"scalar_contract needs rank 2, got {rho.rank}")
     g_inv = _as_square(g_inv, "inverse metric")
-    return float(np.einsum("ij,ij->", g_inv, rho.entries))
+    return (g_inv * rho.entries).sum(axis=(-2, -1))
 
 
-def trace_endo(A) -> float:
-    return float(np.trace(_as_square(A, "endomorphism")))
+def trace_endo(A) -> float | np.ndarray:
+    return _as_square(A, "endomorphism").diagonal(0, -2, -1).sum(-1)
 
 
-def trace_compose(A, B) -> float:
+def trace_compose(A, B) -> float | np.ndarray:
     """trace(A o B) for endomorphisms as matrices."""
     A = _as_square(A, "endomorphism")
     B = _as_square(B, "endomorphism")
-    if A.shape != B.shape:
+    if A.shape[-1] != B.shape[-1]:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    return float(np.trace(A @ B))
+    return np.einsum("...ij,...ji->...", A, B)
+
+
+def dot(x, y) -> float | np.ndarray:
+    """x . y for (..., d) vectors."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def apply(M, v) -> np.ndarray:
+    """M v for a (..., p, q) matrix and (..., q) vectors."""
+    return (M @ v[..., None])[..., 0]
+
+
+def bilinear(g, x, y) -> float | np.ndarray:
+    """g(x, y) for a (..., d, d) matrix and (..., d) vectors."""
+    return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
+
+
+def rows(*vectors) -> np.ndarray:
+    """k (..., d) vectors as the rows of one (..., k, d) array."""
+    return np.array(vectors, dtype=float).swapaxes(0, -2)
+
+
+def pairings(g, x, y, z, u) -> np.ndarray:
+    """[[g(x, z), g(x, u)], [g(y, z), g(y, u)]] as one (2, d) @ g @ (d, 2) product per batch entry."""
+    V = rows(x, y, z, u)
+    return V[..., :2, :] @ g @ transpose(V[..., 2:, :])
+
+
+def area_factor(g, x, y, z, u) -> float | np.ndarray:
+    """g(y, z) g(x, u) - g(x, z) g(y, u), the pi_1 value; (x, y, y, x) gives a plane's area factor."""
+    M = pairings(g, x, y, z, u)
+    return M[..., 1, 0] * M[..., 0, 1] - M[..., 0, 0] * M[..., 1, 1]
 
 
 def _kn_permute(P: np.ndarray, batch, d: int) -> np.ndarray:
@@ -224,27 +296,31 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
 
 
 def kulkarni_nomizu_sum(h: np.ndarray, k: np.ndarray, c) -> MultilinearForm:
-    """sum_i c_i (h_i o k_i) for (m, d, d) factor stacks, as one rank-4 form.
+    """sum_i c_i (h_i o k_i) for (..., m, d, d) factor stacks, as one rank-4 form.
 
-    One (d^2, m) @ (m, d^2) product, then the permutation step of `kulkarni_nomizu`;
-    the four-term formula is taken as written, so the factors need not be symmetric.
+    One (d^2, m) @ (m, d^2) product per batch entry, then the permutation step of
+    `kulkarni_nomizu`; the four-term formula is taken as written, so the factors
+    need not be symmetric.  The (..., m) coefficients broadcast against the batch.
     """
     c = np.asarray(c, dtype=float)
-    m, d, _ = h.shape
-    if c.shape != (m,) or d > MAX_DIM:
+    *batch, m, d, _ = h.shape
+    if c.shape[-1:] != (m,) or d > MAX_DIM:
         raise DimensionMismatch(f"{m} pairs of dimension {d} (at most {MAX_DIM}), coefficients {c.shape}")
     require_finite(c, "coefficients")
-    P = (h.reshape(m, d * d).T * c) @ k.reshape(m, d * d)
-    return MultilinearForm._trusted(_kn_permute(P, (), d))
+    P = (h.reshape(*batch, m, d * d).swapaxes(-1, -2) * c[..., None, :]) @ k.reshape(*batch, m, d * d)
+    return MultilinearForm._trusted(_kn_permute(P, P.shape[:-2], d), P.ndim - 2)
 
 
 def generator_factors(h, k, scale) -> np.ndarray:
-    """Factor pairs of the generators scale_i * (h_i o k_i), as one read-only (2, m, d, d) array.
+    """Factor pairs of the generators scale_i * (h_i o k_i), as one read-only (2, ..., m, d, d) array.
 
-    Row 0 holds the h_i with the scales folded in, since (s h) o k = s (h o k),
-    and row 1 the k_i.  The pairs are checked for finiteness once, here.
+    h and k are sequences of m (..., d, d) matrices.  Row 0 holds the h_i with
+    the scales folded in, since (s h) o k = s (h o k), and row 1 the k_i.  The
+    pairs are checked for finiteness once, here.
     """
-    hk = np.stack([np.asarray(h, dtype=float) * np.asarray(scale, dtype=float)[:, None, None], k])
+    hk = np.array([h, k], dtype=float)  # (2, m, ..., d, d)
+    hk[0] *= np.reshape(scale, (-1,) + (1,) * (hk.ndim - 2))
+    hk = np.ascontiguousarray(np.moveaxis(hk, 1, -3)) if hk.ndim > 4 else hk
     require_finite(hk, "generator factors")
     hk.setflags(write=False)
     return hk
@@ -267,40 +343,40 @@ def stack_rows(stack: np.ndarray) -> tuple[MultilinearForm, ...]:
 
 
 def pair_matrix(M) -> np.ndarray:
-    """M (x) M as a (p^2, q^2) matrix: entry [(i, j), (a, b)] = M[i, a] M[j, b]."""
-    p, q = M.shape
-    return np.multiply.outer(M, M).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+    """M (x) M as a (..., p^2, q^2) matrix: entry [(i, j), (a, b)] = M[i, a] M[j, b]."""
+    *batch, p, q = M.shape
+    return (M[..., :, None, :, None] * M[..., None, :, None, :]).reshape(*batch, p * p, q * q)
 
 
 def substitute_pairs(T: np.ndarray, M, N) -> np.ndarray:
-    """T(Mx, My, Nz, Nu) for a rank-4 array T and (p, q), (p, r) matrices M, N.
+    """T(Mx, My, Nz, Nu) for a (..., p, p, p, p) array T and (..., p, q), (..., p, r) matrices M, N.
 
     The first slot pair and the last slot pair are each one matrix product,
     so the cost is O(p^4 (q^2 + r^2)) rather than a single O(p^4 q^2 r^2) loop.
     """
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
-    p, q = M.shape
-    r = N.shape[1]
-    flat = pair_matrix(M).T @ T.reshape(p * p, p * p) @ pair_matrix(N)
-    return flat.reshape(q, q, r, r)
+    p, q = M.shape[-2:]
+    r = N.shape[-1]
+    flat = transpose(pair_matrix(M)) @ T.reshape(*T.shape[:-4], p * p, p * p) @ pair_matrix(N)
+    return flat.reshape(*flat.shape[:-2], q, q, r, r)
 
 
 def substitute_endo_first_two(T: MultilinearForm, A) -> MultilinearForm:
     """T(Ax, Ay, z, u) as a rank-4 form: one (d^2 x d^2) matrix product."""
     d2 = T.dim**2
-    flat = pair_matrix(_as_square(A)).T @ T.entries.reshape(d2, d2)
-    return MultilinearForm._trusted(flat.reshape(T.entries.shape))
+    flat = transpose(pair_matrix(_as_square(A))) @ T.entries.reshape(*T.entries.shape[:-4], d2, d2)
+    return T._wrap(flat.reshape(flat.shape[:-2] + T.entries.shape[-4:]))
 
 
 def substitute_endo_last_two(T: MultilinearForm, B) -> MultilinearForm:
     """T(x, y, Bz, Bu) as a rank-4 form: one (d^2 x d^2) matrix product."""
     d2 = T.dim**2
-    flat = T.entries.reshape(d2, d2) @ pair_matrix(_as_square(B))
-    return MultilinearForm._trusted(flat.reshape(T.entries.shape))
+    flat = T.entries.reshape(*T.entries.shape[:-4], d2, d2) @ pair_matrix(_as_square(B))
+    return T._wrap(flat.reshape(flat.shape[:-2] + T.entries.shape[-4:]))
 
 
 def twist_last(T: MultilinearForm, B) -> MultilinearForm:
     """T(x, y, z, Bu) as a rank-4 form."""
     B = _as_square(B)
-    return MultilinearForm._trusted(T.entries @ B)
+    return T._wrap(T.entries @ B[..., None, None, :, :])

@@ -5,11 +5,19 @@ invariants over `trials` datasets and reports the worst residual per check
 name, so reports stay small and byte-identical for a fixed seed.  A nonzero
 `fault` perturbs one structure tensor per dataset by that amount; the
 negative-control contract is that every battery then fails at least one
-check.  Exceptions raised mid-check (degenerate metrics, non-tangent
-tensors) count as infinite residuals rather than aborting the run.
+check.  Geometry errors raised mid-check (degenerate metrics, non-tangent
+tensors) count as infinite residuals, under every check name the battery
+or tag group declares, rather than aborting the run; any other exception
+is a bug and propagates.
+
+Most batteries draw every trial first, in the order a per-trial loop would,
+then evaluate each group of trials of one size n as one batch through the
+layers' leading batch axis; a group that raises counts for all its trials.
+`axiom_induction`, `model_curvature` and `solver_theorem` run per trial.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable
 
@@ -24,7 +32,6 @@ from .complex_norden import (
     validate_complex_norden,
 )
 from .contact_norden import (
-    ContactNordenPoint,
     ContactSectionKind,
     F11,
     F4_F5,
@@ -36,6 +43,7 @@ from .contact_norden import (
     sectional_curvature,
     validate_contact_axioms,
 )
+from .errors import GeometryError
 from .hypersurface import (
     HyperScalars,
     canonical_K_from_R,
@@ -63,64 +71,122 @@ from .main_class import (
     solve_theta,
     theorem31,
 )
-from .multilinear import DEFAULT_TOL, Tolerance
+from .multilinear import DEFAULT_TOL, Tolerance, apply, trace_compose, trace_endo
 from .report import Check, ValidationReport
 from .sampling import (
+    PointDraw,
+    contact_point,
+    draw_point,
+    draw_scalars,
+    hyper_scalars,
     random_contact_point,
-    random_hyper_scalars,
-    random_main_class_data,
     random_nu_pair,
     random_timelike_frame,
     random_totally_real_pair,
     rng,
+    stack,
 )
+
+# What a battery's except clause catches: a geometry error is a verdict, anything else a bug.
+EXPECTED = (GeometryError, np.linalg.LinAlgError)
 
 
 class _Worst:
-    """Accumulates the worst residual seen under each check name."""
+    """Accumulates the worst residual seen under each declared check name.
 
-    def __init__(self, battery: str):
+    A battery declares its names with their thresholds up front.  A residual
+    may be one number or an array, one per batch entry; NaN counts as infinity.
+    """
+
+    def __init__(self, battery: str, thresholds: dict[str, float]):
         self.battery = battery
+        self.thresholds = thresholds
         self.residuals: dict[str, float] = {}
-        self.thresholds: dict[str, float] = {}
 
-    def add(self, name: str, residual: float, threshold: float) -> None:
-        key = f"{self.battery}.{name}"
-        if not math.isfinite(residual):
-            residual = float("inf")
-        self.residuals[key] = max(self.residuals.get(key, 0.0), abs(residual))
-        self.thresholds[key] = threshold
+    def add(self, name: str, residual) -> None:
+        r = abs(residual) if isinstance(residual, float) else float(np.max(np.abs(residual)))
+        self.residuals[name] = max(self.residuals.get(name, 0.0), r if r == r else math.inf)
 
-    def guarded(self, name: str, threshold: float, fn: Callable[[], float]) -> None:
+    @contextlib.contextmanager
+    def guard(self, prefix: str = ""):
+        """On a geometry error in the block, infinity under every declared name starting with prefix."""
         try:
-            self.add(name, fn(), threshold)
-        except Exception:
-            self.add(name, float("inf"), threshold)
+            yield
+        except EXPECTED:
+            for name in self.thresholds:
+                if name.startswith(prefix):
+                    self.add(name, math.inf)
+
+    def guarded(self, name: str, fn: Callable[[], float]) -> None:
+        try:
+            self.add(name, fn())
+        except EXPECTED:
+            self.add(name, math.inf)
 
     def checks(self) -> list[Check]:
-        return [Check(k, self.residuals[k], self.thresholds[k]) for k in sorted(self.residuals)]
+        return [
+            Check(f"{self.battery}.{k}", self.residuals[k], self.thresholds[k]) for k in sorted(self.residuals)
+        ]
 
 
-def _rel(got: float, want: float) -> float:
+def _rel(got, want):
     return abs(got - want) / (1.0 + abs(want))
+
+
+def _per_tag(thresholds: dict[str, float]) -> dict[str, float]:
+    return {f"{tag}.{k}": v for tag in (F4_F5, F11) for k, v in thresholds.items()}
+
+
+def _draw(
+    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float,
+    every_n: bool = False, omega: bool = False, nu: bool = False, vectors: int = 0,
+) -> list[tuple]:
+    """Every trial's inputs, drawn before any is used, in the order of a per-trial loop.
+
+    A trial draws n (one of n_values, or each in turn if every_n), a contact
+    point, its scalars (with Omega if asked), a nu pair if asked, then
+    `vectors` uniform vectors.
+    """
+    drawn = []
+    for _ in range(trials):
+        for n in n_values if every_n else [int(gen.choice(list(n_values)))]:
+            d = 2 * n + 1
+            drawn.append((
+                n,
+                draw_point(gen, n, fault),
+                draw_scalars(gen, d if omega else None),
+                random_nu_pair(gen) if nu else (0.0, 0.0),
+                [gen.uniform(-1.0, 1.0, size=d) for _ in range(vectors)],
+            ))
+    return drawn
+
+
+def _groups(drawn: list[tuple], fault: float):
+    """The drawn trials grouped by n, each group stacked along a leading batch axis:
+    (point, scalars, nu, nu_tilde, vectors), the vectors as one (vectors, B, d) array."""
+    by_n: dict[int, list] = {}
+    for n, *fields in drawn:
+        by_n.setdefault(n, []).append(fields)
+    for n, group in by_n.items():
+        points, scalars, nus, vectors = zip(*group)
+        p = contact_point(n, stack(points), fault)
+        nu, nu_tilde = np.transpose(nus)
+        yield p, hyper_scalars(stack(scalars), p), nu, nu_tilde, np.array(vectors).swapaxes(0, 1)
 
 
 def battery_axiom_induction(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Induced structures satisfy the contact axioms and the pullback identities."""
-    w = _Worst("axiom_induction")
+    w = _Worst("axiom_induction", {"axioms": 1e-9, "pullback_identities": 1e-9})
     ambient_sizes = [n + 1 for n in n_values]
     for _ in range(trials):
         n_prime = int(gen.choice(ambient_sizes))
-        try:
+        with w.guard():
             frame = random_timelike_frame(gen, n_prime, fault=fault)
             structure = induce(frame)
-            w.add("axioms", validate_contact_axioms(structure.point).max_residual, 1e-9)
-            w.add("pullback_identities", pi_relations_residual(structure), 1e-9)
-        except Exception:
-            w.add("axioms", float("inf"), 1e-9)
-            w.add("pullback_identities", float("inf"), 1e-9)
+            w.add("axioms", validate_contact_axioms(structure.point).max_residual)
+            w.add("pullback_identities", pi_relations_residual(structure))
     return w.checks()
 
 
@@ -128,12 +194,12 @@ def battery_kaehlerity(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """The two generator combinations every canonical curvature is built from."""
-    w = _Worst("kaehlerity")
-    for _ in range(trials):
-        for n in n_values:
-            p = random_contact_point(gen, n, fault=fault)
-            w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p), 1e-10)
-            w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p), 1e-10)
+    w = _Worst("kaehlerity", {"pi1_minus_pi2_minus_pi4": 1e-10, "pi3_plus_pi5": 1e-10})
+    drawn = [(n, draw_point(gen, n, fault)) for _ in range(trials) for n in n_values]
+    for n in dict.fromkeys(n_values):
+        p = contact_point(n, stack([draw for m, draw in drawn if m == n]), fault)
+        w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
+        w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))
     return w.checks()
 
 
@@ -141,7 +207,10 @@ def battery_model_curvature(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Constant-curvature model: section values on special planes."""
-    w = _Worst("model_curvature")
+    w = _Worst(
+        "model_curvature",
+        {"ambient_axioms": 1e-9, "totally_real_k": 1e-9, "totally_real_k_assoc": 1e-9, "holomorphic_k": 1e-10},
+    )
     nu, nut = 3.0, -1.0
     for n in n_values:
         n_prime = n + 1
@@ -150,27 +219,17 @@ def battery_model_curvature(
             J = amb.J.copy()
             J[0, 0] += fault
             amb = ComplexNordenPoint(n_prime, amb.g, J)
-        w.add("ambient_axioms", validate_complex_norden(amb).max_residual, 1e-9)
+        w.add("ambient_axioms", validate_complex_norden(amb).max_residual)
         R = model_curvature(AmbientModel(point=amb, nu_prime=nu, nu_tilde_prime=nut))
         Rt = associated_curvature(R, amb.J)
         for _ in range(trials):
             x, y = random_totally_real_pair(gen, n_prime)
-            w.guarded(
-                "totally_real_k", 1e-9, lambda: abs(sectional_curvature_prime(R, amb.g, x, y) - nu)
-            )
-            w.guarded(
-                "totally_real_k_assoc",
-                1e-9,
-                lambda: abs(sectional_curvature_prime(Rt, amb.g, x, y) - nut),
-            )
+            w.guarded("totally_real_k", lambda: abs(sectional_curvature_prime(R, amb.g, x, y) - nu))
+            w.guarded("totally_real_k_assoc", lambda: abs(sectional_curvature_prime(Rt, amb.g, x, y) - nut))
             v = gen.uniform(-1.0, 1.0, size=amb.dim)
             if abs((v @ amb.g @ v) ** 2 + (v @ amb.gJ @ v) ** 2) < 0.05:
                 continue
-            w.guarded(
-                "holomorphic_k",
-                1e-10,
-                lambda: abs(sectional_curvature_prime(R, amb.g, v, amb.J @ v)),
-            )
+            w.guarded("holomorphic_k", lambda: abs(sectional_curvature_prime(R, amb.g, v, amb.J @ v)))
     return w.checks()
 
 
@@ -179,26 +238,15 @@ def battery_scalar_calibration(
 ) -> list[Check]:
     """Double contraction of the induced curvature vs the trace closed forms,
     on the class with the rank-one shape operator."""
-    w = _Worst("scalar_calibration")
-    for _ in range(trials):
-        n = int(gen.choice(list(n_values)))
-        p = random_contact_point(gen, n, fault=fault)
-        sc = random_hyper_scalars(gen, p)
-        nu, nut = random_nu_pair(gen)
-
-        def run() -> tuple[float, float]:
+    w = _Worst("scalar_calibration", {"tau": 1e-8, "tau_twisted": 1e-8})
+    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, nu=True), fault):
+        with w.guard():
             A = shape_from_class(p, "F0", sc)
             R = gauss_induced_R(p, A, sc, nu, nut)
             got = scalar_curvatures(R, p)
             want = closed_form_scalars(A, sc, nu, nut, p)
-            return _rel(got.tau, want.tau), _rel(got.tau_tilde, want.tau_tilde)
-
-        try:
-            r_tau, r_taut = run()
-        except Exception:
-            r_tau = r_taut = float("inf")
-        w.add("tau", r_tau, 1e-8)
-        w.add("tau_twisted", r_taut, 1e-8)
+            w.add("tau", _rel(got.tau, want.tau))
+            w.add("tau_twisted", _rel(got.tau_tilde, want.tau_tilde))
     return w.checks()
 
 
@@ -206,60 +254,41 @@ def battery_induced_curvature(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Scalar and special sectional curvatures of the two closed-form classes."""
-    w = _Worst("induced_curvature")
-    for _ in range(trials):
-        n = int(gen.choice(list(n_values)))
-        p = random_contact_point(gen, n, fault=fault)
-        sc = random_hyper_scalars(gen, p, with_omega=True)
-        nu, nut = random_nu_pair(gen)
-        for tag in (F4_F5, F11):
-            try:
+    names = {"tau": 1e-8, "tau_twisted": 1e-8, "curvature_symmetries": 1e-9, "xi_section": 1e-8,
+             "phi_holomorphic": 1e-8}
+    w = _Worst("induced_curvature", {**_per_tag(names), "totally_real": 1e-8})
+    drawn = _draw(gen, trials, n_values, fault, omega=True, nu=True, vectors=2)
+    for p, sc, nu, nut, xs in _groups(drawn, fault):
+        for tag, x in zip((F4_F5, F11), xs):
+            with w.guard(f"{tag}."):
                 A = shape_from_class(p, tag, sc)
                 R = gauss_induced_R(p, A, sc, nu, nut)
                 got = scalar_curvatures(R, p)
                 want = closed_form_scalars(A, sc, nu, nut, p)
-                w.add(f"{tag}.tau", _rel(got.tau, want.tau), 1e-8)
-                w.add(f"{tag}.tau_twisted", _rel(got.tau_tilde, want.tau_tilde), 1e-8)
-                w.add(f"{tag}.curvature_symmetries", is_curvature_like(R), 1e-9)
-                x = gen.uniform(-1.0, 1.0, size=p.dim)
+                w.add(f"{tag}.tau", _rel(got.tau, want.tau))
+                w.add(f"{tag}.tau_twisted", _rel(got.tau_tilde, want.tau_tilde))
+                w.add(f"{tag}.curvature_symmetries", is_curvature_like(R))
                 k_xi = special_sectional(p, A, sc, nu, nut, ContactSectionKind.XI_SECTION, x)
-                w.add(
-                    f"{tag}.xi_section",
-                    _rel(k_xi, sectional_curvature(R, p, p.xi, x)),
-                    1e-8,
-                )
-                k_hol = special_sectional(
-                    p, A, sc, nu, nut, ContactSectionKind.PHI_HOLOMORPHIC, x
-                )
-                px = p.phi @ x
-                w.add(
-                    f"{tag}.phi_holomorphic",
-                    _rel(k_hol, sectional_curvature(R, p, px, p.phi @ px)),
-                    1e-8,
-                )
-            except Exception:
-                w.add(f"{tag}.tau", float("inf"), 1e-8)
-    # totally real sections need pairings to vanish exactly: standard model
+                w.add(f"{tag}.xi_section", _rel(k_xi, sectional_curvature(R, p, p.xi, x)))
+                k_hol = special_sectional(p, A, sc, nu, nut, ContactSectionKind.PHI_HOLOMORPHIC, x)
+                px = apply(p.phi, x)
+                w.add(f"{tag}.phi_holomorphic", _rel(k_hol, sectional_curvature(R, p, px, apply(p.phi, px))))
+    # totally real sections need pairings to vanish exactly: the standard
+    # model itself (identity congruence), its phi[0, 0] perturbed under fault
     wide = [n for n in n_values if n >= 2]
+    drawn = []
     for _ in range(trials if wide else 0):
         n = int(gen.choice(wide))
-        p = ContactNordenPoint.standard(n)
-        if fault:
-            phi = p.phi.copy()
-            phi[0, 0] += fault
-            p = ContactNordenPoint(n, p.g, phi, p.xi, p.eta)
-        sc = random_hyper_scalars(gen, p)
-        nu, nut = random_nu_pair(gen)
-        x = np.zeros(p.dim)
-        y = np.zeros(p.dim)
-        x[0], y[1] = 1.0, 1.0
-        try:
+        standard = PointDraw(np.eye(2 * n + 1), np.zeros(2, dtype=int) if fault else None)
+        drawn.append((n, standard, draw_scalars(gen), random_nu_pair(gen), []))
+    for p, sc, nu, nut, _ in _groups(drawn, fault):
+        x, y = np.zeros((2,) + p.xi.shape)
+        x[..., 0], y[..., 1] = 1.0, 1.0
+        with w.guard("totally_real"):
             A = shape_from_class(p, F4_F5, sc)
             R = gauss_induced_R(p, A, sc, nu, nut)
             k_tr = special_sectional(p, A, sc, nu, nut, ContactSectionKind.TOTALLY_REAL, x, y)
-            w.add("totally_real", _rel(k_tr, sectional_curvature(R, p, x, y)), 1e-8)
-        except Exception:
-            w.add("totally_real", float("inf"), 1e-8)
+            w.add("totally_real", _rel(k_tr, sectional_curvature(R, p, x, y)))
     return w.checks()
 
 
@@ -267,26 +296,20 @@ def battery_canonical_curvature(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """The two routes to the canonical curvature and its trace closed forms."""
-    w = _Worst("canonical_curvature")
-    for _ in range(trials):
-        n = int(gen.choice(list(n_values)))
-        p = random_contact_point(gen, n, fault=fault)
-        sc = random_hyper_scalars(gen, p, with_omega=True)
-        nu, nut = random_nu_pair(gen)
+    names = {"routes_agree": 1e-8, "kaehlerian": 1e-9, "tau": 1e-8, "tau_twisted": 1e-8}
+    w = _Worst("canonical_curvature", _per_tag(names))
+    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, omega=True, nu=True), fault):
         for tag in (F4_F5, F11):
-            try:
+            with w.guard(f"{tag}."):
                 A = shape_from_class(p, tag, sc)
                 R = gauss_induced_R(p, A, sc, nu, nut)
                 K1 = canonical_K_from_R(p, R, A, sc.t)
                 K2, tau_K, tau_K_t = canonical_K_model(p, A, sc, nu, nut)
-                scale = 1.0 + K2.max_norm
-                w.add(f"{tag}.routes_agree", (K1 - K2).max_norm / scale, 1e-8)
-                w.add(f"{tag}.kaehlerian", kaehler_residual(K2, p), 1e-9)
+                w.add(f"{tag}.routes_agree", (K1 - K2).max_norm / (1.0 + K2.max_norm))
+                w.add(f"{tag}.kaehlerian", kaehler_residual(K2, p))
                 got = scalar_curvatures(K2, p)
-                w.add(f"{tag}.tau", _rel(got.tau, tau_K), 1e-8)
-                w.add(f"{tag}.tau_twisted", _rel(got.tau_tilde, tau_K_t), 1e-8)
-            except Exception:
-                w.add(f"{tag}.routes_agree", float("inf"), 1e-8)
+                w.add(f"{tag}.tau", _rel(got.tau, tau_K))
+                w.add(f"{tag}.tau_twisted", _rel(got.tau_tilde, tau_K_t))
     return w.checks()
 
 
@@ -294,35 +317,23 @@ def battery_main_class(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Main-class closed forms vs the generic induced-curvature route."""
-    w = _Worst("main_class")
-    for _ in range(trials):
-        n = int(gen.choice(list(n_values)))
-        d = random_main_class_data(gen, n, fault=fault)
-        nu, nut = random_nu_pair(gen)
-        try:
+    w = _Worst(
+        "main_class",
+        {"trace_A": 1e-10, "trace_A_phi": 1e-10, "R_routes_agree": 1e-8, "tau": 1e-8, "tau_twisted": 1e-8},
+    )
+    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, nu=True), fault):
+        with w.guard():
+            d = MainClassData(point=p, scalars=sc)
             A = shape_F45(d)
-            sc = d.scalars
-            w.add(
-                "trace_A",
-                abs(
-                    np.trace(A)
-                    - (-sc.dt_xi / (2 * sc.cos_t) - sc.theta_xi * sc.cos_t - sc.theta_star_xi * sc.sin_t)
-                ),
-                1e-10,
-            )
-            w.add(
-                "trace_A_phi",
-                abs(np.trace(A @ d.point.phi) - (sc.theta_xi * sc.sin_t - sc.theta_star_xi * sc.cos_t)),
-                1e-10,
-            )
+            c, s = sc.cos_t, sc.sin_t
+            w.add("trace_A", trace_endo(A) - (-sc.dt_xi / (2 * c) - sc.theta_xi * c - sc.theta_star_xi * s))
+            w.add("trace_A_phi", trace_compose(A, p.phi) - (sc.theta_xi * s - sc.theta_star_xi * c))
             cur = curvature_F45(d, NuPair(nu, nut))
-            Rg = gauss_induced_R(d.point, A, sc, nu, nut)
-            w.add("R_routes_agree", (cur.R - Rg).max_norm / (1.0 + Rg.max_norm), 1e-8)
-            got = scalar_curvatures(cur.R, d.point)
-            w.add("tau", _rel(got.tau, cur.scalars.tau), 1e-8)
-            w.add("tau_twisted", _rel(got.tau_tilde, cur.scalars.tau_tilde), 1e-8)
-        except Exception:
-            w.add("R_routes_agree", float("inf"), 1e-8)
+            Rg = gauss_induced_R(p, A, sc, nu, nut)
+            w.add("R_routes_agree", (cur.R - Rg).max_norm / (1.0 + Rg.max_norm))
+            got = scalar_curvatures(cur.R, p)
+            w.add("tau", _rel(got.tau, cur.scalars.tau))
+            w.add("tau_twisted", _rel(got.tau_tilde, cur.scalars.tau_tilde))
     return w.checks()
 
 
@@ -330,17 +341,11 @@ def battery_canonical_connection(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Difference tensor: generic reconstruction vs the main-class display."""
-    w = _Worst("canonical_connection")
-    for _ in range(trials):
-        for n in n_values:
-            d = random_main_class_data(gen, n, fault=fault)
-            try:
-                F = main_class_form(d)
-                T1 = canonical_difference(F, d.point)
-                T2 = canonical_difference_F45(d)
-                w.add("difference_tensor", float(np.max(np.abs(T1 - T2))), 1e-10)
-            except Exception:
-                w.add("difference_tensor", float("inf"), 1e-10)
+    w = _Worst("canonical_connection", {"difference_tensor": 1e-10})
+    for p, sc, *_ in _groups(_draw(gen, trials, n_values, fault, every_n=True), fault):
+        with w.guard():
+            d = MainClassData(point=p, scalars=sc)
+            w.add("difference_tensor", canonical_difference(main_class_form(d), p) - canonical_difference_F45(d))
     return w.checks()
 
 
@@ -348,7 +353,9 @@ def battery_solver_theorem(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
 ) -> list[Check]:
     """Round trip of the angle solver and the flat-regime closed forms."""
-    w = _Worst("solver_theorem")
+    names = ("roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau", "tau_twisted",
+             "xi_section", "phi_holomorphic")
+    w = _Worst("solver_theorem", dict.fromkeys(names, 1e-8))
     done = 0
     while done < trials:
         nu, nut = random_nu_pair(gen)
@@ -359,37 +366,27 @@ def battery_solver_theorem(
         n = int(gen.choice(list(n_values)))
         p = random_contact_point(gen, n, fault=fault)
         for eps in (1, -1):
-            try:
+            with w.guard():
                 th, ths = solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n)
                 data = MainClassData(
                     point=p, scalars=HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
                 )
                 back = nu_from_scalars(data)
-                w.add("roundtrip_nu", _rel(back.nu, nu), 1e-8)
-                w.add("roundtrip_nu_twisted", _rel(back.nu_tilde, nut), 1e-8)
+                w.add("roundtrip_nu", _rel(back.nu, nu))
+                w.add("roundtrip_nu_twisted", _rel(back.nu_tilde, nut))
                 res = theorem31(p, th, ths, t=t)
                 scale = 1.0 + max(abs(th), abs(ths)) ** 2
-                w.add("flat_canonical_curvature", res.K_residual / scale, 1e-8)
+                w.add("flat_canonical_curvature", res.K_residual / scale)
                 got = scalar_curvatures(res.R, p)
-                w.add("tau", _rel(got.tau, res.tau), 1e-8)
-                w.add("tau_twisted", _rel(got.tau_tilde, res.tau_tilde), 1e-8)
+                w.add("tau", _rel(got.tau, res.tau))
+                w.add("tau_twisted", _rel(got.tau_tilde, res.tau_tilde))
                 x = gen.uniform(-1.0, 1.0, size=p.dim)
-                w.add(
-                    "xi_section",
-                    _rel(res.k_xi(x), sectional_curvature(res.R, p, p.xi, x)),
-                    1e-8,
-                )
+                w.add("xi_section", _rel(res.k_xi(x), sectional_curvature(res.R, p, p.xi, x)))
                 px = p.phi @ x
                 w.add(
                     "phi_holomorphic",
-                    _rel(
-                        res.k_phi_holomorphic,
-                        sectional_curvature(res.R, p, px, p.phi @ px),
-                    ),
-                    1e-8,
+                    _rel(res.k_phi_holomorphic, sectional_curvature(res.R, p, px, p.phi @ px)),
                 )
-            except Exception:
-                w.add("roundtrip_nu", float("inf"), 1e-8)
     return w.checks()
 
 
@@ -402,28 +399,30 @@ def battery_expanded_coefficients(
 ) -> list[Check]:
     """Exactly one coefficient reading of the expanded canonical curvature is
     consistent with the compositional route; the report records which."""
-    w = _Worst("expanded_coefficients")
+    names = {"exactly_one_reading_matches": 0.5, "reading_squared": 1e-8, "kaehlerian": 1e-9}
+    if reading is not None and reading != "squared":
+        names[f"reading_{reading}"] = 1e-8
+    w = _Worst("expanded_coefficients", names)
     residual = {r: 0.0 for r in COR32_READINGS}
-    for _ in range(trials):
-        n = int(gen.choice(list(n_values)))
-        d = random_main_class_data(gen, n, fault=fault)
+    for p, sc, *_ in _groups(_draw(gen, trials, n_values, fault), fault):
+        d = MainClassData(point=p, scalars=sc)
         try:
             nupair = nu_from_scalars(d)
             K_ref = K_F45_0(d, curvature_F45(d, nupair).R)
             scale = 1.0 + K_ref.max_norm
             for r in COR32_READINGS:
-                residual[r] = max(residual[r], (K_cor32(d, nupair, reading=r) - K_ref).max_norm / scale)
+                residual[r] = max(residual[r], np.max((K_cor32(d, nupair, reading=r) - K_ref).max_norm / scale))
             # the reading comparison is a pure coefficient identity, so it
             # survives a perturbed structure; this one does not
-            w.guarded("kaehlerian", 1e-9, lambda: kaehler_residual(K_ref, d.point))
-        except Exception:
-            for r in COR32_READINGS:
-                residual[r] = float("inf")
+            w.guarded("kaehlerian", lambda: kaehler_residual(K_ref, d.point))
+        except EXPECTED:
+            residual = dict.fromkeys(COR32_READINGS, math.inf)
+            w.add("kaehlerian", math.inf)
     matching = [r for r in COR32_READINGS if residual[r] <= 1e-8]
-    w.add("exactly_one_reading_matches", 0.0 if len(matching) == 1 else 1.0, 0.5)
-    w.add("reading_squared", residual["squared"], 1e-8)
+    w.add("exactly_one_reading_matches", 0.0 if len(matching) == 1 else 1.0)
+    w.add("reading_squared", residual["squared"])
     if reading is not None and reading != "squared":
-        w.add(f"reading_{reading}", residual[reading], 1e-8)
+        w.add(f"reading_{reading}", residual[reading])
     return w.checks()
 
 

@@ -3,7 +3,9 @@
 A change of summation order moves residuals at round-off level; it must not
 move a check name, a threshold or a verdict.  The expected lists below were
 recorded from `run_suite(seed=7, trials=5)` before the 4-slot substitutions
-became matrix products.  Residuals are deliberately not pinned.
+became matrix products.  Residuals are deliberately not pinned.  FAULTED
+names every CLEAN check: a battery whose trials raise reports an infinite
+residual under every name it (or the tag group) declares.
 """
 import pytest
 
@@ -68,12 +70,30 @@ FAULTED = [
     ('model_curvature.totally_real_k_assoc', 1e-09, False),
     ('scalar_calibration.tau', 1e-08, False),
     ('scalar_calibration.tau_twisted', 1e-08, False),
+    ('induced_curvature.F11.curvature_symmetries', 1e-09, False),
+    ('induced_curvature.F11.phi_holomorphic', 1e-08, False),
     ('induced_curvature.F11.tau', 1e-08, False),
+    ('induced_curvature.F11.tau_twisted', 1e-08, False),
+    ('induced_curvature.F11.xi_section', 1e-08, False),
+    ('induced_curvature.F4+F5.curvature_symmetries', 1e-09, False),
+    ('induced_curvature.F4+F5.phi_holomorphic', 1e-08, False),
     ('induced_curvature.F4+F5.tau', 1e-08, False),
+    ('induced_curvature.F4+F5.tau_twisted', 1e-08, False),
+    ('induced_curvature.F4+F5.xi_section', 1e-08, False),
     ('induced_curvature.totally_real', 1e-08, False),
+    ('canonical_curvature.F11.kaehlerian', 1e-09, False),
     ('canonical_curvature.F11.routes_agree', 1e-08, False),
+    ('canonical_curvature.F11.tau', 1e-08, False),
+    ('canonical_curvature.F11.tau_twisted', 1e-08, False),
+    ('canonical_curvature.F4+F5.kaehlerian', 1e-09, False),
     ('canonical_curvature.F4+F5.routes_agree', 1e-08, False),
+    ('canonical_curvature.F4+F5.tau', 1e-08, False),
+    ('canonical_curvature.F4+F5.tau_twisted', 1e-08, False),
     ('main_class.R_routes_agree', 1e-08, False),
+    ('main_class.tau', 1e-08, False),
+    ('main_class.tau_twisted', 1e-08, False),
+    ('main_class.trace_A', 1e-10, False),
+    ('main_class.trace_A_phi', 1e-10, False),
     ('canonical_connection.difference_tensor', 1e-10, False),
     ('solver_theorem.flat_canonical_curvature', 1e-08, True),
     ('solver_theorem.phi_holomorphic', 1e-08, False),
