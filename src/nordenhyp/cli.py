@@ -51,7 +51,7 @@ from .main_class import (
     solve_theta,
     theorem31,
 )
-from .multilinear import DEFAULT_TOL, Tolerance
+from .multilinear import DEFAULT_TOL, MAX_DIM, Tolerance
 from .report import Check, ValidationReport, finite_or_none
 from .suite import run_suite
 
@@ -71,12 +71,14 @@ def _need(payload: dict, *keys):
     return [payload[k] for k in keys]
 
 
-def _as_int(value, key: str, minimum: int | None = None) -> int:
+def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """An integer field; booleans, floats and null are schema errors."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{key} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
@@ -115,10 +117,16 @@ def _reals(payload: dict, *keys: str) -> list[float]:
     return [_as_real(v, k) for v, k in zip(_need(payload, *keys), keys)]
 
 
+# The largest sizes whose hypersurface fits MAX_DIM: d = 2n + 1 <= MAX_DIM for n, and for
+# n_prime the ambient of such a hypersurface, 2n' - 1 <= MAX_DIM.  Checked before anything is
+# built, so a large size costs no memory.
+MAX_SIZE = {"n": (MAX_DIM - 1) // 2, "n_prime": (MAX_DIM + 1) // 2}
+
+
 def _size(payload: dict, key: str) -> int:
-    """A required size field such as n or n_prime: an integer >= 1."""
+    """A required size field, n or n_prime: an integer from 1 to MAX_SIZE[key]."""
     (value,) = _need(payload, key)
-    return _as_int(value, key, minimum=1)
+    return _as_int(value, key, minimum=1, maximum=MAX_SIZE[key])
 
 
 def _contact_point(payload: dict) -> ContactNordenPoint:
@@ -302,7 +310,8 @@ def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     n_values = args.n or payload.get("n_values") or [1, 2, 3]
     if not isinstance(n_values, list):
         raise SchemaError(f"n_values must be a list, got {n_values!r}")
-    n_values = [_as_int(v, "n", minimum=1) for v in n_values]
+    key = "--n" if args.n else "n_values entry"
+    n_values = [_as_int(v, key, minimum=1, maximum=MAX_SIZE["n"]) for v in n_values]
     fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
     reading = args.cor32_reading or payload.get("cor32_reading")
     report = run_suite(

@@ -9,6 +9,7 @@ curvature tensor all live here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,10 @@ P1, P2, P3, P4, P5 = PI_UNITS  # coefficient vectors of the generators pi_1..pi_
 
 @dataclass(frozen=True)
 class TimelikeNormalFrame:
-    """Ambient point plus a unit time-like normal, g'(N, N) = -1."""
+    """Ambient point plus a unit time-like normal, g'(N, N) = -1.
+
+    A (B, d') stack of normals over the one ambient point is a batch of B frames.
+    """
 
     ambient: ComplexNordenPoint
     N: np.ndarray
@@ -77,20 +81,21 @@ class TimelikeNormalFrame:
         require_finite(N, "N")
         object.__setattr__(self, "N", N)
 
-    def normal_square(self) -> float:
-        return float(self.N @ self.ambient.g @ self.N)
+    def normal_square(self) -> float | np.ndarray:
+        return bilinear(self.ambient.g, self.N, self.N)
 
 
 @dataclass(frozen=True)
 class InducedStructure:
     """The induced contact structure, with the embedding that produced it.
 
-    tangent_basis has the 2n'+1... 2n'-1 tangent vectors as columns in
-    ambient coordinates; point carries the structure tensors expressed in
-    that basis.
+    tangent_basis has the 2n' - 1 tangent vectors as columns in ambient
+    coordinates; point carries the structure tensors expressed in that
+    basis.  A batch of frames gives a (B,) array t, a (B, 2n', 2n' - 1)
+    basis and a batched point.
     """
 
-    t: float
+    t: float | np.ndarray
     tangent_basis: np.ndarray
     point: ContactNordenPoint
     frame: TimelikeNormalFrame
@@ -104,9 +109,10 @@ class HyperScalars:
     it is projected onto ker eta where consumed, since the class form only
     ever sees that component.  Every scalar and Omega must be finite.
 
-    For a batch, every scalar is a (B,) array and Omega is (B, d); every
-    element is validated.  cos_t, sin_t and tan_t are computed here, once:
-    floats for one point, read-only (B,) arrays for a batch.
+    For a batch, a scalar is a (B,) array or a float that stands for every
+    entry (such as a zero default), and Omega is (B, d); every element is
+    validated.  cos_t, sin_t and tan_t are computed here, once: floats for
+    one point, read-only (B,) arrays for a batch.
     """
 
     t: float
@@ -118,24 +124,30 @@ class HyperScalars:
     Omega: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        # one (6,) or (6, B) array; scalars of different shapes are a ValueError here
-        values = np.array([getattr(self, k) for k in _SCALAR_FIELDS], dtype=float)
-        if not (np.abs(values).T < _SCALAR_BOUNDS).all():  # one pass for both checks; NaN fails it
+        fields = _scalar_fields(self)
+        try:  # one (6,) or (6, B) array
+            values = np.array(fields, dtype=float)
+        except ValueError:  # floats among (B,) arrays, broadcast row by row; other shapes still raise ValueError
+            values = np.empty((6, *max(map(np.shape, fields), key=len)))
+            for row, value in zip(values, fields):
+                row[...] = value
+        # one pass for both checks; NaN fails it
+        if np.count_nonzero(np.abs(values).T < _SCALAR_BOUNDS) != values.size:
             require_finite(values, "scalars")
             raise ValueError(f"t = {self.t} outside (-pi/2, pi/2)")
         t = values[:1]
         values = np.concatenate([values, np.cos(t), np.sin(t), np.tan(t)])
         values.setflags(write=False)
-        names = _SCALAR_FIELDS + ("cos_t", "sin_t", "tan_t")
-        vars(self).update(zip(names, values.tolist() if values.ndim == 1 else values))
+        vars(self).update(zip(_SCALAR_NAMES, values.tolist() if values.ndim == 1 else values))
         if self.Omega is not None:
             Omega = np.asarray(self.Omega, dtype=float)
             require_finite(Omega, "Omega")
             object.__setattr__(self, "Omega", Omega)
 
 
-
 _SCALAR_FIELDS = ("t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
+_SCALAR_NAMES = _SCALAR_FIELDS + ("cos_t", "sin_t", "tan_t")
+_scalar_fields = operator.attrgetter(*_SCALAR_FIELDS)
 _SCALAR_BOUNDS = np.array([math.pi / 2] + [math.inf] * 5)  # |t| < pi/2, the rest finite
 
 
@@ -152,70 +164,71 @@ def induce(frame: TimelikeNormalFrame, tol: Tolerance = DEFAULT_TOL) -> InducedS
     complement of N (the nullspace of (G N)^T, via SVD).  Orthonormalizing
     with respect to g' itself would be fragile near null vectors; the
     Euclidean basis keeps the induced Gram matrix well conditioned and
-    nothing downstream needs g-orthonormality.
+    nothing downstream needs g-orthonormality.  A batch of frames raises if
+    any entry fails a check.
     """
     amb = frame.ambient
     G, J, N = amb.g, amb.J, frame.N
     nsq = frame.normal_square()
-    if abs(nsq + 1.0) > tol.abs_tol + tol.rel_tol:
+    if any_entry(np.abs(nsq + 1.0) > tol.abs_tol + tol.rel_tol):
         raise NotTimelike(f"g'(N, N) = {nsq}, expected -1")
-    JN = J @ N
-    t = math.atan(float(N @ G @ JN))
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    d_amb = amb.dim
-    d = d_amb - 1
+    JN = apply(J, N)
+    t = np.arctan(bilinear(G, N, JN))
+    cos_t, sin_t = per_entry(np.cos(t), 1), per_entry(np.sin(t), 1)
+    d = amb.dim - 1
 
     # Tangent space = nullspace of (G N)^T; the right-singular vectors past
     # the single nonzero singular value span it orthonormally.
-    GN = G @ N
-    _, _, vt = np.linalg.svd(GN.reshape(1, -1))
-    B = vt[1:].T
-    gram = B.T @ G @ B
-    if np.min(np.abs(np.linalg.eigvalsh(gram))) <= tol.abs_tol:
+    _, _, vt = np.linalg.svd(apply(G, N)[..., None, :])
+    B = transpose(vt[..., 1:, :])
+    BT = transpose(B)
+    g_hyp = BT @ G @ B
+    if any_entry(np.min(np.abs(np.linalg.eigvalsh(g_hyp)), axis=-1) <= tol.abs_tol):
         raise DegenerateTangentMetric("induced metric is degenerate on the tangent space")
 
-    g_hyp = B.T @ G @ B
-    eta_hyp = cos_t * (B.T @ (G @ JN))
+    eta_hyp = cos_t * apply(BT, apply(G, JN))
     correction = cos_t * N - sin_t * JN
-    phi_ambient = J @ B + np.outer(correction, cos_t * (G @ JN) @ B)
+    phi_ambient = J @ B + correction[..., :, None] * eta_hyp[..., None, :]
     xi_ambient = sin_t * N + cos_t * JN
 
-    coords, *_ = np.linalg.lstsq(B, np.column_stack([phi_ambient, xi_ambient]), rcond=None)
-    resid = float(np.max(np.abs(B @ coords - np.column_stack([phi_ambient, xi_ambient]))))
-    if resid > tol.abs_tol + tol.rel_tol * max(1.0, float(np.max(np.abs(B)))):
-        raise InconsistentStructure(f"induced tensors are not tangent, residual {resid:.3e}")
-    phi_hyp = coords[:, :d]
-    xi_hyp = coords[:, d]
-    point = ContactNordenPoint((d - 1) // 2, g_hyp, phi_hyp, xi_hyp, eta_hyp)
+    # B has orthonormal columns, so B^T X is the least-squares solution of B C = X
+    X = np.concatenate([phi_ambient, xi_ambient[..., None]], axis=-1)
+    coords = BT @ X
+    resid = matrix_max(B @ coords - X)
+    if any_entry(resid > tol.abs_tol + tol.rel_tol * np.maximum(1.0, matrix_max(B))):
+        raise InconsistentStructure(f"induced tensors are not tangent, residual {np.max(resid):.3e}")
+    point = ContactNordenPoint((d - 1) // 2, g_hyp, coords[..., :d], coords[..., d], eta_hyp)
     return InducedStructure(t=t, tangent_basis=B, point=point, frame=frame)
 
 
-def pi_relations_residual(structure: InducedStructure) -> float:
+def pi_relations_residual(structure: InducedStructure) -> float | np.ndarray:
     """Residual of the ambient/hypersurface tensor identities.
 
     Checks g'(y, Jz) = g(y, phi z) + tan t eta(y) eta(z) together with
     pi'_1 = pi_1, pi'_2 = pi_2 + tan t pi_5 and pi'_3 = pi_3 - tan t pi_4,
-    comparing pulled-back ambient tensors with the induced ones.
+    comparing pulled-back ambient tensors with the induced ones, on the
+    dense d^4 generators.  A batched structure gives one residual per entry.
     """
     from .complex_norden import pi_prime
 
     amb = structure.frame.ambient
     B = structure.tangent_basis
     p = structure.point
-    tan_t = math.tan(structure.t)
+    tan_t = np.tan(structure.t)
+    t2, t4 = per_entry(tan_t, 2), per_entry(tan_t, 4)
 
-    res = []
-    metric_rel = B.T @ (amb.g @ amb.J) @ B
-    res.append(float(np.max(np.abs(metric_rel - (p.g_phi + tan_t * np.outer(p.eta, p.eta))))))
+    metric_rel = transpose(B) @ amb.gJ @ B
+    res = [matrix_max(metric_rel - (p.g_phi + t2 * p.eta[..., :, None] * p.eta[..., None, :]))]
 
-    def pull(form: MultilinearForm) -> np.ndarray:
-        return substitute_pairs(form.entries, B, B)
+    def gap(i: int, want: np.ndarray) -> np.ndarray:
+        pulled = substitute_pairs(pi_prime(i, amb).entries, B, B)
+        return np.abs(pulled - want).max(axis=(-4, -3, -2, -1))
 
     pis = {i: pi(i, p).entries for i in range(1, 6)}
-    res.append(float(np.max(np.abs(pull(pi_prime(1, amb)) - pis[1]))))
-    res.append(float(np.max(np.abs(pull(pi_prime(2, amb)) - (pis[2] + tan_t * pis[5])))))
-    res.append(float(np.max(np.abs(pull(pi_prime(3, amb)) - (pis[3] - tan_t * pis[4])))))
-    return max(res)
+    res.append(gap(1, pis[1]))
+    res.append(gap(2, pis[2] + t4 * pis[5]))
+    res.append(gap(3, pis[3] - t4 * pis[4]))
+    return np.maximum.reduce(res)
 
 
 def _omega_part(point: ContactNordenPoint, scalars: HyperScalars) -> np.ndarray:

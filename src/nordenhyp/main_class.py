@@ -26,7 +26,8 @@ from .contact_norden import (
 from .errors import DegenerateFlat, DegenerateSection, InconsistentStructure
 from .hypersurface import HyperScalars, ScalarCurvatures, shape_from_class
 from .multilinear import (
-    DEFAULT_TOL, MultilinearForm, Tolerance, any_entry, per_entry, trace_compose, trace_endo, transpose,
+    DEFAULT_TOL, MultilinearForm, Tolerance, any_entry, apply, bilinear, per_entry, trace_compose, trace_endo,
+    transpose,
 )
 
 COR32_READINGS = ("literal", "squared")
@@ -343,7 +344,8 @@ def theorem31(
 
     K_residual is the max norm of the expanded canonical curvature built
     with the nu-pair the scalars force; the regime's claim is that it
-    vanishes.
+    vanishes.  A batched point takes (B,) arrays theta_xi, theta_star_xi
+    and t, and k_xi then takes (B, d) vectors.
     """
     n = point.n
     th, ths = theta_xi, theta_star_xi
@@ -352,24 +354,23 @@ def theorem31(
     nupair = nu_from_scalars(data)
     K = K_cor32(data, nupair, reading="squared")
     four_n2 = 4 * n**2
+    th1, ths1 = per_entry(th, 1), per_entry(ths, 1)
     R = point.pi_combination(
-        -(th**2 / four_n2) * (P2 - P4)
-        - (ths**2 / four_n2) * P1
-        + ((th * ths) / four_n2) * (P3 - P5)
+        -(th1**2 / four_n2) * (P2 - P4)
+        - (ths1**2 / four_n2) * P1
+        + ((th1 * ths1) / four_n2) * (P3 - P5)
     )
     tau = th**2 / (2 * n) - (2 * n + 1) * ths**2 / (2 * n)
     # twisted traces give (p3 - p5) -> 4n^2, so the 1/(4n^2) prefactor cancels
     tau_tilde = th * ths
 
-    def k_xi(x) -> float:
+    def k_xi(x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        px = point.phi @ x
-        denom = float(px @ point.g @ px)
-        if abs(denom) <= tol.abs_tol:
+        px = apply(point.phi, x)
+        denom = bilinear(point.g, px, px)
+        if any_entry(np.abs(denom) <= tol.abs_tol):
             raise DegenerateSection("g(phi x, phi x) within tolerance of zero")
-        return (th**2 - ths**2) / four_n2 + (2 * th * ths / four_n2) * (
-            float(x @ point.g_phi @ x) / denom
-        )
+        return (th**2 - ths**2) / four_n2 + (2 * th * ths / four_n2) * (bilinear(point.g_phi, x, x) / denom)
 
     return Theorem31Result(
         K_residual=K.max_norm,

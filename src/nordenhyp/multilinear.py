@@ -105,18 +105,21 @@ class MultilinearForm:
         return np.abs(self.entries).max(axis=tuple(range(self.batch, self.entries.ndim)) if self.batch else None)
 
     def evaluate(self, *args) -> float | np.ndarray:
-        """Evaluate on rank-many vectors; a batched form takes (..., d) vectors."""
+        """Evaluate on rank-many vectors; batch axes of the form and of the (..., d) vectors broadcast."""
         if len(args) != self.rank:
             raise ArityMismatch(f"expected {self.rank} vectors, got {len(args)}")
-        shape = self.entries.shape
-        batch, d = shape[: self.batch], shape[-1]
+        d = self.dim
         vectors = [np.asarray(v, dtype=float) for v in args]
+        try:
+            np.broadcast_shapes(self.entries.shape[: self.batch], *(v.shape[:-1] for v in vectors))
+        except ValueError:
+            raise DimensionMismatch(f"vector batch shapes {[v.shape for v in vectors]} against the form's") from None
         for v in vectors:
-            if v.shape != (*batch, d):
-                raise DimensionMismatch(f"vector of shape {v.shape} against dimension {d}, batch {batch}")
-        out, flat = self.entries, (*batch, -1, d)
+            if v.shape[-1:] != (d,):
+                raise DimensionMismatch(f"vector of shape {v.shape} against dimension {d}")
+        out = self.entries.reshape(*self.entries.shape[: self.batch], -1)
         for v in reversed(vectors):  # the last slot first: (..., m, d) @ (..., d, 1), slots in front flattened
-            out = (out.reshape(flat) @ v[..., None])[..., 0]
+            out = (out.reshape(*out.shape[:-1], -1, d) @ v[..., None])[..., 0]
         return out[..., 0][()]
 
     __call__ = evaluate
@@ -207,10 +210,10 @@ def invert_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (g_inv + transpose(g_inv))
 
 
-def signature(g, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
-    """Counts (positive, negative) of eigenvalues; errors on the zero band."""
+def signature(g, tol: Tolerance = DEFAULT_TOL):
+    """Counts (positive, negative) of eigenvalues, per batch entry; errors if any entry meets the zero band."""
     _, eig = _metric_eigenvalues(g, tol)
-    return int(np.sum(eig > 0)), int(np.sum(eig < 0))
+    return np.count_nonzero(eig > 0, axis=-1), np.count_nonzero(eig < 0, axis=-1)
 
 
 def ricci_contract(T: MultilinearForm, g_inv) -> MultilinearForm:
@@ -327,19 +330,22 @@ def generator_factors(h, k, scale) -> np.ndarray:
 
 
 def generator_stack(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rows h_i o k_i of (m, d, d) factor pairs, flattened, as one read-only (m, d^4) array."""
-    m, d, _ = h.shape
+    """Rows h_i o k_i of (..., m, d, d) factor pairs, flattened, as one read-only (..., m, d^4) array."""
+    *lead, d, _ = h.shape
     if d > MAX_DIM:
         raise DimensionMismatch(f"dimension {d} exceeds the supported {MAX_DIM}")
-    stack = kulkarni_nomizu(h, k).reshape(m, d**4)
+    stack = kulkarni_nomizu(h, k).reshape(*lead, d**4)
     stack.setflags(write=False)
     return stack
 
 
 def stack_rows(stack: np.ndarray) -> tuple[MultilinearForm, ...]:
-    """The rows of a generator stack as rank-4 forms; read-only views, no copies."""
-    d = math.isqrt(math.isqrt(stack.shape[1]))
-    return tuple(MultilinearForm._trusted(row.reshape(d, d, d, d)) for row in stack)
+    """The m rows of a (..., m, d^4) generator stack as rank-4 forms over the leading axes; read-only views."""
+    *batch, m, d4 = stack.shape
+    d = math.isqrt(math.isqrt(d4))
+    return tuple(
+        MultilinearForm._trusted(stack[..., i, :].reshape(*batch, d, d, d, d), len(batch)) for i in range(m)
+    )
 
 
 def pair_matrix(M) -> np.ndarray:

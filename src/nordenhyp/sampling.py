@@ -6,10 +6,11 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-A contact point and its scalars are drawn (`draw_point`, `draw_scalars`)
-apart from being built (`contact_point`, `hyper_scalars`), so a battery can
-draw every trial in order first and then build each group of trials as one
-batch: `stack` turns per-trial draws into one batched draw.
+A contact point, its scalars and a time-like normal are drawn
+(`draw_point`, `draw_scalars`, `draw_normal`) apart from being built
+(`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
+battery can draw every trial in order first and then build each group of
+trials as one batch: `stack` turns per-trial draws into one batched draw.
 """
 from __future__ import annotations
 
@@ -82,10 +83,8 @@ def random_complex_point(
     return point
 
 
-def random_timelike_frame(
-    gen: np.random.Generator, n_prime: int, fault: float = 0.0
-) -> TimelikeNormalFrame:
-    """Standard flat ambient with a random time-like unit normal.
+def draw_normal(gen: np.random.Generator, n_prime: int, fault: float = 0.0) -> np.ndarray:
+    """A random time-like unit normal of the standard flat ambient, plus fault in every entry.
 
     Mixes a sinh-parameterized {a_i, Ja_i}-plane normal with a small
     random tangential component, then renormalizes; resamples until the
@@ -106,7 +105,14 @@ def random_timelike_frame(
     N = v / np.sqrt(-sq)
     if fault:
         N = N + fault
-    return TimelikeNormalFrame(ambient=ambient, N=N)
+    return N
+
+
+def random_timelike_frame(
+    gen: np.random.Generator, n_prime: int, fault: float = 0.0
+) -> TimelikeNormalFrame:
+    """Standard flat ambient with a random time-like unit normal (`draw_normal`)."""
+    return TimelikeNormalFrame(ambient=ComplexNordenPoint.standard(n_prime), N=draw_normal(gen, n_prime, fault))
 
 
 def draw_scalars(

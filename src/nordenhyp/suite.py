@@ -10,10 +10,11 @@ tensors) count as infinite residuals, under every check name the battery
 or tag group declares, rather than aborting the run; any other exception
 is a bug and propagates.
 
-Most batteries draw every trial first, in the order a per-trial loop would,
-then evaluate each group of trials of one size n as one batch through the
-layers' leading batch axis; a group that raises counts for all its trials.
-`axiom_induction`, `model_curvature` and `solver_theorem` run per trial.
+Every battery draws all its trials first, in the order a per-trial loop
+would, then evaluates each group of trials of one size n as one batch
+through the layers' leading batch axis, in runs of at most `CHUNK` trials so
+that memory does not grow with `trials`; a group that raises counts for all
+its trials.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ from .contact_norden import (
 from .errors import GeometryError
 from .hypersurface import (
     HyperScalars,
+    TimelikeNormalFrame,
     canonical_K_from_R,
     canonical_K_model,
     closed_form_scalars,
@@ -71,17 +73,16 @@ from .main_class import (
     solve_theta,
     theorem31,
 )
-from .multilinear import DEFAULT_TOL, Tolerance, apply, trace_compose, trace_endo
+from .multilinear import DEFAULT_TOL, Tolerance, apply, bilinear, trace_compose, trace_endo
 from .report import Check, ValidationReport
 from .sampling import (
     PointDraw,
     contact_point,
+    draw_normal,
     draw_point,
     draw_scalars,
     hyper_scalars,
-    random_contact_point,
     random_nu_pair,
-    random_timelike_frame,
     random_totally_real_pair,
     rng,
     stack,
@@ -89,6 +90,10 @@ from .sampling import (
 
 # What a battery's except clause catches: a geometry error is a verdict, anything else a bug.
 EXPECTED = (GeometryError, np.linalg.LinAlgError)
+
+# The most trials evaluated as one batch: a batch holds (trials, d^4) forms, so
+# larger groups are split into runs of this size.
+CHUNK = 64
 
 
 class _Worst:
@@ -161,17 +166,36 @@ def _draw(
     return drawn
 
 
-def _groups(drawn: list[tuple], fault: float):
-    """The drawn trials grouped by n, each group stacked along a leading batch axis:
-    (point, scalars, nu, nu_tilde, vectors), the vectors as one (vectors, B, d) array."""
+def _batches(drawn: list[tuple]):
+    """Drawn trials (n, *fields) grouped by n, in first-seen order, in runs of at most CHUNK.
+
+    Yields (n, columns): columns holds, for each field, the tuple of its values over the run.
+    """
     by_n: dict[int, list] = {}
     for n, *fields in drawn:
         by_n.setdefault(n, []).append(fields)
     for n, group in by_n.items():
-        points, scalars, nus, vectors = zip(*group)
+        for start in range(0, len(group), CHUNK):
+            yield n, list(zip(*group[start:start + CHUNK]))
+
+
+def _groups(drawn: list[tuple], fault: float):
+    """The drawn trials grouped by n, each group stacked along a leading batch axis:
+    (point, scalars, nu, nu_tilde, vectors), the vectors as one (vectors, B, d) array."""
+    for n, (points, scalars, nus, vectors) in _batches(drawn):
         p = contact_point(n, stack(points), fault)
         nu, nu_tilde = np.transpose(nus)
         yield p, hyper_scalars(stack(scalars), p), nu, nu_tilde, np.array(vectors).swapaxes(0, 1)
+
+
+def _draw_normals(gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float) -> list[tuple]:
+    """Per trial: an ambient size n' = n + 1 for n in n_values, then a time-like normal (`draw_normal`)."""
+    sizes = [n + 1 for n in n_values]
+    drawn = []
+    for _ in range(trials):
+        n_prime = int(gen.choice(sizes))
+        drawn.append((n_prime, draw_normal(gen, n_prime, fault)))
+    return drawn
 
 
 def battery_axiom_induction(
@@ -179,12 +203,9 @@ def battery_axiom_induction(
 ) -> list[Check]:
     """Induced structures satisfy the contact axioms and the pullback identities."""
     w = _Worst("axiom_induction", {"axioms": 1e-9, "pullback_identities": 1e-9})
-    ambient_sizes = [n + 1 for n in n_values]
-    for _ in range(trials):
-        n_prime = int(gen.choice(ambient_sizes))
+    for n_prime, (normals,) in _batches(_draw_normals(gen, trials, n_values, fault)):
         with w.guard():
-            frame = random_timelike_frame(gen, n_prime, fault=fault)
-            structure = induce(frame)
+            structure = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), np.array(normals)))
             w.add("axioms", validate_contact_axioms(structure.point).max_residual)
             w.add("pullback_identities", pi_relations_residual(structure))
     return w.checks()
@@ -196,11 +217,20 @@ def battery_kaehlerity(
     """The two generator combinations every canonical curvature is built from."""
     w = _Worst("kaehlerity", {"pi1_minus_pi2_minus_pi4": 1e-10, "pi3_plus_pi5": 1e-10})
     drawn = [(n, draw_point(gen, n, fault)) for _ in range(trials) for n in n_values]
-    for n in dict.fromkeys(n_values):
-        p = contact_point(n, stack([draw for m, draw in drawn if m == n]), fault)
+    for n, (draws,) in _batches(drawn):
+        p = contact_point(n, stack(draws), fault)
         w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
         w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))
     return w.checks()
+
+
+def _draw_sections(gen: np.random.Generator, trials: int, n_values: Iterable[int]) -> list[tuple]:
+    """Per n in n_values, per trial: n' = n + 1, a totally real pair x, y, then a uniform vector v."""
+    return [
+        (n + 1, *random_totally_real_pair(gen, n + 1), gen.uniform(-1.0, 1.0, size=2 * n + 2))
+        for n in n_values
+        for _ in range(trials)
+    ]
 
 
 def battery_model_curvature(
@@ -212,24 +242,23 @@ def battery_model_curvature(
         {"ambient_axioms": 1e-9, "totally_real_k": 1e-9, "totally_real_k_assoc": 1e-9, "holomorphic_k": 1e-10},
     )
     nu, nut = 3.0, -1.0
-    for n in n_values:
-        n_prime = n + 1
-        amb = ComplexNordenPoint.standard(n_prime)
-        if fault:
-            J = amb.J.copy()
-            J[0, 0] += fault
-            amb = ComplexNordenPoint(n_prime, amb.g, J)
-        w.add("ambient_axioms", validate_complex_norden(amb).max_residual)
-        R = model_curvature(AmbientModel(point=amb, nu_prime=nu, nu_tilde_prime=nut))
-        Rt = associated_curvature(R, amb.J)
-        for _ in range(trials):
-            x, y = random_totally_real_pair(gen, n_prime)
-            w.guarded("totally_real_k", lambda: abs(sectional_curvature_prime(R, amb.g, x, y) - nu))
-            w.guarded("totally_real_k_assoc", lambda: abs(sectional_curvature_prime(Rt, amb.g, x, y) - nut))
-            v = gen.uniform(-1.0, 1.0, size=amb.dim)
-            if abs((v @ amb.g @ v) ** 2 + (v @ amb.gJ @ v) ** 2) < 0.05:
-                continue
-            w.guarded("holomorphic_k", lambda: abs(sectional_curvature_prime(R, amb.g, v, amb.J @ v)))
+    for n_prime, sections in _batches(_draw_sections(gen, trials, n_values)):
+        x, y, v = (np.array(a) for a in sections)
+        with w.guard():
+            amb = ComplexNordenPoint.standard(n_prime)
+            if fault:
+                J = amb.J.copy()
+                J[0, 0] += fault
+                amb = ComplexNordenPoint(n_prime, amb.g, J)
+            w.add("ambient_axioms", validate_complex_norden(amb).max_residual)
+            R = model_curvature(AmbientModel(point=amb, nu_prime=nu, nu_tilde_prime=nut))
+            Rt = associated_curvature(R, amb.J)
+            w.add("totally_real_k", sectional_curvature_prime(R, amb.g, x, y) - nu)
+            w.add("totally_real_k_assoc", sectional_curvature_prime(Rt, amb.g, x, y) - nut)
+            # planes too close to degenerate are skipped before the call, so none can raise
+            v = v[np.abs(bilinear(amb.g, v, v) ** 2 + bilinear(amb.gJ, v, v) ** 2) >= 0.05]
+            if len(v):
+                w.add("holomorphic_k", sectional_curvature_prime(R, amb.g, v, apply(amb.J, v)))
     return w.checks()
 
 
@@ -349,44 +378,52 @@ def battery_canonical_connection(
     return w.checks()
 
 
-def battery_solver_theorem(
-    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
-) -> list[Check]:
-    """Round trip of the angle solver and the flat-regime closed forms."""
-    names = ("roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau", "tau_twisted",
-             "xi_section", "phi_holomorphic")
-    w = _Worst("solver_theorem", dict.fromkeys(names, 1e-8))
-    done = 0
-    while done < trials:
+SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order a trial's x vectors are drawn
+
+
+def _draw_solver(gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float) -> list[tuple]:
+    """Per trial: nu, nu~ and t (redrawn until the solver's radicand is safely positive),
+    n, a contact point, then one section vector x for each branch epsilon = +1, -1."""
+    drawn = []
+    while len(drawn) < trials:
         nu, nut = random_nu_pair(gen)
         t = float(gen.uniform(-1.2, 1.2))
         if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) < 0.01:
             continue
-        done += 1
         n = int(gen.choice(list(n_values)))
-        p = random_contact_point(gen, n, fault=fault)
-        for eps in (1, -1):
-            with w.guard():
-                th, ths = solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n)
-                data = MainClassData(
-                    point=p, scalars=HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
-                )
-                back = nu_from_scalars(data)
-                w.add("roundtrip_nu", _rel(back.nu, nu))
-                w.add("roundtrip_nu_twisted", _rel(back.nu_tilde, nut))
-                res = theorem31(p, th, ths, t=t)
-                scale = 1.0 + max(abs(th), abs(ths)) ** 2
-                w.add("flat_canonical_curvature", res.K_residual / scale)
-                got = scalar_curvatures(res.R, p)
-                w.add("tau", _rel(got.tau, res.tau))
-                w.add("tau_twisted", _rel(got.tau_tilde, res.tau_tilde))
-                x = gen.uniform(-1.0, 1.0, size=p.dim)
-                w.add("xi_section", _rel(res.k_xi(x), sectional_curvature(res.R, p, p.xi, x)))
-                px = p.phi @ x
-                w.add(
-                    "phi_holomorphic",
-                    _rel(res.k_phi_holomorphic, sectional_curvature(res.R, p, px, p.phi @ px)),
-                )
+        point = draw_point(gen, n, fault)
+        drawn.append((n, point, (nu, nut, t), [gen.uniform(-1.0, 1.0, size=2 * n + 1) for _ in SOLVER_BRANCHES]))
+    return drawn
+
+
+def battery_solver_theorem(
+    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0
+) -> list[Check]:
+    """Round trip of the angle solver and the flat-regime closed forms.
+
+    Both branches of a group run as one batch of twice its size, branch +1 first.
+    """
+    names = ("roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau", "tau_twisted",
+             "xi_section", "phi_holomorphic")
+    w = _Worst("solver_theorem", dict.fromkeys(names, 1e-8))
+    for n, (points, nus, xs) in _batches(_draw_solver(gen, trials, n_values, fault)):
+        runs = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus]  # (eps, nu, nu~, t) per entry
+        x = np.swapaxes(xs, 0, 1).reshape(len(runs), 2 * n + 1)
+        with w.guard():
+            p = contact_point(n, stack(points * len(SOLVER_BRANCHES)), fault)
+            th, ths = np.array([solve_theta(NuPair(a, b), t, SolverBranch(e), n) for e, a, b, t in runs]).T
+            _, nu, nut, t = np.array(runs).T
+            back = nu_from_scalars(MainClassData(point=p, scalars=HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)))
+            w.add("roundtrip_nu", _rel(back.nu, nu))
+            w.add("roundtrip_nu_twisted", _rel(back.nu_tilde, nut))
+            res = theorem31(p, th, ths, t=t)
+            w.add("flat_canonical_curvature", res.K_residual / (1.0 + np.maximum(abs(th), abs(ths)) ** 2))
+            got = scalar_curvatures(res.R, p)
+            w.add("tau", _rel(got.tau, res.tau))
+            w.add("tau_twisted", _rel(got.tau_tilde, res.tau_tilde))
+            w.add("xi_section", _rel(res.k_xi(x), sectional_curvature(res.R, p, p.xi, x)))
+            px = apply(p.phi, x)
+            w.add("phi_holomorphic", _rel(res.k_phi_holomorphic, sectional_curvature(res.R, p, px, apply(p.phi, px))))
     return w.checks()
 
 

@@ -8,11 +8,13 @@ the per-trial samplers, and a group holding one faulted entry must raise as
 a whole and report every declared check name.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from nordenhyp import suite
+from nordenhyp.complex_norden import AmbientModel, ComplexNordenPoint, model_curvature, sectional_curvature_prime
 from nordenhyp.contact_norden import (
     CONSTRUCTIVE_TAGS,
     F4_F5,
@@ -23,15 +25,20 @@ from nordenhyp.contact_norden import (
     is_curvature_like,
     kaehler_residual,
     nabla_xi_from_F,
+    pi,
     sectional_curvature,
+    validate_contact_axioms,
 )
-from nordenhyp.errors import InconsistentStructure
+from nordenhyp.errors import InconsistentStructure, NotTimelike
 from nordenhyp.hypersurface import (
     HyperScalars,
+    TimelikeNormalFrame,
     canonical_K_from_R,
     canonical_K_model,
     closed_form_scalars,
     gauss_induced_R,
+    induce,
+    pi_relations_residual,
     scalar_curvatures,
     shape_from_class,
     special_sectional,
@@ -46,6 +53,7 @@ from nordenhyp.main_class import (
     main_class_form,
     nu_from_scalars,
     shape_F45,
+    theorem31,
 )
 from nordenhyp.multilinear import (
     MultilinearForm,
@@ -56,7 +64,13 @@ from nordenhyp.multilinear import (
     substitute_endo_last_two,
     twist_last,
 )
-from nordenhyp.sampling import random_contact_point, random_hyper_scalars, random_nu_pair, rng
+from nordenhyp.sampling import (
+    draw_normal,
+    random_contact_point,
+    random_hyper_scalars,
+    random_nu_pair,
+    rng,
+)
 
 SIZES = [(n, B) for n in (1, 2, 3, 4) for B in (1, 3, 7)]
 
@@ -118,6 +132,7 @@ CASES = {
     "g_inv, g_phi": lambda i: (i.p.g_inv, i.p.g_phi),
     "pi_factors": lambda i: tuple(i.p.pi_factors),
     "pi_combination": lambda i: i.p.pi_combination(i.c),
+    "pi rows": lambda i: tuple(pi(k, i.p) for k in range(1, 6)),
     **{f"shape_from_class {tag}": (lambda i, tag=tag: shape_from_class(i.p, tag, i.sc)) for tag in CONSTRUCTIVE_TAGS},
     "gauss_induced_R": lambda i: i.R,
     "canonical_K_from_R": lambda i: canonical_K_from_R(i.p, i.R, i.A, i.sc.t),
@@ -320,3 +335,233 @@ def test_unexpected_exception_propagates_out_of_run_suite(monkeypatch, layer):
     monkeypatch.setattr(suite, layer, broken)
     with pytest.raises(TypeError, match="planted"):
         suite.run_suite(seed=1, trials=2)
+
+
+def _assert_close(got, want) -> None:
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, float(np.max(np.abs(want)))))
+
+
+@pytest.mark.parametrize("n_prime", [2, 3, 4])
+def test_induce_and_pullback_batch(n_prime):
+    """induce, the pullback check and the contact axioms on a stack of normals over one ambient."""
+    gen = rng(200 + n_prime)
+    ambient = ComplexNordenPoint.standard(n_prime)
+    for B in (1, 3, 7):
+        normals = [draw_normal(gen, n_prime) for _ in range(B)]
+        singles = [induce(TimelikeNormalFrame(ambient, N)) for N in normals]
+        batched = induce(TimelikeNormalFrame(ambient, np.array(normals)))
+        assert batched.point.batch == (B,)
+        _assert_close(batched.t, [s.t for s in singles])
+        _assert_close(batched.tangent_basis, [s.tangent_basis for s in singles])
+        for f in ("g", "phi", "xi", "eta"):
+            _assert_close(getattr(batched.point, f), [getattr(s.point, f) for s in singles])
+        _assert_close(pi_relations_residual(batched), [pi_relations_residual(s) for s in singles])
+        reports = [validate_contact_axioms(s.point) for s in singles]
+        for check in validate_contact_axioms(batched.point).checks:
+            _assert_close(check.residual, max(r[check.name].residual for r in reports))
+
+
+def test_induce_batch_raises_for_one_bad_normal():
+    gen = rng(3)
+    normals = np.array([draw_normal(gen, 2) for _ in range(3)])
+    normals[1] *= 1.1
+    with pytest.raises(NotTimelike):
+        induce(TimelikeNormalFrame(ComplexNordenPoint.standard(2), normals))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_validate_contact_axioms_batch(n):
+    """Each residual of a batch is the maximum over its entries; one wrong entry fails the signature."""
+    gen = rng(300 + n)
+    for B in (1, 3, 7):
+        singles = _singles(gen, n, B)
+        phi = np.stack([s.p.phi for s in singles])
+        phi[-1, 0, 0] += 1e-3
+        g = np.stack([s.p.g for s in singles])
+        g[0] = -g[0]  # wrong signature, and breaks eta = g(xi, .)
+        points = [ContactNordenPoint(n, g[k], phi[k], s.p.xi, s.p.eta) for k, s in enumerate(singles)]
+        batched = ContactNordenPoint(n, g, phi, *(np.stack([getattr(s.p, f) for s in singles]) for f in ("xi", "eta")))
+        reports = [validate_contact_axioms(p) for p in points]
+        got = validate_contact_axioms(batched)
+        assert [c.name for c in got.checks] == [c.name for c in reports[0].checks]
+        for check in got.checks:
+            _assert_close(check.residual, max(r[check.name].residual for r in reports))
+        assert got["signature"].residual == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_theorem31_batch(n):
+    """theorem31 on a batched point with (B,) theta, theta* and t, and its k_xi on (B, d) vectors."""
+    gen = rng(400 + n)
+    for B in (1, 3, 7):
+        singles = _singles(gen, n, B)
+        th, ths = gen.uniform(-2.0, 2.0, size=(2, B))
+        t = gen.uniform(-1.2, 1.2, size=B)
+        want = [theorem31(s.p, th[k], ths[k], t=t[k]) for k, s in enumerate(singles)]
+        batched = _stacked(singles)
+        got = theorem31(batched.p, th, ths, t=t)
+        for f in ("K_residual", "tau", "tau_tilde", "k_phi_holomorphic", "k_totally_real"):
+            _assert_close(getattr(got, f), [getattr(r, f) for r in want])
+        _assert_close(got.R.entries, [r.R.entries for r in want])
+        _assert_close(got.k_xi(batched.x), [r.k_xi(s.x) for r, s in zip(want, singles)])
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
+def test_sectional_curvature_prime_unbatched_form(n_prime):
+    """One unbatched form and metric against (B, d) section vectors."""
+    gen = rng(500 + n_prime)
+    amb = ComplexNordenPoint.standard(n_prime)
+    R = model_curvature(AmbientModel(point=amb, nu_prime=3.0, nu_tilde_prime=-1.0))
+    for B in (1, 3, 7):
+        x, y = gen.uniform(-1.0, 1.0, size=(2, B, amb.dim))
+        _assert_close(sectional_curvature_prime(R, amb.g, x, y), [sectional_curvature_prime(R, amb.g, *v) for v in zip(x, y)])
+
+
+def test_hyper_scalars_broadcast_float_fields():
+    """Float fields, such as the zero defaults, stand for every entry of (B,) array fields."""
+    t, th = np.array([0.1, -0.4, 1.1]), np.array([1.0, 2.0, -0.5])
+    mixed = HyperScalars(t=t, theta_xi=th, theta_star_xi=0.25)
+    full = HyperScalars(t=t, theta_xi=th, theta_star_xi=np.full(3, 0.25), **dict.fromkeys(
+        ("dt_xi", "xi_theta_xi", "xi_theta_star_xi"), np.zeros(3)
+    ))
+    for f in ("t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi", "cos_t", "sin_t", "tan_t"):
+        np.testing.assert_array_equal(getattr(mixed, f), getattr(full, f))
+    with pytest.raises(ValueError):
+        HyperScalars(t=t, theta_xi=np.ones(2))
+
+
+# Literal per-trial draws of the three batteries whose trials used to run one at a time.
+
+
+def _reference_normals(gen, trials, n_values, fault):
+    drawn = []
+    for _ in range(trials):
+        n_prime = int(gen.choice([n + 1 for n in n_values]))
+        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
+        while True:
+            i = int(gen.integers(0, n_prime))
+            s = gen.uniform(-1.2, 1.2)
+            v = np.zeros(2 * n_prime)
+            v[i], v[n_prime + i] = np.sinh(s), np.cosh(s)
+            v = v + 0.3 * gen.uniform(-1.0, 1.0, size=2 * n_prime)
+            sq = float(v @ g @ v)
+            if sq < -0.1:
+                break
+        N = v / np.sqrt(-sq)
+        drawn.append((n_prime, N + fault if fault else N))
+    return drawn
+
+
+def _reference_sections(gen, trials, n_values, fault):
+    drawn = []
+    for n in n_values:
+        n_prime = n + 1
+        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
+        for _ in range(trials):
+            while True:
+                coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
+                x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
+                x[:n_prime], y[:n_prime] = coeffs[:, 0], coeffs[:, 1]
+                if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
+                    break
+            drawn.append((n_prime, x, y, gen.uniform(-1.0, 1.0, size=2 * n_prime)))
+    return drawn
+
+
+def _reference_solver(gen, trials, n_values, fault):
+    drawn = []
+    while len(drawn) < trials:
+        nu, nut = float(gen.uniform(-2.0, 2.0)), float(gen.uniform(-2.0, 2.0))
+        t = float(gen.uniform(-1.2, 1.2))
+        if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) < 0.01:
+            continue
+        n = int(gen.choice(list(n_values)))
+        d = 2 * n + 1
+        S = np.eye(d) + 0.3 * gen.uniform(-1.0, 1.0, size=(d, d))
+        entry = gen.integers(0, d, size=2) if fault else None
+        x_plus, x_minus = gen.uniform(-1.0, 1.0, size=d), gen.uniform(-1.0, 1.0, size=d)
+        drawn.append((n, S, entry, (nu, nut, t), x_plus, x_minus))
+    return drawn
+
+
+def _flat(drawn) -> list:
+    """Every array and number of a draw list, in order, for a bitwise comparison."""
+    out = []
+    for item in drawn:
+        if isinstance(item, (tuple, list)):
+            out += _flat(item)
+        elif item is not None:
+            out.append(np.asarray(item))
+    return out
+
+
+NEW_DRAWS = {
+    "axiom_induction": ("_draw_normals", _reference_normals),
+    "model_curvature": ("_draw_sections", _reference_sections),
+    "solver_theorem": ("_draw_solver", _reference_solver),
+}
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-3])
+@pytest.mark.parametrize("battery", sorted(NEW_DRAWS))
+def test_predrawn_inputs_match_literal_per_trial_draws(battery, fault):
+    name, reference = NEW_DRAWS[battery]
+    drawing, gen = rng(21), rng(21)
+    if battery == "model_curvature":
+        drawn = getattr(suite, name)(drawing, 9, (1, 2, 3))
+    else:
+        drawn = getattr(suite, name)(drawing, 9, (1, 2, 3), fault)
+    want = reference(gen, 9, (1, 2, 3), fault)
+    assert drawing.bit_generator.state == gen.bit_generator.state
+    assert len(drawn) == len(want)
+    got, want = _flat(drawn), _flat(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def _first_trial_of_each_size(draw, corrupt):
+    """A draw function whose first trial of every size n goes through corrupt."""
+
+    def drawn(*args):
+        out, seen = [], set()
+        for trial in draw(*args):
+            out.append(trial if trial[0] in seen else corrupt(trial))
+            seen.add(trial[0])
+        return out
+
+    return drawn
+
+
+CORRUPT = {
+    # a normal off the unit hyperboloid: induce raises NotTimelike
+    "axiom_induction": ("_draw_normals", lambda tr: (tr[0], tr[1] * 1.1)),
+    # a plane spanned by one vector: its area factor vanishes, DegenerateSection
+    "model_curvature": ("_draw_sections", lambda tr: (tr[0], tr[1], tr[1], tr[3])),
+    # a zero section vector: k_xi's denominator vanishes, DegenerateSection
+    "solver_theorem": ("_draw_solver", lambda tr: (*tr[:3], [np.zeros_like(x) for x in tr[3]])),
+}
+
+
+@pytest.mark.parametrize("battery", sorted(CORRUPT))
+def test_faulted_entry_fails_its_group_in_new_batteries(monkeypatch, battery):
+    """One faulted trial per size: its group raises as a whole, so every declared name reads infinity."""
+    clean = {c.name for c in suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))}
+    name, corrupt = CORRUPT[battery]
+    monkeypatch.setattr(suite, name, _first_trial_of_each_size(getattr(suite, name), corrupt))
+    faulted = suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))
+    assert {c.name for c in faulted} == clean
+    assert all(c.residual == np.inf and not c.passed for c in faulted)
+
+
+def test_chunked_groups_give_the_same_report(monkeypatch):
+    """Groups split into runs of CHUNK trials report what the whole groups report."""
+    for fault in (0.0, 1e-3):
+        whole = suite.run_suite(seed=7, trials=9, fault=fault).checks
+        monkeypatch.setattr(suite, "CHUNK", 2)
+        chunked = suite.run_suite(seed=7, trials=9, fault=fault).checks
+        monkeypatch.undo()
+        assert [(c.name, c.threshold, c.passed) for c in chunked] == [(c.name, c.threshold, c.passed) for c in whole]
+        if not fault:
+            np.testing.assert_allclose([c.residual for c in chunked], [c.residual for c in whole], rtol=0, atol=1e-13)

@@ -127,6 +127,55 @@ def test_bad_tolerance_exit_2(tmp_path, capsys, flag, value):
     assert captured.err.startswith("error:")
 
 
+# (scenario, extra flags, the field the error names); every size is past the largest that fits
+# MAX_DIM: n = 4 (d = 9), and n_prime = 5, the ambient of n = 4
+OVERSIZE_CASES = [
+    ({"kind": "validate", "n": 5}, [], "n"),
+    ({"kind": "validate", "n_prime": 6}, [], "n_prime"),
+    ({"kind": "classify", "n": 5, "x": [1.0] + [0.0] * 10, "y": [0.0, 1.0] + [0.0] * 9}, [], "n"),
+    ({"kind": "theorem31", "n": 100000, "theta_xi": 1.0, "theta_star_xi": 0.5}, [], "n"),
+    ({"kind": "solve", "n": 100000, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0}, [], "n"),
+    ({"kind": "curvature", "n": 100000, "nu": 1.0, "nu_tilde": 0.0, "scalars": {"t": 0.1}}, [], "n"),
+    ({"kind": "induce", "ambient": {"n_prime": 100000}, "N": [0.0, 1.0]}, [], "n_prime"),
+    ({"kind": "suite", "trials": 1, "n_values": [1, 100000]}, [], "n_values entry"),
+    ({"kind": "suite", "trials": 1}, ["--n", "1", "--n", "100000"], "--n"),
+]
+
+
+@pytest.mark.parametrize("scenario, flags, field", OVERSIZE_CASES, ids=[f"{c[0]['kind']}-{c[2]}" for c in OVERSIZE_CASES])
+def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario, flags, field):
+    """Sizes past MAX_DIM are rejected at the boundary: no point is built and the suite never starts."""
+    from nordenhyp.complex_norden import ComplexNordenPoint
+    from nordenhyp.contact_norden import ContactNordenPoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a point or started the suite for an oversize input")
+
+    for cls in (ContactNordenPoint, ComplexNordenPoint):
+        monkeypatch.setattr(cls, "standard", classmethod(refuse))
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([str(path), "--json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be at most {cli.MAX_SIZE.get(field, 4)}")
+
+
+@pytest.mark.parametrize(
+    "kind, size, value", [("validate", "n", 4), ("validate", "n_prime", 5), ("theorem31", "n", 4), ("solve", "n", 4)]
+)
+def test_largest_size_is_accepted(tmp_path, capsys, kind, size, value):
+    scenario = {
+        "validate": {"kind": "validate"},
+        "theorem31": {"kind": "theorem31", "theta_xi": 1.0, "theta_star_xi": 0.5},
+        "solve": {"kind": "solve", "t": 0.0, "nu": 1.0, "nu_tilde": 0.0},
+    }[kind]
+    code, _ = run(tmp_path, capsys, {**scenario, size: value})
+    assert code == 0
+
+
 def test_run_suite_rejects_sizes_below_one():
     from nordenhyp.suite import run_suite
 
