@@ -21,27 +21,9 @@ from .complex_norden import (
     classify_section_prime,
     validate_complex_norden,
 )
-from .contact_norden import (
-    CONSTRUCTIVE_TAGS,
-    ContactNordenPoint,
-    classify_section,
-    is_curvature_like,
-    kaehler_residual,
-    validate_contact_axioms,
-)
+from .contact_norden import CONSTRUCTIVE_TAGS, ContactNordenPoint, classify_section, validate_contact_axioms
 from .errors import DegenerateFlat, GeometryError
-from .hypersurface import (
-    HyperScalars,
-    TimelikeNormalFrame,
-    canonical_K_from_R,
-    canonical_K_model,
-    closed_form_scalars,
-    gauss_induced_R,
-    induce,
-    pi_relations_residual,
-    scalar_curvatures,
-    shape_from_class,
-)
+from .hypersurface import HyperScalars, TimelikeNormalFrame, induce, pi_relations_residual, shape_from_class
 from .main_class import (
     COR32_READINGS,
     MainClassData,
@@ -52,8 +34,10 @@ from .main_class import (
     theorem31,
 )
 from .multilinear import DEFAULT_TOL, MAX_DIM, Tolerance
-from .report import Check, ValidationReport, finite_or_none
-from .suite import run_suite
+from .report import ValidationReport, finite_or_none
+from .suite import (
+    canonical_checks, check, curvature_checks, family_report, roundtrip_checks, run_suite, theorem31_checks,
+)
 
 
 class ParseError(Exception):
@@ -180,7 +164,7 @@ def _scalars(payload, t: float | None = None) -> HyperScalars:
 
 
 def _hyper_inputs(payload: dict, tol: Tolerance):
-    """(point, scalars, A, nu, nu_tilde) from an embedding or a bare point."""
+    """(point, A, scalars, nu, nu_tilde) from an embedding or a bare point."""
     tag = payload.get("class", "F0")
     if tag not in CONSTRUCTIVE_TAGS:
         raise SchemaError(f"class must be one of {CONSTRUCTIVE_TAGS}")
@@ -192,8 +176,7 @@ def _hyper_inputs(payload: dict, tol: Tolerance):
     else:
         point = _contact_point(payload)
         scalars = _scalars(payload.get("scalars", {}))
-    A = shape_from_class(point, tag, scalars, tol)
-    return point, scalars, A, nu, nut
+    return point, shape_from_class(point, tag, scalars, tol), scalars, nu, nut
 
 
 def _run_validate(payload: dict, args) -> tuple[ValidationReport, dict]:
@@ -204,9 +187,9 @@ def _run_validate(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 def _run_induce(payload: dict, args) -> tuple[ValidationReport, dict]:
     structure = induce(_normal_frame(payload), args.tol)
-    checks = list(validate_contact_axioms(structure.point, args.tol).checks)
-    checks.append(Check("pullback_identities", pi_relations_residual(structure), 1e-9))
-    return ValidationReport(tuple(checks)), {"t": structure.t}
+    checks = (*validate_contact_axioms(structure.point, args.tol).checks,
+              check("pullback_identities", pi_relations_residual(structure)))
+    return ValidationReport(checks), {"t": structure.t}
 
 
 def _run_classify(payload: dict, args) -> tuple[ValidationReport, dict]:
@@ -220,40 +203,13 @@ def _run_classify(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_curvature(payload: dict, args) -> tuple[ValidationReport, dict]:
-    point, scalars, A, nu, nut = _hyper_inputs(payload, args.tol)
-    R = gauss_induced_R(point, A, scalars, nu, nut)
-    got = scalar_curvatures(R, point)
-    want = closed_form_scalars(A, scalars, nu, nut, point)
-    checks = (
-        Check("curvature_symmetries", is_curvature_like(R), 1e-9),
-        Check("tau_closed_form", abs(got.tau - want.tau) / (1 + abs(want.tau)), 1e-8),
-        Check(
-            "tau_twisted_closed_form",
-            abs(got.tau_tilde - want.tau_tilde) / (1 + abs(want.tau_tilde)),
-            1e-8,
-        ),
-    )
-    return ValidationReport(checks), {"tau": got.tau, "tau_twisted": got.tau_tilde}
+    _, got, residuals = curvature_checks(*_hyper_inputs(payload, args.tol))
+    return family_report(residuals), {"tau": got.tau, "tau_twisted": got.tau_tilde}
 
 
 def _run_canonical(payload: dict, args) -> tuple[ValidationReport, dict]:
-    point, scalars, A, nu, nut = _hyper_inputs(payload, args.tol)
-    R = gauss_induced_R(point, A, scalars, nu, nut)
-    K1 = canonical_K_from_R(point, R, A, scalars.t)
-    K2, tau_K, tau_K_t = canonical_K_model(point, A, scalars, nu, nut)
-    got = scalar_curvatures(K2, point)
-    scale = 1.0 + K2.max_norm
-    checks = (
-        Check("routes_agree", (K1 - K2).max_norm / scale, 1e-8),
-        Check("kaehlerian", kaehler_residual(K2, point), 1e-9),
-        Check("tau_closed_form", abs(got.tau - tau_K) / (1 + abs(tau_K)), 1e-8),
-        Check(
-            "tau_twisted_closed_form",
-            abs(got.tau_tilde - tau_K_t) / (1 + abs(tau_K_t)),
-            1e-8,
-        ),
-    )
-    return ValidationReport(checks), {"tau": tau_K, "tau_twisted": tau_K_t}
+    tau_K, tau_K_t, residuals = canonical_checks(*_hyper_inputs(payload, args.tol))
+    return family_report(residuals), {"tau": tau_K, "tau_twisted": tau_K_t}
 
 
 def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
@@ -265,18 +221,11 @@ def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
     except DegenerateFlat as exc:
         resolution = getattr(exc, "resolution", None)
         if resolution is None:
-            return ValidationReport((Check("solvable", float("inf"), 1.0),)), {
-                "error": str(exc)
-            }
+            return family_report({"solvable": math.inf}), {"error": str(exc)}
         th, ths = resolution
-    point = ContactNordenPoint.standard(n)
-    data = MainClassData(point=point, scalars=HyperScalars(t=t, theta_xi=th, theta_star_xi=ths))
-    back = nu_from_scalars(data)
-    checks = (
-        Check("roundtrip_nu", abs(back.nu - nu) / (1 + abs(nu)), 1e-8),
-        Check("roundtrip_nu_twisted", abs(back.nu_tilde - nut) / (1 + abs(nut)), 1e-8),
-    )
-    return ValidationReport(checks), {"theta_xi": th, "theta_star_xi": ths}
+    scalars = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
+    back = nu_from_scalars(MainClassData(point=ContactNordenPoint.standard(n), scalars=scalars))
+    return family_report(roundtrip_checks(back, nu, nut)), {"theta_xi": th, "theta_star_xi": ths}
 
 
 def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
@@ -284,46 +233,31 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
     th, ths, t = (_as_real(payload.get(k, 0.0), k) for k in ("theta_xi", "theta_star_xi", "t"))
     point = ContactNordenPoint.standard(n)
     res = theorem31(point, th, ths, t=t, tol=args.tol)
-    got = scalar_curvatures(res.R, point)
-    scale = 1.0 + max(abs(th), abs(ths)) ** 2
-    checks = (
-        Check("flat_canonical_curvature", res.K_residual / scale, 1e-8),
-        Check("tau_contraction", abs(got.tau - res.tau) / (1 + abs(res.tau)), 1e-8),
-        Check(
-            "tau_twisted_contraction",
-            abs(got.tau_tilde - res.tau_tilde) / (1 + abs(res.tau_tilde)),
-            1e-8,
-        ),
-    )
     results = {
         "tau": res.tau,
         "tau_twisted": res.tau_tilde,
         "k_phi_holomorphic": res.k_phi_holomorphic,
         "k_totally_real": res.k_totally_real,
     }
-    return ValidationReport(checks), results
+    return family_report(theorem31_checks(point, res, th, ths)), results
 
 
 def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     seed = args.seed if args.seed is not None else _as_int(payload.get("seed", 0), "seed")
     trials = args.trials if args.trials is not None else _as_int(payload.get("trials", 20), "trials")
-    n_values = args.n or payload.get("n_values") or [1, 2, 3]
-    if not isinstance(n_values, list):
-        raise SchemaError(f"n_values must be a list, got {n_values!r}")
+    n_values = args.n or payload.get("n_values")
+    if n_values is None:
+        n_values = [1, 2, 3]
+    if not isinstance(n_values, list) or not n_values:
+        raise SchemaError(f"n_values must be a non-empty list, got {n_values!r}")
     key = "--n" if args.n else "n_values entry"
     n_values = [_as_int(v, key, minimum=1, maximum=MAX_SIZE["n"]) for v in n_values]
     fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
     reading = args.cor32_reading or payload.get("cor32_reading")
-    report = run_suite(
-        seed=seed,
-        trials=trials,
-        n_values=n_values,
-        fault=fault,
-        cor32_reading=reading,
-        tol=args.tol,
-    )
-    meta = {"seed": seed, "trials": trials, "n_values": n_values}
-    return report, meta
+    if reading is not None and reading not in COR32_READINGS:
+        raise SchemaError(f"cor32_reading must be null or one of {COR32_READINGS}, got {reading!r}")
+    report = run_suite(seed=seed, trials=trials, n_values=n_values, fault=fault, cor32_reading=reading, tol=args.tol)
+    return report, {"seed": seed, "trials": trials, "n_values": n_values}
 
 
 _HANDLERS = {

@@ -76,6 +76,7 @@ class CurvatureF45:
 
 @dataclass(frozen=True)
 class Theorem31Result:
+    nupair: NuPair
     K_residual: float
     R: MultilinearForm
     tau: float
@@ -343,8 +344,8 @@ def theorem31(
     """Closed-form curvature data of the t-const regime, plus the K = 0 residual.
 
     K_residual is the max norm of the expanded canonical curvature built
-    with the nu-pair the scalars force; the regime's claim is that it
-    vanishes.  A batched point takes (B,) arrays theta_xi, theta_star_xi
+    with the nu-pair the scalars force (`nupair`); the regime's claim is
+    that it vanishes.  A batched point takes (B,) arrays theta_xi, theta_star_xi
     and t, and k_xi then takes (B, d) vectors.
     """
     n = point.n
@@ -373,6 +374,7 @@ def theorem31(
         return (th**2 - ths**2) / four_n2 + (2 * th * ths / four_n2) * (bilinear(point.g_phi, x, x) / denom)
 
     return Theorem31Result(
+        nupair=nupair,
         K_residual=K.max_norm,
         R=R,
         tau=tau,

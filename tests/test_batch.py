@@ -316,7 +316,7 @@ def test_faulted_group_reports_every_declared_name(monkeypatch, battery):
 
 
 def test_guard_marks_only_its_tag_group():
-    w = suite._Worst("b", {"F11.tau": 1e-8, "F11.xi": 1e-8, "F4+F5.tau": 1e-8})
+    w = suite._Worst("b", ["F11.tau", "F11.xi", "F4+F5.tau"])
     w.add("F4+F5.tau", np.array([1e-12, 2e-12]))
     with w.guard("F11."):
         raise InconsistentStructure("planted")

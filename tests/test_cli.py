@@ -184,6 +184,49 @@ def test_run_suite_rejects_sizes_below_one():
             run_suite(seed=1, trials=1, n_values=n_values)
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"cor32_reading": []}, "cor32_reading"),
+        ({"cor32_reading": "bogus"}, "cor32_reading"),
+        ({"cor32_reading": 3}, "cor32_reading"),
+        ({"n_values": []}, "n_values"),
+        ({"n_values": 0}, "n_values"),
+    ],
+    ids=["reading-list", "reading-unknown", "reading-number", "n-values-empty", "n-values-zero"],
+)
+def test_suite_fields_exit_2_before_running(tmp_path, capsys, monkeypatch, fields, field):
+    """A bad suite field is named in the error and the suite never starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started the suite for a malformed scenario")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "suite", "trials": 1, "n_values": [1], **fields}))
+    assert cli.main([str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be")
+
+
+def test_suite_reading_null_is_the_default(tmp_path, capsys):
+    base = {"kind": "suite", "trials": 1, "n_values": [1]}
+    assert run(tmp_path, capsys, {**base, "cor32_reading": None}) == run(tmp_path, capsys, base)
+
+
+def test_run_suite_rejects_unknown_reading_before_any_battery(monkeypatch):
+    from nordenhyp import suite
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a battery")
+
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
+    for reading in ("bogus", []):
+        with pytest.raises(ValueError, match="cor32_reading"):
+            suite.run_suite(seed=1, trials=1, cor32_reading=reading)
+
+
 def test_stdin_scenario(tmp_path, capsys, monkeypatch):
     import io
 
