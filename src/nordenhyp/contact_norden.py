@@ -164,11 +164,13 @@ class ContactNordenPoint:
 
     def congruence(self, S: np.ndarray) -> "ContactNordenPoint":
         """Re-express the structure in the basis given by the columns of S; a (B, d, d) stack gives a batch."""
+        return ContactNordenPoint(self.n, *self.congruent_fields(S))
+
+    def congruent_fields(self, S: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The fields (g, phi, xi, eta) of `congruence(S)`, as new writable arrays."""
         S = np.asarray(S, dtype=float)
         S_inv, S_T = np.linalg.inv(S), transpose(S)
-        return ContactNordenPoint(
-            self.n, S_T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S_T @ self.eta
-        )
+        return S_T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S_T @ self.eta
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,8 @@ class HyperScalars:
         fields = _scalar_fields(self)
         try:  # one (6,) or (6, B) array
             values = np.array(fields, dtype=float)
-        except ValueError:  # floats among (B,) arrays, broadcast row by row; other shapes still raise ValueError
-            values = np.empty((6, *max(map(np.shape, fields), key=len)))
-            for row, value in zip(values, fields):
-                row[...] = value
+        except ValueError:  # floats among (B,) arrays; incompatible shapes still raise ValueError
+            values = np.array(np.broadcast_arrays(*fields), dtype=float)
         # one pass for both checks; NaN fails it
         if np.count_nonzero(np.abs(values).T < _SCALAR_BOUNDS) != values.size:
             require_finite(values, "scalars")

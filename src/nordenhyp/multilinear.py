@@ -359,12 +359,13 @@ def substitute_pairs(T: np.ndarray, M, N) -> np.ndarray:
 
     The first slot pair and the last slot pair are each one matrix product,
     so the cost is O(p^4 (q^2 + r^2)) rather than a single O(p^4 q^2 r^2) loop.
+    When N is M, M (x) M is built once.
     """
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    p, q = M.shape[-2:]
-    r = N.shape[-1]
-    flat = transpose(pair_matrix(M)) @ T.reshape(*T.shape[:-4], p * p, p * p) @ pair_matrix(N)
+    q, r = np.shape(M)[-1], np.shape(N)[-1]
+    M_pairs = pair_matrix(np.asarray(M, dtype=float))
+    N_pairs = M_pairs if N is M else pair_matrix(np.asarray(N, dtype=float))
+    p2 = M_pairs.shape[-2]
+    flat = transpose(M_pairs) @ T.reshape(*T.shape[:-4], p2, p2) @ N_pairs
     return flat.reshape(*flat.shape[:-2], q, q, r, r)
 
 

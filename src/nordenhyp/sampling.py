@@ -6,11 +6,15 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-A contact point, its scalars and a time-like normal are drawn
-(`draw_point`, `draw_scalars`, `draw_normal`) apart from being built
-(`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
-battery can draw every trial in order first and then build each group of
-trials as one batch: `stack` turns per-trial draws into one batched draw.
+A contact point and a time-like normal are drawn (`draw_point`,
+`draw_normal`) apart from being built (`contact_point`, `hyper_scalars`, a
+frame over the standard ambient), so a battery can draw its trials in
+order and build each run of trials of one size as one batch: a stack of
+draws builds a batched point.
+
+Consecutive `uniform` calls with the same bounds are drawn as one call of
+their total size; PCG64 turns each value into one 64-bit output in order,
+so the values and the generator state are those of the separate calls.
 """
 from __future__ import annotations
 
@@ -34,32 +38,26 @@ def random_congruence(gen: np.random.Generator, d: int, scale: float = 0.3) -> n
     return np.eye(d) + scale * gen.uniform(-1.0, 1.0, size=(d, d))
 
 
-# The draws behind one random contact point: the congruence S, and the phi
-# entry a fault perturbs (None unfaulted); behind one HyperScalars, its fields
-# in order, with Omega not yet projected onto ker eta.
-PointDraw = namedtuple("PointDraw", "S entry")
-ScalarDraw = namedtuple("ScalarDraw", "t dt_xi theta_xi theta_star_xi xi_theta_xi xi_theta_star_xi Omega")
-
-
-def stack(draws):
-    """Per-trial draws of one kind, stacked field by field along a new leading batch axis."""
-    return type(draws[0])(*(None if col[0] is None else np.array(col) for col in zip(*draws)))
+# The draws behind one random contact point: the raw congruence block U of
+# S = I + 0.3 U, and the phi entry a fault perturbs (None unfaulted).
+PointDraw = namedtuple("PointDraw", "U entry")
 
 
 def draw_point(gen: np.random.Generator, n: int, fault: float = 0.0) -> PointDraw:
+    """The raw block U, then (if fault) the entry as two scalar draws: the stream of one size-2 call,
+    since the bit generator keeps the unused half of a 64-bit output for the next 32-bit draw."""
     d = 2 * n + 1
-    S = random_congruence(gen, d)
-    return PointDraw(S, gen.integers(0, d, size=2) if fault else None)
+    U = gen.uniform(-1.0, 1.0, size=(d, d))
+    return PointDraw(U, np.array((gen.integers(d), gen.integers(d))) if fault else None)
 
 
 def contact_point(n: int, draw: PointDraw, fault: float = 0.0) -> ContactNordenPoint:
-    """standard(n) in the basis draw.S, with fault added to phi at draw.entry; a stacked draw gives a batch."""
-    point = ContactNordenPoint.standard(n).congruence(draw.S)
-    if draw.entry is None:
-        return point
-    phi = np.array(point.phi)
-    phi[(*np.indices(point.batch, sparse=True), draw.entry[..., 0], draw.entry[..., 1])] += fault
-    return ContactNordenPoint(n, point.g, phi, point.xi, point.eta)
+    """standard(n) in the basis S = I + 0.3 draw.U, with fault added to phi at draw.entry, built once;
+    a stacked draw gives a batch.  S is formed elementwise, so a stack gives each trial's S bit for bit."""
+    g, phi, xi, eta = ContactNordenPoint.standard(n).congruent_fields(np.eye(2 * n + 1) + 0.3 * draw.U)
+    if draw.entry is not None:
+        phi[(*np.indices(phi.shape[:-2], sparse=True), draw.entry[..., 0], draw.entry[..., 1])] += fault
+    return ContactNordenPoint(n, g, phi, xi, eta)
 
 
 def random_contact_point(
@@ -88,17 +86,16 @@ def draw_normal(gen: np.random.Generator, n_prime: int, fault: float = 0.0) -> n
 
     Mixes a sinh-parameterized {a_i, Ja_i}-plane normal with a small
     random tangential component, then renormalizes; resamples until the
-    square is safely negative.
+    square is safely negative.  The plane part is added at its two entries:
+    each sum has the same two terms as adding the full vectors.
     """
-    ambient = ComplexNordenPoint.standard(n_prime)
-    g = ambient.g
+    g = ComplexNordenPoint.standard(n_prime).g
     while True:
         i = int(gen.integers(0, n_prime))
         s = gen.uniform(-1.2, 1.2)
-        v = np.zeros(ambient.dim)
-        v[i] = np.sinh(s)
-        v[n_prime + i] = np.cosh(s)
-        v = v + 0.3 * gen.uniform(-1.0, 1.0, size=ambient.dim)
+        v = 0.3 * gen.uniform(-1.0, 1.0, size=2 * n_prime)
+        v[i] += np.sinh(s)
+        v[n_prime + i] += np.cosh(s)
         sq = float(v @ g @ v)
         if sq < -0.1:
             break
@@ -115,24 +112,12 @@ def random_timelike_frame(
     return TimelikeNormalFrame(ambient=ComplexNordenPoint.standard(n_prime), N=draw_normal(gen, n_prime, fault))
 
 
-def draw_scalars(
-    gen: np.random.Generator, omega_dim: int | None = None, derivative_free: bool = False
-) -> ScalarDraw:
-    """t, an Omega of omega_dim entries (if given), then dt, theta, theta*, xi.theta, xi.theta*
-    (0.0 and not drawn for the derivatives if derivative_free); one call of k values draws as k calls."""
-    t = float(gen.uniform(-1.2, 1.2))
-    Omega = None if omega_dim is None else gen.uniform(-1.0, 1.0, size=omega_dim)
-    if derivative_free:
-        return ScalarDraw(t, 0.0, *gen.uniform(-2.0, 2.0, size=2).tolist(), 0.0, 0.0, Omega)
-    return ScalarDraw(t, *gen.uniform(-2.0, 2.0, size=5).tolist(), Omega)
-
-
-def hyper_scalars(draw: ScalarDraw, point: ContactNordenPoint | None = None) -> HyperScalars:
-    """The scalars of a draw, with Omega projected onto ker eta of the point; a stacked draw gives a batch."""
-    Omega = draw.Omega
+def hyper_scalars(t, derivatives, Omega=None, point: ContactNordenPoint | None = None) -> HyperScalars:
+    """HyperScalars from t, the five derivative scalars (dt, theta, theta*, xi.theta, xi.theta* of xi)
+    and Omega, projected onto ker eta of the point; a (B,) t with (5, B) derivatives gives a batch."""
     if Omega is not None:
         Omega = Omega - per_entry(dot(point.eta, Omega), 1) * point.xi
-    return HyperScalars(*draw[:-1], Omega=Omega)
+    return HyperScalars(t, *derivatives, Omega=Omega)
 
 
 def random_hyper_scalars(
@@ -141,8 +126,12 @@ def random_hyper_scalars(
     with_omega: bool = False,
     derivative_free: bool = False,
 ) -> HyperScalars:
-    omega_dim = point.dim if with_omega and point is not None else None
-    return hyper_scalars(draw_scalars(gen, omega_dim, derivative_free), point)
+    """t, Omega (if asked and a point is given), then the derivatives (only theta, theta* if derivative_free)."""
+    t = gen.uniform(-1.2, 1.2)
+    Omega = gen.uniform(-1.0, 1.0, size=point.dim) if with_omega and point is not None else None
+    if derivative_free:
+        return hyper_scalars(t, (0.0, *gen.uniform(-2.0, 2.0, size=2).tolist(), 0.0, 0.0), Omega, point)
+    return hyper_scalars(t, gen.uniform(-2.0, 2.0, size=5).tolist(), Omega, point)
 
 
 def random_main_class_data(
@@ -163,16 +152,14 @@ def random_totally_real_pair(
     """A random totally real plane of the standard flat ambient model.
 
     Drawn from the span of the "real" half-basis, where every J-pairing
-    vanishes identically; rejection keeps the plane nondegenerate.
+    vanishes identically and the metric is +1, so the rejection test, which
+    keeps the plane nondegenerate, needs only the n' x 2 coefficient block.
     """
-    ambient = ComplexNordenPoint.standard(n_prime)
-    g = ambient.g
     while True:
         coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
-        x = np.zeros(ambient.dim)
-        y = np.zeros(ambient.dim)
-        x[:n_prime] = coeffs[:, 0]
-        y[:n_prime] = coeffs[:, 1]
-        area = (y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2
-        if abs(area) > 0.05:
-            return x, y
+        (xx, xy), (_, yy) = coeffs.T @ coeffs
+        if abs(yy * xx - xy**2) > 0.05:
+            break
+    x, y = np.zeros((2, 2 * n_prime))
+    x[:n_prime], y[:n_prime] = coeffs.T
+    return x, y

@@ -10,11 +10,14 @@ tensors) count as infinite residuals, under every check name the battery
 or tag group declares, rather than aborting the run; any other exception
 is a bug and propagates.
 
-Every battery draws all its trials first, in the order a per-trial loop
-would, then evaluates each group of trials of one size n as one batch
-through the layers' leading batch axis, in runs of at most `CHUNK` trials so
-that memory does not grow with `trials`; a group that raises counts for all
-its trials.
+Every battery draws its trials in the order a per-trial loop would, and
+evaluates each size n's trials in consecutive runs of `CHUNK` (the last one
+shorter) as one batch through the layers' leading batch axis; a run that
+raises counts for all its trials.  The draws are streamed (`_runs`): a run
+is evaluated as soon as it is full, so at most one partial run per n is
+held and memory stays flat in `trials`.  Evaluation draws nothing, and the
+worst residual does not depend on the order of the runs, so the report is
+that of drawing every trial first.
 
 Each identity has one check family, shared with the CLI kinds: a function
 from one point's (or one batch's) inputs to `{name: residual}`.
@@ -90,12 +93,10 @@ from .sampling import (
     contact_point,
     draw_normal,
     draw_point,
-    draw_scalars,
     hyper_scalars,
     random_nu_pair,
     random_totally_real_pair,
     rng,
-    stack,
 )
 
 # What a battery's except clause catches: a geometry error is a verdict, anything else a bug.
@@ -224,60 +225,68 @@ def theorem31_checks(p, res: Theorem31Result, th, ths) -> dict:
     }
 
 
-def _draw(
-    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float,
-    every_n: bool = False, omega: bool = False, nu: bool = False, vectors: int = 0,
-) -> list[tuple]:
-    """Every trial's inputs, drawn before any is used, in the order of a per-trial loop.
-
-    A trial draws n (one of n_values, or each in turn if every_n), a contact
-    point, its scalars (with Omega if asked), a nu pair if asked, then
-    `vectors` uniform vectors.
-    """
-    drawn = []
+def _chosen(gen: np.random.Generator, trials: int, values) -> Iterable[int]:
+    """One of values per trial, drawn lazily, as the trial starts; one integer draw is the
+    stream of `int(gen.choice(values))`."""
+    values = tuple(values)
     for _ in range(trials):
-        for n in n_values if every_n else [int(gen.choice(list(n_values)))]:
-            d = 2 * n + 1
-            drawn.append((
-                n,
-                draw_point(gen, n, fault),
-                draw_scalars(gen, d if omega else None),
-                random_nu_pair(gen) if nu else (0.0, 0.0),
-                [gen.uniform(-1.0, 1.0, size=d) for _ in range(vectors)],
-            ))
-    return drawn
+        yield values[gen.integers(len(values))]
 
 
-def _batches(drawn: list[tuple]):
-    """Drawn trials (n, *fields) grouped by n, in first-seen order, in runs of at most CHUNK.
+def _runs(trials: Iterable[tuple]):
+    """Trials (n, *fields), drawn lazily in order, grouped by n into runs of at most CHUNK.
 
-    Yields (n, columns): columns holds, for each field, the tuple of its values over the run.
+    A run is yielded as (n, columns) when n's buffer reaches CHUNK trials, and the
+    partial buffers at the end of the draws, in first-seen order; so the runs are
+    each n's trials in consecutive slices of CHUNK, and one buffer per n is held.
+    columns holds, per field, its values over the run stacked along a leading axis
+    (None for a field that is None).
     """
-    by_n: dict[int, list] = {}
-    for n, *fields in drawn:
-        by_n.setdefault(n, []).append(fields)
-    for n, group in by_n.items():
-        for start in range(0, len(group), CHUNK):
-            yield n, list(zip(*group[start:start + CHUNK]))
+    buffers: dict[int, list] = {}
+
+    def run(n):
+        group, buffers[n] = buffers[n], []
+        return n, [None if col[0] is None else np.array(col) for col in zip(*group)]
+
+    for n, *fields in trials:
+        buffers.setdefault(n, []).append(fields)
+        if len(buffers[n]) == CHUNK:
+            yield run(n)
+    for n in buffers:
+        if buffers[n]:
+            yield run(n)
 
 
-def _groups(drawn: list[tuple], fault: float):
-    """The drawn trials grouped by n, each group stacked along a leading batch axis:
-    (point, scalars, nu, nu_tilde, vectors), the vectors as one (vectors, B, d) array."""
-    for n, (points, scalars, nus, vectors) in _batches(drawn):
-        p = contact_point(n, stack(points), fault)
-        nu, nu_tilde = np.transpose(nus)
-        yield p, hyper_scalars(stack(scalars), p), nu, nu_tilde, np.array(vectors).swapaxes(0, 1)
+def _contact_trial(
+    gen: np.random.Generator, n: int, fault: float,
+    omega: bool = False, nu: bool = False, vectors: int = 0, standard: bool = False,
+) -> tuple:
+    """One trial's draws in the order of the per-trial samplers: a contact point (not drawn if
+    standard: congruence block 0, fault entry phi[0, 0]), t, Omega (if asked), the five derivative
+    scalars and a nu pair (if asked) in one call, then `vectors` uniform vectors in one call."""
+    d = 2 * n + 1
+    point = (np.zeros((d, d)), np.zeros(2, dtype=int) if fault else None) if standard else draw_point(gen, n, fault)
+    return (
+        n,
+        *point,
+        gen.uniform(-1.2, 1.2),
+        gen.uniform(-1.0, 1.0, size=d) if omega else None,
+        gen.uniform(-2.0, 2.0, size=7 if nu else 5),
+        gen.uniform(-1.0, 1.0, size=(vectors, d)) if vectors else None,
+    )
 
 
-def _draw_normals(gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float) -> list[tuple]:
-    """Per trial: an ambient size n' = n + 1 for n in n_values, then a time-like normal (`draw_normal`)."""
-    sizes = [n + 1 for n in n_values]
-    drawn = []
-    for _ in range(trials):
-        n_prime = int(gen.choice(sizes))
-        drawn.append((n_prime, draw_normal(gen, n_prime, fault)))
-    return drawn
+def _contact_runs(
+    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, every_n: bool = False, **draws
+):
+    """Contact trials (`_contact_trial` with draws) of an n drawn from n_values (or each in turn if
+    every_n), built a run at a time as one batch: (point, scalars, nu pair, vectors), the nu pair as
+    two (B,) arrays (none if not drawn) and the vectors as one (k, B, d) array."""
+    sizes = (n for _ in range(trials) for n in n_values) if every_n else _chosen(gen, trials, n_values)
+    for n, (U, entry, t, Omega, scalars, xs) in _runs(_contact_trial(gen, n, fault, **draws) for n in sizes):
+        p = contact_point(n, PointDraw(U, entry), fault)
+        scalars = scalars.T
+        yield p, hyper_scalars(t, scalars[:5], Omega, p), scalars[5:], None if xs is None else xs.swapaxes(0, 1)
 
 
 def battery_axiom_induction(
@@ -285,9 +294,10 @@ def battery_axiom_induction(
 ) -> list[Check]:
     """Induced structures satisfy the contact axioms and the pullback identities."""
     w = _Worst("axiom_induction", ["axioms", "pullback_identities"])
-    for n_prime, (normals,) in _batches(_draw_normals(gen, trials, n_values, fault)):
+    sizes = [n + 1 for n in n_values]
+    for n_prime, (normals,) in _runs((m, draw_normal(gen, m, fault)) for m in _chosen(gen, trials, sizes)):
         with w.guard():
-            structure = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), np.array(normals)))
+            structure = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), normals))
             w.add("axioms", validate_contact_axioms(structure.point).max_residual)
             w.add("pullback_identities", pi_relations_residual(structure))
     return w.checks()
@@ -298,21 +308,11 @@ def battery_kaehlerity(
 ) -> list[Check]:
     """The two generator combinations every canonical curvature is built from."""
     w = _Worst("kaehlerity", ["pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"])
-    drawn = [(n, draw_point(gen, n, fault)) for _ in range(trials) for n in n_values]
-    for n, (draws,) in _batches(drawn):
-        p = contact_point(n, stack(draws), fault)
+    for n, draw in _runs((n, *draw_point(gen, n, fault)) for _ in range(trials) for n in n_values):
+        p = contact_point(n, PointDraw(*draw), fault)
         w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
         w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))
     return w.checks()
-
-
-def _draw_sections(gen: np.random.Generator, trials: int, n_values: Iterable[int]) -> list[tuple]:
-    """Per n in n_values, per trial: n' = n + 1, a totally real pair x, y, then a uniform vector v."""
-    return [
-        (n + 1, *random_totally_real_pair(gen, n + 1), gen.uniform(-1.0, 1.0, size=2 * n + 2))
-        for n in n_values
-        for _ in range(trials)
-    ]
 
 
 def battery_model_curvature(
@@ -321,8 +321,12 @@ def battery_model_curvature(
     """Constant-curvature model: section values on special planes."""
     w = _Worst("model_curvature", ["ambient_axioms", "totally_real_k", "totally_real_k_assoc", "holomorphic_k"])
     nu, nut = 3.0, -1.0
-    for n_prime, sections in _batches(_draw_sections(gen, trials, n_values)):
-        x, y, v = (np.array(a) for a in sections)
+    sections = (
+        (n + 1, *random_totally_real_pair(gen, n + 1), gen.uniform(-1.0, 1.0, size=2 * n + 2))
+        for n in n_values
+        for _ in range(trials)
+    )
+    for n_prime, (x, y, v) in _runs(sections):
         with w.guard():
             amb = ComplexNordenPoint.standard(n_prime)
             if fault:
@@ -347,7 +351,7 @@ def battery_scalar_calibration(
     """Double contraction of the induced curvature vs the trace closed forms,
     on the class with the rank-one shape operator."""
     w = _Worst("scalar_calibration", ["tau", "tau_twisted"])
-    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, nu=True), fault):
+    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, nu=True):
         with w.guard():
             A = shape_from_class(p, "F0", sc)
             R = gauss_induced_R(p, A, sc, nu, nut)
@@ -362,8 +366,7 @@ def battery_induced_curvature(
     """Scalar and special sectional curvatures of the two closed-form classes."""
     names = ("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")
     w = _Worst("induced_curvature", [*_per_tag(names), "totally_real"])
-    drawn = _draw(gen, trials, n_values, fault, omega=True, nu=True, vectors=2)
-    for p, sc, nu, nut, xs in _groups(drawn, fault):
+    for p, sc, (nu, nut), xs in _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2):
         for tag, x in zip((F4_F5, F11), xs):
             with w.guard(f"{tag}."):
                 A = shape_from_class(p, tag, sc)
@@ -375,12 +378,7 @@ def battery_induced_curvature(
     # totally real sections need pairings to vanish exactly: the standard
     # model itself (identity congruence), its phi[0, 0] perturbed under fault
     wide = [n for n in n_values if n >= 2]
-    drawn = []
-    for _ in range(trials if wide else 0):
-        n = int(gen.choice(wide))
-        standard = PointDraw(np.eye(2 * n + 1), np.zeros(2, dtype=int) if fault else None)
-        drawn.append((n, standard, draw_scalars(gen), random_nu_pair(gen), []))
-    for p, sc, nu, nut, _ in _groups(drawn, fault):
+    for p, sc, (nu, nut), _ in _contact_runs(gen, trials if wide else 0, wide, fault, nu=True, standard=True):
         x, y = np.zeros((2,) + p.xi.shape)
         x[..., 0], y[..., 1] = 1.0, 1.0
         with w.guard("totally_real"):
@@ -396,7 +394,7 @@ def battery_canonical_curvature(
 ) -> list[Check]:
     """The two routes to the canonical curvature and its trace closed forms."""
     w = _Worst("canonical_curvature", _per_tag(["routes_agree", "kaehlerian", "tau", "tau_twisted"]))
-    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, omega=True, nu=True), fault):
+    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, omega=True, nu=True):
         for tag in (F4_F5, F11):
             with w.guard(f"{tag}."):
                 *_, residuals = canonical_checks(p, shape_from_class(p, tag, sc), sc, nu, nut)
@@ -409,7 +407,7 @@ def battery_main_class(
 ) -> list[Check]:
     """Main-class closed forms vs the generic induced-curvature route."""
     w = _Worst("main_class", ["trace_A", "trace_A_phi", "R_routes_agree", "tau", "tau_twisted"])
-    for p, sc, nu, nut, _ in _groups(_draw(gen, trials, n_values, fault, nu=True), fault):
+    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, nu=True):
         with w.guard():
             d = MainClassData(point=p, scalars=sc)
             A = shape_F45(d)
@@ -428,7 +426,7 @@ def battery_canonical_connection(
 ) -> list[Check]:
     """Difference tensor: generic reconstruction vs the main-class display."""
     w = _Worst("canonical_connection", ["difference_tensor"])
-    for p, sc, *_ in _groups(_draw(gen, trials, n_values, fault, every_n=True), fault):
+    for p, sc, *_ in _contact_runs(gen, trials, n_values, fault, every_n=True):
         with w.guard():
             d = MainClassData(point=p, scalars=sc)
             w.add("difference_tensor", canonical_difference(main_class_form(d), p) - canonical_difference_F45(d))
@@ -438,19 +436,16 @@ def battery_canonical_connection(
 SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order a trial's x vectors are drawn
 
 
-def _draw_solver(gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float) -> list[tuple]:
-    """Per trial: nu, nu~ and t (redrawn until the solver's radicand is safely positive),
-    n, a contact point, then one section vector x for each branch epsilon = +1, -1."""
-    drawn = []
-    while len(drawn) < trials:
+def _solver_trial(gen: np.random.Generator, n_values, fault: float) -> tuple:
+    """nu, nu~ and t (redrawn until the solver's radicand is safely positive), n, a contact
+    point, then one section vector x for each branch epsilon = +1, -1, in one (2, d) call."""
+    while True:
         nu, nut = random_nu_pair(gen)
-        t = float(gen.uniform(-1.2, 1.2))
-        if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) < 0.01:
-            continue
-        n = int(gen.choice(list(n_values)))
-        point = draw_point(gen, n, fault)
-        drawn.append((n, point, (nu, nut, t), [gen.uniform(-1.0, 1.0, size=2 * n + 1) for _ in SOLVER_BRANCHES]))
-    return drawn
+        t = gen.uniform(-1.2, 1.2)
+        if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) >= 0.01:
+            break
+    n = next(_chosen(gen, 1, n_values))
+    return n, *draw_point(gen, n, fault), (nu, nut, t), gen.uniform(-1.0, 1.0, size=(len(SOLVER_BRANCHES), 2 * n + 1))
 
 
 def battery_solver_theorem(
@@ -462,11 +457,12 @@ def battery_solver_theorem(
     """
     w = _Worst("solver_theorem", ["roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau",
                                   "tau_twisted", "xi_section", "phi_holomorphic"])
-    for n, (points, nus, xs) in _batches(_draw_solver(gen, trials, n_values, fault)):
-        runs = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus]  # (eps, nu, nu~, t) per entry
-        x = np.swapaxes(xs, 0, 1).reshape(len(runs), 2 * n + 1)
+    for n, (U, entry, nus, xs) in _runs(_solver_trial(gen, n_values, fault) for _ in range(trials)):
+        runs = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus.tolist()]  # (eps, nu, nu~, t) per entry
+        x = xs.swapaxes(0, 1).reshape(len(runs), 2 * n + 1)
         with w.guard():
-            p = contact_point(n, stack(points * len(SOLVER_BRANCHES)), fault)
+            draw = PointDraw(*(a if a is None else np.concatenate([a] * len(SOLVER_BRANCHES)) for a in (U, entry)))
+            p = contact_point(n, draw, fault)
             th, ths = np.array([solve_theta(NuPair(a, b), t, SolverBranch(e), n) for e, a, b, t in runs]).T
             _, nu, nut, t = np.array(runs).T
             res = theorem31(p, th, ths, t=t)
@@ -490,7 +486,7 @@ def battery_expanded_coefficients(
         names.append(f"reading_{reading}")
     w = _Worst("expanded_coefficients", names)
     residual = {r: 0.0 for r in COR32_READINGS}
-    for p, sc, *_ in _groups(_draw(gen, trials, n_values, fault), fault):
+    for p, sc, *_ in _contact_runs(gen, trials, n_values, fault):
         d = MainClassData(point=p, scalars=sc)
         try:
             nupair = nu_from_scalars(d)

@@ -9,6 +9,7 @@ a whole and report every declared check name.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,11 @@ from nordenhyp.multilinear import (
 )
 from nordenhyp.sampling import (
     draw_normal,
+    draw_point,
     random_contact_point,
     random_hyper_scalars,
     random_nu_pair,
+    random_totally_real_pair,
     rng,
 )
 
@@ -231,44 +234,137 @@ def _reference_trial(gen, n, fault, omega, nu, vectors):
     return n, S, entry, (t, dt, th, ths, xth, xths), Omega, nus, xs
 
 
+def _recording(monkeypatch, runs: list):
+    """Has suite._runs append every run it yields to runs."""
+    real = suite._runs
+
+    def recorded(trials):
+        for run in real(trials):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(suite, "_runs", recorded)
+
+
+def _paired(runs, trials) -> list[tuple]:
+    """Each trial of the runs, as a tuple of its fields, with the reference trial of its n.
+
+    Checks first that the runs hold each n's trials in draw order, in consecutive
+    slices of CHUNK (the last one shorter), and leave none out.
+    """
+    left: dict[int, list] = {}
+    for trial in trials:
+        left.setdefault(trial[0], []).append(trial)
+    sizes: dict[int, list] = {}
+    pairs = []
+    for n, columns in runs:
+        size = len(next(c for c in columns if c is not None))
+        assert len(left[n]) >= size
+        sizes.setdefault(n, []).append(size)
+        pairs += zip(zip(*(c if c is not None else [None] * size for c in columns)), left[n][:size])
+        left[n] = left[n][size:]
+    assert not any(left.values())
+    for each in sizes.values():
+        assert each[:-1] == [suite.CHUNK] * (len(each) - 1) and 0 < each[-1] <= suite.CHUNK
+    return pairs
+
+
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize(
     "options", [{"omega": True, "nu": True, "vectors": 2}, {"nu": True}, {"every_n": True}], ids=str
 )
-def test_predrawn_inputs_match_per_trial_draws(fault, options):
-    """A battery's draws are the per-trial draws, bit for bit and in the same generator order."""
+def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
+    """The streamed contact draws are the per-trial draws, bit for bit and in the same generator
+    order; with CHUNK at 3, runs fill and are yielded mid-stream."""
+    monkeypatch.setattr(suite, "CHUNK", 3)
     n_values = (1, 2, 3)
+    every_n, nu = options.get("every_n", False), options.get("nu", False)
     drawing, gen = rng(11), rng(11)
-    drawn = suite._draw(drawing, 7, n_values, fault, **options)
+    runs = []
+    _recording(monkeypatch, runs)
+    for _ in suite._contact_runs(drawing, 7, n_values, fault, **options):
+        pass
     reference = []
     for _ in range(7):
-        for n in n_values if options.get("every_n") else [int(gen.choice(list(n_values)))]:
+        for n in n_values if every_n else [int(gen.choice(list(n_values)))]:
             reference.append(_reference_trial(
-                gen, n, fault, options.get("omega", False), options.get("nu", False), options.get("vectors", 0)
+                gen, n, fault, options.get("omega", False), nu, options.get("vectors", 0)
             ))
     assert drawing.bit_generator.state == gen.bit_generator.state
-    assert len(drawn) == len(reference)
-    for (n, point_draw, scalar_draw, nus, xs), (m, S, entry, scalars, Omega, want_nus, want_xs) in zip(
-        drawn, reference
-    ):
-        assert (n, tuple(scalar_draw[:-1]), nus) == (m, scalars, want_nus)
-        np.testing.assert_array_equal(point_draw.S, S)
-        np.testing.assert_array_equal(point_draw.entry, entry)
-        np.testing.assert_array_equal(scalar_draw.Omega, Omega)
-        np.testing.assert_array_equal(np.reshape(xs, (-1,)), np.reshape(want_xs, (-1,)))
+    # the raw congruence block U becomes S = I + 0.3 U once per run, elementwise
+    runs = [(n, [np.eye(2 * n + 1) + 0.3 * columns[0], *columns[1:]]) for n, columns in runs]
+    pairs = _paired(runs, reference)
+    for (S, entry, t, Omega, scalars, xs), (_, want_S, want_entry, want_scalars, want_Omega, nus, want_xs) in pairs:
+        assert [t, *scalars.tolist()] == [*want_scalars, *(nus if nu else ())]
+        np.testing.assert_array_equal(S, want_S)
+        np.testing.assert_array_equal(entry, want_entry)
+        np.testing.assert_array_equal(Omega, want_Omega)
+        np.testing.assert_array_equal(np.reshape([] if xs is None else xs, (-1,)), np.reshape(want_xs, (-1,)))
+
+
+def test_chosen_sizes_are_the_choice_stream():
+    """One integer draw per trial picks n as `gen.choice` did, for every list a battery picks from."""
+    for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), [2, 3], [2, 3, 4]]:
+        for seed in range(50):
+            chosen, gen = rng(seed), rng(seed)
+            got = []
+            for n in suite._chosen(chosen, 20, values):
+                got.append(n)
+                chosen.uniform(size=3)
+            want = []
+            for _ in range(20):
+                want.append(int(gen.choice(list(values))))
+                gen.uniform(size=3)
+            assert got == want and all(type(n) is int for n in got)
+            assert chosen.bit_generator.state == gen.bit_generator.state
+
+
+def test_fault_entry_is_the_size_two_stream():
+    """Two scalar integer draws give the entry, and the generator state, of one size-2 call."""
+    for seed in range(100):
+        for n in (1, 2, 3, 4):
+            drawing, gen = rng(seed), rng(seed)
+            for _ in range(3):
+                _, entry = draw_point(drawing, n, fault=1e-3)
+                gen.uniform(-1.0, 1.0, size=(2 * n + 1,) * 2)
+                np.testing.assert_array_equal(entry, gen.integers(0, 2 * n + 1, size=2))
+            assert drawing.bit_generator.state == gen.bit_generator.state
+
+
+def _drained_peak(trials: int) -> int:
+    """tracemalloc's peak while one battery's drawer is drained for `trials` trials."""
+    gen = rng(4)
+    drawn = (suite._contact_trial(gen, n, 1e-3, omega=True, nu=True, vectors=2) for n in suite._chosen(gen, trials, (1, 2, 3)))
+    tracemalloc.start()
+    try:
+        for _ in suite._runs(drawn):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_drawer_memory_is_flat_in_trials():
+    """At most one partial run per n is held: 3,200 trials peak where 200 do.
+
+    The peaks (about 0.25 MB) differ by how full the other buffers are when a run
+    is yielded, under 0.1 MB; holding every trial would add about 3.4 MB.
+    """
+    small, large = _drained_peak(200), _drained_peak(3200)
+    assert large <= small + 128 * 1024, (small, large)
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 def test_groups_stack_the_per_trial_points(fault):
-    """Each group's batched point and scalars equal the per-trial samplers' output for its trials."""
-    drawn = suite._draw(rng(12), 9, (1, 2, 3), fault, omega=True, nu=True)
+    """Each run's batched point and scalars equal the per-trial samplers' output for its trials."""
+    runs = list(suite._contact_runs(rng(12), 9, (1, 2, 3), fault, omega=True, nu=True))
     gen = rng(12)
     singles = []
     for _ in range(9):
         n = int(gen.choice([1, 2, 3]))
         p = random_contact_point(gen, n, fault=fault)
         singles.append((n, p, random_hyper_scalars(gen, p, with_omega=True), random_nu_pair(gen)))
-    for point, scalars, nu, nut, _ in suite._groups(drawn, fault):
+    for point, scalars, (nu, nut), _ in runs:
         members = [s for s in singles if s[0] == point.n]
         for f in ("g", "phi", "xi", "eta"):
             np.testing.assert_array_equal(getattr(point, f), np.stack([getattr(s[1], f) for s in members]))
@@ -431,7 +527,7 @@ def test_hyper_scalars_broadcast_float_fields():
         HyperScalars(t=t, theta_xi=np.ones(2))
 
 
-# Literal per-trial draws of the three batteries whose trials used to run one at a time.
+# Literal per-trial draws of the three batteries that draw no contact trials.
 
 
 def _reference_normals(gen, trials, n_values, fault):
@@ -453,20 +549,36 @@ def _reference_normals(gen, trials, n_values, fault):
     return drawn
 
 
+def _reference_totally_real_pair(gen, n_prime):
+    g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
+    while True:
+        coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
+        x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
+        x[:n_prime], y[:n_prime] = coeffs[:, 0], coeffs[:, 1]
+        if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
+            return x, y
+
+
 def _reference_sections(gen, trials, n_values, fault):
     drawn = []
     for n in n_values:
-        n_prime = n + 1
-        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
         for _ in range(trials):
-            while True:
-                coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
-                x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
-                x[:n_prime], y[:n_prime] = coeffs[:, 0], coeffs[:, 1]
-                if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
-                    break
-            drawn.append((n_prime, x, y, gen.uniform(-1.0, 1.0, size=2 * n_prime)))
+            x, y = _reference_totally_real_pair(gen, n + 1)
+            drawn.append((n + 1, x, y, gen.uniform(-1.0, 1.0, size=2 * n + 2)))
     return drawn
+
+
+@pytest.mark.parametrize("n_prime", [2, 3, 4])
+def test_totally_real_pair_matches_the_full_metric_test(n_prime):
+    """The rejection test on the coefficient block accepts the pairs the full-vector test did."""
+    for seed in range(200):
+        got, want = rng(seed), rng(seed)
+        for _ in range(5):
+            x, y = random_totally_real_pair(got, n_prime)
+            want_x, want_y = _reference_totally_real_pair(want, n_prime)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(y, want_y)
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def _reference_solver(gen, trials, n_values, fault):
@@ -478,69 +590,59 @@ def _reference_solver(gen, trials, n_values, fault):
             continue
         n = int(gen.choice(list(n_values)))
         d = 2 * n + 1
-        S = np.eye(d) + 0.3 * gen.uniform(-1.0, 1.0, size=(d, d))
+        U = gen.uniform(-1.0, 1.0, size=(d, d))  # the congruence S = I + 0.3 U
         entry = gen.integers(0, d, size=2) if fault else None
         x_plus, x_minus = gen.uniform(-1.0, 1.0, size=d), gen.uniform(-1.0, 1.0, size=d)
-        drawn.append((n, S, entry, (nu, nut, t), x_plus, x_minus))
+        drawn.append((n, U, entry, (nu, nut, t), (x_plus, x_minus)))
     return drawn
 
 
-def _flat(drawn) -> list:
-    """Every array and number of a draw list, in order, for a bitwise comparison."""
-    out = []
-    for item in drawn:
-        if isinstance(item, (tuple, list)):
-            out += _flat(item)
-        elif item is not None:
-            out.append(np.asarray(item))
-    return out
-
-
-NEW_DRAWS = {
-    "axiom_induction": ("_draw_normals", _reference_normals),
-    "model_curvature": ("_draw_sections", _reference_sections),
-    "solver_theorem": ("_draw_solver", _reference_solver),
+LITERAL_DRAWS = {
+    "axiom_induction": _reference_normals,
+    "model_curvature": _reference_sections,
+    "solver_theorem": _reference_solver,
 }
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
-@pytest.mark.parametrize("battery", sorted(NEW_DRAWS))
-def test_predrawn_inputs_match_literal_per_trial_draws(battery, fault):
-    name, reference = NEW_DRAWS[battery]
+@pytest.mark.parametrize("battery", sorted(LITERAL_DRAWS))
+def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fault):
+    """The runs a battery evaluates hold the literal per-trial draws, and leave the generator where they do."""
+    runs = []
+    _recording(monkeypatch, runs)
     drawing, gen = rng(21), rng(21)
-    if battery == "model_curvature":
-        drawn = getattr(suite, name)(drawing, 9, (1, 2, 3))
-    else:
-        drawn = getattr(suite, name)(drawing, 9, (1, 2, 3), fault)
-    want = reference(gen, 9, (1, 2, 3), fault)
+    suite.BATTERIES[battery](drawing, 9, (1, 2, 3), fault)
+    want = LITERAL_DRAWS[battery](gen, 9, (1, 2, 3), fault)
     assert drawing.bit_generator.state == gen.bit_generator.state
-    assert len(drawn) == len(want)
-    got, want = _flat(drawn), _flat(want)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
+    for got, (_, *fields) in _paired(runs, want):
+        for a, b in zip(got, fields, strict=True):
+            if b is None:
+                assert a is None
+            else:
+                np.testing.assert_array_equal(a, np.asarray(b))
 
 
-def _first_trial_of_each_size(draw, corrupt):
-    """A draw function whose first trial of every size n goes through corrupt."""
+def _first_trial_of_each_size(runs, corrupt):
+    """A drawer whose first trial of every size n goes through corrupt."""
 
-    def drawn(*args):
-        out, seen = [], set()
-        for trial in draw(*args):
-            out.append(trial if trial[0] in seen else corrupt(trial))
-            seen.add(trial[0])
-        return out
+    def corrupted(trials):
+        seen = set()
+        for trial in trials:
+            if trial[0] not in seen:
+                seen.add(trial[0])
+                trial = corrupt(trial)
+            yield trial
 
-    return drawn
+    return lambda trials: runs(corrupted(trials))
 
 
 CORRUPT = {
     # a normal off the unit hyperboloid: induce raises NotTimelike
-    "axiom_induction": ("_draw_normals", lambda tr: (tr[0], tr[1] * 1.1)),
+    "axiom_induction": lambda tr: (tr[0], tr[1] * 1.1),
     # a plane spanned by one vector: its area factor vanishes, DegenerateSection
-    "model_curvature": ("_draw_sections", lambda tr: (tr[0], tr[1], tr[1], tr[3])),
+    "model_curvature": lambda tr: (tr[0], tr[1], tr[1], tr[3]),
     # a zero section vector: k_xi's denominator vanishes, DegenerateSection
-    "solver_theorem": ("_draw_solver", lambda tr: (*tr[:3], [np.zeros_like(x) for x in tr[3]])),
+    "solver_theorem": lambda tr: (*tr[:4], np.zeros_like(tr[4])),
 }
 
 
@@ -548,8 +650,7 @@ CORRUPT = {
 def test_faulted_entry_fails_its_group_in_new_batteries(monkeypatch, battery):
     """One faulted trial per size: its group raises as a whole, so every declared name reads infinity."""
     clean = {c.name for c in suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))}
-    name, corrupt = CORRUPT[battery]
-    monkeypatch.setattr(suite, name, _first_trial_of_each_size(getattr(suite, name), corrupt))
+    monkeypatch.setattr(suite, "_runs", _first_trial_of_each_size(suite._runs, CORRUPT[battery]))
     faulted = suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))
     assert {c.name for c in faulted} == clean
     assert all(c.residual == np.inf and not c.passed for c in faulted)

@@ -218,6 +218,8 @@ class TestSubstitutePairs:
         B = gen.uniform(-1, 1, size=(p, q))
         got = substitute_pairs(T, B, B)
         assert got.shape == (q, q, q, q)
+        # one B (x) B serves both slot pairs when N is M: the same bits as two builds
+        np.testing.assert_array_equal(got, substitute_pairs(T, B, B.copy()))
         indices = list(itertools.product(range(q), repeat=4))
         if n_prime == 3:  # 625 entries of 1296 terms each: check a sample
             indices = [tuple(gen.integers(0, q, size=4)) for _ in range(40)]
