@@ -19,6 +19,17 @@ held and memory stays flat in `trials`.  Evaluation draws nothing, and the
 worst residual does not depend on the order of the runs, so the report is
 that of drawing every trial first.
 
+A battery stops once its report is decided: when every name it declares
+already holds infinity, no later run can change a byte of the report, so
+it pulls no further run from its stream and draws no further trial.  Each
+battery draws from its own generator, so stopping one leaves the others'
+inputs unchanged; `induced_curvature` keeps drawing its first loop's
+trials for the totally real loop that shares its generator, but skips a
+decided tag group's evaluation.  A clean run decides no battery and
+evaluates every trial.  Under fault, the first run still goes through
+every battery's error path, but a non-geometry exception that a skipped
+run would have raised is not raised.
+
 Each identity has one check family, shared with the CLI kinds: a function
 from one point's (or one batch's) inputs to `{name: residual}`.
 `scalar_checks` (tau, tau_twisted) serves `curvature_checks` (the Gauss
@@ -137,8 +148,11 @@ def family_report(residuals: dict) -> ValidationReport:
 class _Worst:
     """Accumulates the worst residual seen under each declared check name.
 
-    A battery declares its names up front.  A residual may be one number or
-    an array, one per batch entry; NaN counts as infinity.
+    A battery declares up front the names its runs report; a name derived
+    after the last run is added undeclared.  A residual may be one number or
+    an array, one per batch entry; NaN counts as infinity.  Once every
+    declared name holds infinity the battery is decided (`decided`), and
+    `until_decided` stops its stream of runs.
     """
 
     def __init__(self, battery: str, names: Iterable[str]):
@@ -164,6 +178,17 @@ class _Worst:
             for name in self.names:
                 if name.startswith(prefix):
                     self.add(name, math.inf)
+
+    def decided(self, prefix: str = "") -> bool:
+        """Every declared name starting with prefix holds infinity, so no later residual can change them."""
+        return all(self.residuals.get(name) == math.inf for name in self.names if name.startswith(prefix))
+
+    def until_decided(self, runs: Iterable, prefix: str = ""):
+        """The runs, each pulled after the last one is evaluated, up to the one that decides prefix."""
+        for run in runs:
+            yield run
+            if self.decided(prefix):
+                return
 
     def checks(self) -> list[Check]:
         return [check(f"{self.battery}.{k}", self.residuals[k]) for k in sorted(self.residuals)]
@@ -295,7 +320,8 @@ def battery_axiom_induction(
     """Induced structures satisfy the contact axioms and the pullback identities."""
     w = _Worst("axiom_induction", ["axioms", "pullback_identities"])
     sizes = [n + 1 for n in n_values]
-    for n_prime, (normals,) in _runs((m, draw_normal(gen, m, fault)) for m in _chosen(gen, trials, sizes)):
+    draws = _runs((m, draw_normal(gen, m, fault)) for m in _chosen(gen, trials, sizes))
+    for n_prime, (normals,) in w.until_decided(draws):
         with w.guard():
             structure = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), normals))
             w.add("axioms", validate_contact_axioms(structure.point).max_residual)
@@ -308,7 +334,7 @@ def battery_kaehlerity(
 ) -> list[Check]:
     """The two generator combinations every canonical curvature is built from."""
     w = _Worst("kaehlerity", ["pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"])
-    for n, draw in _runs((n, *draw_point(gen, n, fault)) for _ in range(trials) for n in n_values):
+    for n, draw in w.until_decided(_runs((n, *draw_point(gen, n, fault)) for _ in range(trials) for n in n_values)):
         p = contact_point(n, PointDraw(*draw), fault)
         w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
         w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))
@@ -326,7 +352,7 @@ def battery_model_curvature(
         for n in n_values
         for _ in range(trials)
     )
-    for n_prime, (x, y, v) in _runs(sections):
+    for n_prime, (x, y, v) in w.until_decided(_runs(sections)):
         with w.guard():
             amb = ComplexNordenPoint.standard(n_prime)
             if fault:
@@ -351,7 +377,7 @@ def battery_scalar_calibration(
     """Double contraction of the induced curvature vs the trace closed forms,
     on the class with the rank-one shape operator."""
     w = _Worst("scalar_calibration", ["tau", "tau_twisted"])
-    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, nu=True):
+    for p, sc, (nu, nut), _ in w.until_decided(_contact_runs(gen, trials, n_values, fault, nu=True)):
         with w.guard():
             A = shape_from_class(p, "F0", sc)
             R = gauss_induced_R(p, A, sc, nu, nut)
@@ -368,6 +394,8 @@ def battery_induced_curvature(
     w = _Worst("induced_curvature", [*_per_tag(names), "totally_real"])
     for p, sc, (nu, nut), xs in _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2):
         for tag, x in zip((F4_F5, F11), xs):
+            if w.decided(f"{tag}."):  # the draws go on: the totally real loop below takes the same generator
+                continue
             with w.guard(f"{tag}."):
                 A = shape_from_class(p, tag, sc)
                 R, _, residuals = curvature_checks(p, A, sc, nu, nut)
@@ -378,7 +406,8 @@ def battery_induced_curvature(
     # totally real sections need pairings to vanish exactly: the standard
     # model itself (identity congruence), its phi[0, 0] perturbed under fault
     wide = [n for n in n_values if n >= 2]
-    for p, sc, (nu, nut), _ in _contact_runs(gen, trials if wide else 0, wide, fault, nu=True, standard=True):
+    draws = _contact_runs(gen, trials if wide else 0, wide, fault, nu=True, standard=True)
+    for p, sc, (nu, nut), _ in w.until_decided(draws, "totally_real"):
         x, y = np.zeros((2,) + p.xi.shape)
         x[..., 0], y[..., 1] = 1.0, 1.0
         with w.guard("totally_real"):
@@ -394,7 +423,7 @@ def battery_canonical_curvature(
 ) -> list[Check]:
     """The two routes to the canonical curvature and its trace closed forms."""
     w = _Worst("canonical_curvature", _per_tag(["routes_agree", "kaehlerian", "tau", "tau_twisted"]))
-    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, omega=True, nu=True):
+    for p, sc, (nu, nut), _ in w.until_decided(_contact_runs(gen, trials, n_values, fault, omega=True, nu=True)):
         for tag in (F4_F5, F11):
             with w.guard(f"{tag}."):
                 *_, residuals = canonical_checks(p, shape_from_class(p, tag, sc), sc, nu, nut)
@@ -407,7 +436,7 @@ def battery_main_class(
 ) -> list[Check]:
     """Main-class closed forms vs the generic induced-curvature route."""
     w = _Worst("main_class", ["trace_A", "trace_A_phi", "R_routes_agree", "tau", "tau_twisted"])
-    for p, sc, (nu, nut), _ in _contact_runs(gen, trials, n_values, fault, nu=True):
+    for p, sc, (nu, nut), _ in w.until_decided(_contact_runs(gen, trials, n_values, fault, nu=True)):
         with w.guard():
             d = MainClassData(point=p, scalars=sc)
             A = shape_F45(d)
@@ -426,7 +455,7 @@ def battery_canonical_connection(
 ) -> list[Check]:
     """Difference tensor: generic reconstruction vs the main-class display."""
     w = _Worst("canonical_connection", ["difference_tensor"])
-    for p, sc, *_ in _contact_runs(gen, trials, n_values, fault, every_n=True):
+    for p, sc, *_ in w.until_decided(_contact_runs(gen, trials, n_values, fault, every_n=True)):
         with w.guard():
             d = MainClassData(point=p, scalars=sc)
             w.add("difference_tensor", canonical_difference(main_class_form(d), p) - canonical_difference_F45(d))
@@ -457,7 +486,7 @@ def battery_solver_theorem(
     """
     w = _Worst("solver_theorem", ["roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau",
                                   "tau_twisted", "xi_section", "phi_holomorphic"])
-    for n, (U, entry, nus, xs) in _runs(_solver_trial(gen, n_values, fault) for _ in range(trials)):
+    for n, (U, entry, nus, xs) in w.until_decided(_runs(_solver_trial(gen, n_values, fault) for _ in range(trials))):
         runs = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus.tolist()]  # (eps, nu, nu~, t) per entry
         x = xs.swapaxes(0, 1).reshape(len(runs), 2 * n + 1)
         with w.guard():
@@ -481,31 +510,25 @@ def battery_expanded_coefficients(
 ) -> list[Check]:
     """Exactly one coefficient reading of the expanded canonical curvature is
     consistent with the compositional route; the report records which."""
-    names = ["exactly_one_reading_matches", "reading_squared", "kaehlerian"]
-    if reading is not None and reading != "squared":
-        names.append(f"reading_{reading}")
-    w = _Worst("expanded_coefficients", names)
-    residual = {r: 0.0 for r in COR32_READINGS}
-    for p, sc, *_ in _contact_runs(gen, trials, n_values, fault):
+    readings = {r: f"reading_{r}" for r in COR32_READINGS}
+    w = _Worst("expanded_coefficients", ["kaehlerian", *readings.values()])
+    for p, sc, *_ in w.until_decided(_contact_runs(gen, trials, n_values, fault)):
         d = MainClassData(point=p, scalars=sc)
-        try:
+        with w.guard():
             nupair = nu_from_scalars(d)
             K_ref = K_F45_0(d, curvature_F45(d, nupair).R)
             scale = 1.0 + K_ref.max_norm
-            for r in COR32_READINGS:
-                residual[r] = max(residual[r], np.max((K_cor32(d, nupair, reading=r) - K_ref).max_norm / scale))
+            for r, name in readings.items():
+                w.add(name, (K_cor32(d, nupair, reading=r) - K_ref).max_norm / scale)
             # the reading comparison is a pure coefficient identity, so it
             # survives a perturbed structure; this one does not
             with w.guard("kaehlerian"):
                 w.add("kaehlerian", kaehler_residual(K_ref, d.point))
-        except EXPECTED:
-            residual = dict.fromkeys(COR32_READINGS, math.inf)
-            w.add("kaehlerian", math.inf)
-    matching = [r for r in COR32_READINGS if residual[r] <= THRESHOLD[f"reading_{r}"]]
+    matching = [r for r, name in readings.items() if w.residuals[name] <= THRESHOLD[name]]
     w.add("exactly_one_reading_matches", 0.0 if len(matching) == 1 else 1.0)
-    w.add("reading_squared", residual["squared"])
-    if reading is not None and reading != "squared":
-        w.add(f"reading_{reading}", residual[reading])
+    for r in COR32_READINGS:
+        if r not in ("squared", reading):  # only the squared reading and the one asked for are reported
+            del w.residuals[readings[r]]
     return w.checks()
 
 

@@ -8,6 +8,7 @@ the per-trial samplers, and a group holding one faulted entry must raise as
 a whole and report every declared check name.
 """
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -49,11 +50,13 @@ from nordenhyp.main_class import (
     K_cor32,
     MainClassData,
     NuPair,
+    SolverBranch,
     canonical_difference_F45,
     curvature_F45,
     main_class_form,
     nu_from_scalars,
     shape_F45,
+    solve_theta,
     theorem31,
 )
 from nordenhyp.multilinear import (
@@ -66,6 +69,8 @@ from nordenhyp.multilinear import (
     twist_last,
 )
 from nordenhyp.sampling import (
+    PointDraw,
+    contact_point,
     draw_normal,
     draw_point,
     random_contact_point,
@@ -246,11 +251,11 @@ def _recording(monkeypatch, runs: list):
     monkeypatch.setattr(suite, "_runs", recorded)
 
 
-def _paired(runs, trials) -> list[tuple]:
+def _paired(runs, trials, complete: bool = True) -> list[tuple]:
     """Each trial of the runs, as a tuple of its fields, with the reference trial of its n.
 
     Checks first that the runs hold each n's trials in draw order, in consecutive
-    slices of CHUNK (the last one shorter), and leave none out.
+    slices of CHUNK (the last one shorter), and, if complete, leave none out.
     """
     left: dict[int, list] = {}
     for trial in trials:
@@ -263,7 +268,7 @@ def _paired(runs, trials) -> list[tuple]:
         sizes.setdefault(n, []).append(size)
         pairs += zip(zip(*(c if c is not None else [None] * size for c in columns)), left[n][:size])
         left[n] = left[n][size:]
-    assert not any(left.values())
+    assert not (complete and any(left.values()))
     for each in sizes.values():
         assert each[:-1] == [suite.CHUNK] * (len(each) - 1) and 0 < each[-1] <= suite.CHUNK
     return pairs
@@ -417,6 +422,17 @@ def test_guard_marks_only_its_tag_group():
     with w.guard("F11."):
         raise InconsistentStructure("planted")
     assert w.residuals == {"F4+F5.tau": 2e-12, "F11.tau": np.inf, "F11.xi": np.inf}
+
+
+def test_decided_needs_infinity_under_every_name_of_its_prefix():
+    w = suite._Worst("b", ["F11.tau", "F11.xi", "F4+F5.tau"])
+    assert not w.decided() and not w.decided("F11.")  # no name added yet
+    w.add("F11.tau", math.inf)
+    assert not w.decided("F11.")  # F11.xi never added
+    w.add("F11.xi", np.array([0.0, np.nan]))  # NaN counts as infinity
+    assert w.decided("F11.") and not w.decided("F4+F5.") and not w.decided()
+    w.add("F4+F5.tau", float("nan"))
+    assert w.decided("F4+F5.") and w.decided()
 
 
 @pytest.mark.parametrize(
@@ -607,19 +623,77 @@ LITERAL_DRAWS = {
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize("battery", sorted(LITERAL_DRAWS))
 def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fault):
-    """The runs a battery evaluates hold the literal per-trial draws, and leave the generator where they do."""
+    """The runs a battery evaluates hold the literal per-trial draws, and leave the generator where they do.
+
+    Faulted, `axiom_induction` is decided by its first run (every faulted normal is off the
+    hyperboloid, so `induce` raises NotTimelike): it evaluates the literal draws' runs up to and
+    including that one and none after it.  At 9 trials every draw is made before the first run.
+    """
     runs = []
     _recording(monkeypatch, runs)
     drawing, gen = rng(21), rng(21)
-    suite.BATTERIES[battery](drawing, 9, (1, 2, 3), fault)
+    report = suite.BATTERIES[battery](drawing, 9, (1, 2, 3), fault)
     want = LITERAL_DRAWS[battery](gen, 9, (1, 2, 3), fault)
     assert drawing.bit_generator.state == gen.bit_generator.state
-    for got, (_, *fields) in _paired(runs, want):
+    decided = bool(fault) and battery == "axiom_induction"
+    if decided:
+        first = want[0][0]
+        assert [(n, len(columns[0])) for n, columns in runs] == [(first, sum(n == first for n, *_ in want))]
+        assert all(c.residual == math.inf for c in report)
+    for got, (_, *fields) in _paired(runs, want, complete=not decided):
         for a, b in zip(got, fields, strict=True):
             if b is None:
                 assert a is None
             else:
                 np.testing.assert_array_equal(a, np.asarray(b))
+
+
+def test_decided_battery_stops_drawing(monkeypatch):
+    """Faulted, `axiom_induction` is decided by its first run of CHUNK trials: it evaluates that run
+    alone and leaves its generator where the literal draws of those CHUNK trials leave it."""
+    runs = []
+    _recording(monkeypatch, runs)
+    drawing, gen = rng(21), rng(21)
+    report = suite.battery_axiom_induction(drawing, 150, (1,), fault=1e-3)
+    want = _reference_normals(gen, suite.CHUNK, (1,), 1e-3)
+    assert drawing.bit_generator.state == gen.bit_generator.state
+    assert len(runs) == 1
+    for (got,), (_, normal) in _paired(runs, want):
+        np.testing.assert_array_equal(got, normal)
+    assert report and all(c.residual == math.inf for c in report)
+
+
+def _recording_calls(monkeypatch, names) -> dict[str, list]:
+    """Has each named suite function append its (args, kwargs) to a list before it runs."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, real=getattr(suite, name), seen=calls[name], **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(suite, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-3])
+def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
+    """Every batch entry theorem31 and section_checks receive is one literal trial's point, angles and
+    section vector, on one branch: each n's trials in draw order, branch +1 first."""
+    calls = _recording_calls(monkeypatch, ["theorem31", "section_checks"])
+    suite.battery_solver_theorem(rng(21), 9, (1, 2, 3), fault)
+    want = _reference_solver(rng(21), 9, (1, 2, 3), fault)
+    sizes = list(dict.fromkeys(n for n, *_ in want))  # one run per n, in first-seen order: 9 trials < CHUNK
+    assert len(calls["theorem31"]) == len(calls["section_checks"]) == len(sizes)
+    for n, ((p, th, ths), kw), ((_, p_sec, x, *_), _) in zip(sizes, calls["theorem31"], calls["section_checks"]):
+        entries = [(eps, trial) for eps in suite.SOLVER_BRANCHES for trial in want if trial[0] == n]
+        assert len(th) == len(x) == len(entries)
+        for j, (eps, (_, U, entry, (nu, nut, t), (x_plus, x_minus))) in enumerate(entries):
+            point = contact_point(n, PointDraw(U, entry), fault)
+            for f in ("g", "phi", "xi", "eta"):
+                np.testing.assert_array_equal(getattr(p, f)[j], getattr(point, f))
+                np.testing.assert_array_equal(getattr(p_sec, f)[j], getattr(point, f))
+            assert (th[j], ths[j], kw["t"][j]) == (*solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n), t)
+            np.testing.assert_array_equal(x[j], x_plus if eps == 1 else x_minus)
 
 
 def _first_trial_of_each_size(runs, corrupt):
@@ -666,3 +740,35 @@ def test_chunked_groups_give_the_same_report(monkeypatch):
         assert [(c.name, c.threshold, c.passed) for c in chunked] == [(c.name, c.threshold, c.passed) for c in whole]
         if not fault:
             np.testing.assert_allclose([c.residual for c in chunked], [c.residual for c in whole], rtol=0, atol=1e-13)
+
+
+def _report(report) -> tuple:
+    return json.dumps(report.to_dict(), sort_keys=True), [(c.name, float(c.residual)) for c in report.checks]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_stopping_decided_batteries_leaves_every_report_unchanged(monkeypatch, seed):
+    """With `decided` never true every battery evaluates every trial, and the reports are the same."""
+    configs = [(trials, fault, reading) for trials in (1, 20, 150) for fault in (0.0, 1e-3, 1e-6)
+               for reading in (None, "literal")]
+    stopped = [_report(suite.run_suite(seed, t, fault=f, cor32_reading=r)) for t, f, r in configs]
+    monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
+    assert [_report(suite.run_suite(seed, t, fault=f, cor32_reading=r)) for t, f, r in configs] == stopped
+
+
+def test_nan_reading_residual_is_infinite(monkeypatch):
+    """A NaN in a reading's curvature is an infinite residual, as everywhere else in the suite."""
+    real = suite.K_cor32
+
+    def nan_squared(d, nupair, reading="squared"):
+        K = real(d, nupair, reading=reading)
+        if reading != "squared":
+            return K
+        entries = np.array(K.entries)
+        entries.flat[0] = np.nan
+        return MultilinearForm._trusted(entries, K.batch)
+
+    monkeypatch.setattr(suite, "K_cor32", nan_squared)
+    checks = {c.name: c for c in suite.battery_expanded_coefficients(rng(3), 6, (1, 2, 3))}
+    assert checks["expanded_coefficients.reading_squared"].residual == math.inf
+    assert not checks["expanded_coefficients.reading_squared"].passed
