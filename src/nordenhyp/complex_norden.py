@@ -19,7 +19,6 @@ from .multilinear import (
     apply,
     area_factor,
     generator_factors,
-    generator_stack,
     invert_metric,
     kulkarni_nomizu_sum,
     pairings,
@@ -27,7 +26,6 @@ from .multilinear import (
     require_finite,
     rows,
     signature,
-    stack_rows,
     transpose,
     twist_last,
 )
@@ -115,15 +113,6 @@ class ComplexNordenPoint:
         g, gJ = self.g, associated_metric_prime(self)
         return generator_factors((g, gJ, g), (g, gJ, gJ), (0.5, 0.5, -1.0))
 
-    @cached_property
-    def pi_prime_stack(self) -> np.ndarray:
-        """pi'_1..pi'_3 as the rows of one read-only (3, d^4) array, built on the first `pi_prime` call."""
-        return generator_stack(*self.pi_prime_factors)
-
-    @cached_property
-    def _pi_prime_family(self) -> tuple[MultilinearForm, ...]:
-        return stack_rows(self.pi_prime_stack)
-
     def pi_prime_combination(self, c) -> MultilinearForm:
         """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3 for a coefficient vector c, built from the factor pairs."""
         return kulkarni_nomizu_sum(*self.pi_prime_factors, c)
@@ -134,7 +123,7 @@ class ComplexNordenPoint:
         """Flat model: basis {a_1..a_n', Ja_1..Ja_n'}, diagonal metric.
 
         Points are immutable, so one instance per size is shared, with its
-        cached generators.
+        cached generator factors.
         """
         d = 2 * n_prime
         g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
@@ -189,11 +178,12 @@ def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
 
     With g~' = g'(., J .) and the Kulkarni-Nomizu product o:
     pi'_1 = g' o g' / 2, pi'_2 = g~' o g~' / 2, pi'_3 = -g' o g~'.
-    The forms are read-only rows of the point's cached `pi_prime_stack`.
+    pi'_i is built from the point's factor pairs on each call, as the combination
+    of a unit vector; see `ComplexNordenPoint.pi_prime_combination`.
     """
     if i not in (1, 2, 3):
         raise BadIndex(f"pi_prime index must be 1..3, got {i}")
-    return point._pi_prime_family[i - 1]
+    return point.pi_prime_combination(np.eye(3)[i - 1])
 
 
 def model_curvature(model: AmbientModel) -> MultilinearForm:

@@ -32,7 +32,6 @@ from .multilinear import (
     apply,
     dot,
     generator_factors,
-    generator_stack,
     invert_metric,
     kulkarni_nomizu_sum,
     matrix_max,
@@ -40,7 +39,6 @@ from .multilinear import (
     read_only,
     require_finite,
     signature,
-    stack_rows,
     substitute_endo_last_two,
     transpose,
 )
@@ -128,15 +126,6 @@ class ContactNordenPoint:
         g, gp, ee = self.g, self.g_phi, self.eta[..., :, None] * self.eta[..., None, :]
         return generator_factors((g, gp, g, g, gp), (g, gp, gp, ee, ee), (0.5, 0.5, -1.0, 1.0, 1.0))
 
-    @cached_property
-    def pi_stack(self) -> np.ndarray:
-        """pi_1..pi_5 as the rows of one read-only (5, d^4) array, built on the first `pi` call."""
-        return generator_stack(*self.pi_factors)
-
-    @cached_property
-    def _pi_family(self) -> tuple[MultilinearForm, ...]:
-        return stack_rows(self.pi_stack)
-
     def pi_combination(self, c) -> MultilinearForm:
         """c_1 pi_1 + ... + c_5 pi_5 for a coefficient vector c, built from the factor pairs."""
         return kulkarni_nomizu_sum(*self.pi_factors, c)
@@ -148,7 +137,7 @@ class ContactNordenPoint:
 
         Basis {e_1..e_n, phi e_1..phi e_n, xi}; phi e_i = e_{n+i},
         phi e_{n+i} = -e_i, phi xi = 0.  Points are immutable, so one
-        instance per size is shared, with its cached generators.
+        instance per size is shared, with its cached generator factors.
         """
         d = 2 * n + 1
         g = np.diag(np.concatenate([np.ones(n), -np.ones(n), [1.0]]))
@@ -229,12 +218,12 @@ def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
     With g~ = g(., phi .) and the Kulkarni-Nomizu product o:
     pi_1 = g o g / 2, pi_2 = g~ o g~ / 2, pi_3 = -g o g~,
     pi_4 = g o (eta (x) eta), pi_5 = g~ o (eta (x) eta).
-    The forms are read-only rows of the point's cached `pi_stack`; build a
-    combination of them with `ContactNordenPoint.pi_combination`.
+    pi_i is built from the point's factor pairs on each call, as the combination
+    of a unit vector; build any other combination with `ContactNordenPoint.pi_combination`.
     """
     if i not in (1, 2, 3, 4, 5):
         raise BadIndex(f"pi index must be 1..5, got {i}")
-    return point._pi_family[i - 1]
+    return point.pi_combination(PI_UNITS[i - 1])
 
 
 def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> OneForms:

@@ -205,10 +205,10 @@ def pi_relations_residual(structure: InducedStructure) -> float | np.ndarray:
     Checks g'(y, Jz) = g(y, phi z) + tan t eta(y) eta(z) together with
     pi'_1 = pi_1, pi'_2 = pi_2 + tan t pi_5 and pi'_3 = pi_3 - tan t pi_4,
     comparing pulled-back ambient tensors with the induced ones, on the
-    dense d^4 generators.  A batched structure gives one residual per entry.
+    dense d^4 generators: each family is one build of its unit vectors, with
+    the generator axis in front of the batch.  A batched structure gives one
+    residual per entry.
     """
-    from .complex_norden import pi_prime
-
     amb = structure.frame.ambient
     B = structure.tangent_basis
     p = structure.point
@@ -218,14 +218,16 @@ def pi_relations_residual(structure: InducedStructure) -> float | np.ndarray:
     metric_rel = transpose(B) @ amb.gJ @ B
     res = [matrix_max(metric_rel - (p.g_phi + t2 * p.eta[..., :, None] * p.eta[..., None, :]))]
 
+    pis = p.pi_combination(PI_UNITS.reshape((5,) + (1,) * len(p.batch) + (5,))).entries
+    pi_primes = amb.pi_prime_combination(np.eye(3)).entries
+
     def gap(i: int, want: np.ndarray) -> np.ndarray:
-        pulled = substitute_pairs(pi_prime(i, amb).entries, B, B)
+        pulled = substitute_pairs(pi_primes[i - 1], B, B)
         return np.abs(pulled - want).max(axis=(-4, -3, -2, -1))
 
-    pis = {i: pi(i, p).entries for i in range(1, 6)}
-    res.append(gap(1, pis[1]))
-    res.append(gap(2, pis[2] + t4 * pis[5]))
-    res.append(gap(3, pis[3] - t4 * pis[4]))
+    res.append(gap(1, pis[0]))
+    res.append(gap(2, pis[1] + t4 * pis[4]))
+    res.append(gap(3, pis[2] - t4 * pis[3]))
     return np.maximum.reduce(res)
 
 

@@ -6,9 +6,11 @@ tries to be clever about memory or sparsity.  The one contraction order
 that matters is in the substitutions: every 4-slot substitution runs as at
 most two (d^2 x d^2) matrix products instead of one unordered einsum.
 
-Generator families are kept as Kulkarni-Nomizu factor pairs (h_i, k_i): a
-combination sum_i c_i h_i o k_i is one build from them (`kulkarni_nomizu_sum`),
-and a substitution moves the factors, (h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B).
+Generator families are kept as Kulkarni-Nomizu factor pairs (h_i, k_i), and
+`kulkarni_nomizu_sum` is the one place a product is formed: a combination
+sum_i c_i h_i o k_i is one build from the pairs, a single generator is the build
+of a unit vector, and a substitution moves the factors,
+(h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B).
 
 Finiteness is checked where data enters: the public `MultilinearForm`
 constructor, a scalar factor, a coefficient vector, and the point and
@@ -35,9 +37,8 @@ MAX_DIM = 9
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative comparison thresholds.
-
-    Equality is |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
+    """Mixed absolute/relative thresholds: a residual r at scale s is negligible when
+    |r| <= abs_tol + rel_tol * |s| (`ok`).
     """
 
     abs_tol: float = 1e-10
@@ -46,12 +47,6 @@ class Tolerance:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-
-    def close(self, a, b) -> bool:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        bound = self.abs_tol + self.rel_tol * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= bound))
 
     def ok(self, residual: float, scale: float = 1.0) -> bool:
         """Whether a residual is negligible at the given scale."""
@@ -277,33 +272,14 @@ def area_factor(g, x, y, z, u) -> float | np.ndarray:
     return M[..., 1, 0] * M[..., 0, 1] - M[..., 0, 0] * M[..., 1, 1]
 
 
-def _kn_permute(P: np.ndarray, batch, d: int) -> np.ndarray:
-    """X - X(x, y, u, z) for X(x, y, z, u) = P[(x, u), (y, z)] + P[(y, z), (x, u)]."""
-    b = len(batch)
-    P = P + P.swapaxes(-1, -2)
-    X = P.reshape(*batch, d, d, d, d).transpose(*range(b), b, b + 2, b + 3, b + 1)
-    return X - X.swapaxes(-1, -2)
-
-
-def kulkarni_nomizu(h, k) -> np.ndarray:
-    """Kulkarni-Nomizu product of bilinear forms, as a rank-4 array.
-
-    (h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z).
-    h and k may carry matching leading batch axes, (..., d, d); the result
-    is then (..., d, d, d, d), one product per batch entry.
-    """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    *batch, d, _ = h.shape
-    return _kn_permute(h.reshape(*batch, d * d, 1) * k.reshape(*batch, 1, d * d), batch, d)
-
-
 def kulkarni_nomizu_sum(h: np.ndarray, k: np.ndarray, c) -> MultilinearForm:
     """sum_i c_i (h_i o k_i) for (..., m, d, d) factor stacks, as one rank-4 form.
 
-    One (d^2, m) @ (m, d^2) product per batch entry, then the permutation step of
-    `kulkarni_nomizu`; the four-term formula is taken as written, so the factors
-    need not be symmetric.  The (..., m) coefficients broadcast against the batch.
+    (h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z),
+    taken as written, so the factors need not be symmetric.  One (d^2, m) @ (m, d^2)
+    product per batch entry, then one permutation step.  The (..., m) coefficients
+    broadcast against the batch, so c of shape (r, 1, ..., 1, m) builds r forms per
+    batch entry on a new leading axis; unit vectors give the single generators.
     """
     c = np.asarray(c, dtype=float)
     *batch, m, d, _ = h.shape
@@ -311,7 +287,11 @@ def kulkarni_nomizu_sum(h: np.ndarray, k: np.ndarray, c) -> MultilinearForm:
         raise DimensionMismatch(f"{m} pairs of dimension {d} (at most {MAX_DIM}), coefficients {c.shape}")
     require_finite(c, "coefficients")
     P = (h.reshape(*batch, m, d * d).swapaxes(-1, -2) * c[..., None, :]) @ k.reshape(*batch, m, d * d)
-    return MultilinearForm._trusted(_kn_permute(P, P.shape[:-2], d), P.ndim - 2)
+    # the permutation step: X - X(x, y, u, z) for X(x, y, z, u) = P[(x, u), (y, z)] + P[(y, z), (x, u)]
+    b = P.ndim - 2
+    P = P + P.swapaxes(-1, -2)
+    X = P.reshape(*P.shape[:-2], d, d, d, d).transpose(*range(b), b, b + 2, b + 3, b + 1)
+    return MultilinearForm._trusted(X - X.swapaxes(-1, -2), b)
 
 
 def generator_factors(h, k, scale) -> np.ndarray:
@@ -327,25 +307,6 @@ def generator_factors(h, k, scale) -> np.ndarray:
     require_finite(hk, "generator factors")
     hk.setflags(write=False)
     return hk
-
-
-def generator_stack(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rows h_i o k_i of (..., m, d, d) factor pairs, flattened, as one read-only (..., m, d^4) array."""
-    *lead, d, _ = h.shape
-    if d > MAX_DIM:
-        raise DimensionMismatch(f"dimension {d} exceeds the supported {MAX_DIM}")
-    stack = kulkarni_nomizu(h, k).reshape(*lead, d**4)
-    stack.setflags(write=False)
-    return stack
-
-
-def stack_rows(stack: np.ndarray) -> tuple[MultilinearForm, ...]:
-    """The m rows of a (..., m, d^4) generator stack as rank-4 forms over the leading axes; read-only views."""
-    *batch, m, d4 = stack.shape
-    d = math.isqrt(math.isqrt(d4))
-    return tuple(
-        MultilinearForm._trusted(stack[..., i, :].reshape(*batch, d, d, d, d), len(batch)) for i in range(m)
-    )
 
 
 def pair_matrix(M) -> np.ndarray:

@@ -25,7 +25,7 @@ it pulls no further run from its stream and draws no further trial.  Each
 battery draws from its own generator, so stopping one leaves the others'
 inputs unchanged; `induced_curvature` keeps drawing its first loop's
 trials for the totally real loop that shares its generator, but skips a
-decided tag group's evaluation.  A clean run decides no battery and
+decided tag group's evaluation, and builds no run once both are decided.  A clean run decides no battery and
 evaluates every trial.  Under fault, the first run still goes through
 every battery's error path, but a non-geometry exception that a skipped
 run would have raised is not raised.
@@ -302,13 +302,17 @@ def _contact_trial(
 
 
 def _contact_runs(
-    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, every_n: bool = False, **draws
+    gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, every_n: bool = False,
+    needed: Callable[[], bool] | None = None, **draws
 ):
     """Contact trials (`_contact_trial` with draws) of an n drawn from n_values (or each in turn if
     every_n), built a run at a time as one batch: (point, scalars, nu pair, vectors), the nu pair as
-    two (B,) arrays (none if not drawn) and the vectors as one (k, B, d) array."""
+    two (B,) arrays (none if not drawn) and the vectors as one (k, B, d) array.  While needed() is
+    false a run is drawn but neither built nor yielded."""
     sizes = (n for _ in range(trials) for n in n_values) if every_n else _chosen(gen, trials, n_values)
     for n, (U, entry, t, Omega, scalars, xs) in _runs(_contact_trial(gen, n, fault, **draws) for n in sizes):
+        if needed and not needed():
+            continue
         p = contact_point(n, PointDraw(U, entry), fault)
         scalars = scalars.T
         yield p, hyper_scalars(t, scalars[:5], Omega, p), scalars[5:], None if xs is None else xs.swapaxes(0, 1)
@@ -392,9 +396,13 @@ def battery_induced_curvature(
     """Scalar and special sectional curvatures of the two closed-form classes."""
     names = ("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")
     w = _Worst("induced_curvature", [*_per_tag(names), "totally_real"])
-    for p, sc, (nu, nut), xs in _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2):
-        for tag, x in zip((F4_F5, F11), xs):
-            if w.decided(f"{tag}."):  # the draws go on: the totally real loop below takes the same generator
+    tags = (F4_F5, F11)
+    # once both tag groups are decided the draws go on unbuilt: the totally real loop below takes the same generator
+    draws = _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2,
+                          needed=lambda: not all(w.decided(f"{tag}.") for tag in tags))
+    for p, sc, (nu, nut), xs in draws:
+        for tag, x in zip(tags, xs):
+            if w.decided(f"{tag}."):
                 continue
             with w.guard(f"{tag}."):
                 A = shape_from_class(p, tag, sc)

@@ -675,6 +675,26 @@ def _recording_calls(monkeypatch, names) -> dict[str, list]:
     return calls
 
 
+def test_decided_tag_groups_build_no_more_runs(monkeypatch):
+    """Faulted, `induced_curvature`'s first run decides both tag groups: the first loop builds that
+    run alone and draws the rest unbuilt, and the totally real loop builds its one run.  Building
+    every run of the first loop gives the same report and leaves the generator in the same state."""
+    calls = _recording_calls(monkeypatch, ["contact_point"])
+    drawing = rng(7)
+    report = suite.battery_induced_curvature(drawing, 150, (1, 2, 3), fault=1e-3)
+    assert len(calls["contact_point"]) == 2
+    real = suite._Worst.decided
+
+    def only_totally_real(self, prefix=""):  # the first loop's tag groups never count as decided
+        return prefix == "totally_real" and real(self, prefix)
+
+    monkeypatch.setattr(suite._Worst, "decided", only_totally_real)
+    every = rng(7)
+    assert suite.battery_induced_curvature(every, 150, (1, 2, 3), fault=1e-3) == report
+    assert len(calls["contact_point"]) == 2 + 4
+    assert drawing.bit_generator.state == every.bit_generator.state
+
+
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
     """Every batch entry theorem31 and section_checks receive is one literal trial's point, angles and

@@ -25,6 +25,7 @@ from nordenhyp.sampling import random_complex_point, random_totally_real_pair
 def test_standard_point_valid(n_prime):
     rep = validate_complex_norden(ComplexNordenPoint.standard(n_prime))
     assert rep.passed, rep.render_text()
+    assert ComplexNordenPoint.standard(n_prime) is ComplexNordenPoint.standard(n_prime)
 
 
 def test_congruence_preserves_axioms(gen):
@@ -79,6 +80,11 @@ def test_pi_prime_combination_matches_defining_formulas(gen, n_prime):
     c = gen.uniform(-2, 2, size=3)
     got = p.pi_prime_combination(c).entries
     assert np.allclose(got, loop_pi_prime_combination(p, c), rtol=0, atol=1e-12)
+    with pytest.raises(NonFiniteInput):
+        p.pi_prime_combination([1.0, np.inf, 0.0])
+    q = ComplexNordenPoint(p.n_prime, p.g.copy(), p.J.copy())
+    for i in (1, 2, 3):
+        assert np.array_equal(pi_prime(i, p).entries, pi_prime(i, q).entries)
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
@@ -90,20 +96,8 @@ def test_pi_prime_substitution_moves_the_factors(gen, n_prime):
     got = kulkarni_nomizu_sum(A.T @ h @ B, A.T @ k @ B, c).entries
     want = substitute_endo_last_two(substitute_endo_first_two(p.pi_prime_combination(c), A), B).entries
     assert np.allclose(got, want, rtol=0, atol=1e-12)
-    assert "pi_prime_stack" not in vars(p)  # combinations never build the d^4 rows
     for i, e in enumerate(np.eye(3), 1):
         assert np.array_equal(p.pi_prime_combination(e).entries, pi_prime(i, p).entries)
-
-
-def test_pi_prime_stack_cached_and_read_only(gen):
-    p = random_complex_point(gen, 2)
-    stack = p.pi_prime_stack
-    assert stack.shape == (3, p.dim**4)
-    assert p.pi_prime_stack is stack
-    assert not stack.flags.writeable
-    assert ComplexNordenPoint.standard(3) is ComplexNordenPoint.standard(3)
-    with pytest.raises(NonFiniteInput):
-        p.pi_prime_combination([1.0, np.inf, 0.0])
 
 
 @pytest.mark.parametrize("field", ["g", "J"])
@@ -113,16 +107,6 @@ def test_nonfinite_field_rejected(field):
     fields[field][0, 1] = np.nan
     with pytest.raises(NonFiniteInput):
         ComplexNordenPoint(1, **fields)
-
-
-def test_pi_prime_cached_and_read_only(gen):
-    p = random_complex_point(gen, 2)
-    q = ComplexNordenPoint(p.n_prime, p.g.copy(), p.J.copy())
-    for i in (1, 2, 3):
-        assert pi_prime(i, p) is pi_prime(i, p)
-        assert np.array_equal(pi_prime(i, p).entries, pi_prime(i, q).entries)
-        with pytest.raises(ValueError):
-            pi_prime(i, p).entries[0, 0, 0, 0] = 1.0
 
 
 class TestModelCurvature:

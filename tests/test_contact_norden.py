@@ -125,16 +125,6 @@ class TestPiFamily:
         for i, w in enumerate(want, start=1):
             assert pi(i, p)(x, y, z, u) == pytest.approx(w, abs=1e-12)
 
-    def test_cached_per_point(self, gen):
-        p = random_contact_point(gen, 2)
-        for i in range(1, 6):
-            assert pi(i, p) is pi(i, p)
-
-    def test_entries_read_only(self, gen):
-        p = random_contact_point(gen, 2)
-        with pytest.raises(ValueError):
-            pi(1, p).entries[0, 0, 0, 0] = 1.0
-
     def test_equal_points_equal_generators(self, gen):
         p = random_contact_point(gen, 2)
         q = ContactNordenPoint(p.n, p.g.copy(), p.phi.copy(), p.xi.copy(), p.eta.copy())
@@ -183,16 +173,6 @@ class TestPiStack:
         got = kulkarni_nomizu_sum(A.T @ h @ B, A.T @ k @ B, c).entries
         want = substitute_endo_last_two(substitute_endo_first_two(p.pi_combination(c), A), B).entries
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-        assert "pi_stack" not in vars(p)  # combinations never build the d^4 rows
-
-    def test_stack_cached_and_read_only(self, gen):
-        p = random_contact_point(gen, 2)
-        stack = p.pi_stack
-        assert stack.shape == (5, p.dim**4)
-        assert p.pi_stack is stack
-        assert not stack.flags.writeable
-        for i in range(1, 6):
-            assert np.shares_memory(pi(i, p).entries, stack)
 
     def test_nonfinite_coefficient_rejected(self, gen):
         p = random_contact_point(gen, 1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nordenhyp.complex_norden import ComplexNordenPoint
 from nordenhyp.contact_norden import (
     PI_KAEHLER,
     PI_TWISTED,
@@ -48,6 +49,7 @@ from nordenhyp.hypersurface import (
 )
 from nordenhyp.multilinear import substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import (
+    draw_normal,
     random_contact_point,
     random_hyper_scalars,
     random_nu_pair,
@@ -94,6 +96,55 @@ class TestInduce:
         st = induce(frame)
         pairings = frame.N @ frame.ambient.g @ st.tangent_basis
         assert np.max(np.abs(pairings)) < 1e-10
+
+
+def four_term(h, k):
+    """(h o k)(x, y, z, u) = h(x, u) k(y, z) + h(y, z) k(x, u) - h(x, z) k(y, u) - h(y, u) k(x, z)."""
+    return (
+        np.einsum("...xu,...yz->...xyzu", h, k)
+        + np.einsum("...yz,...xu->...xyzu", h, k)
+        - np.einsum("...xz,...yu->...xyzu", h, k)
+        - np.einsum("...yu,...xz->...xyzu", h, k)
+    )
+
+
+def pullback_oracle(st) -> np.ndarray:
+    """pi_relations_residual rebuilt apart from the library's builder and substitutions: the
+    generators from their factor matrices by `four_term`, the pullback by einsum."""
+    amb, B, p = st.frame.ambient, st.tangent_basis, st.point
+    tan_t = np.asarray(np.tan(st.t))[..., None, None]
+    t4 = tan_t[..., None, None]
+    g, gJ = amb.g, amb.g @ amb.J
+    gt = 0.5 * (gJ + gJ.T)
+    G, Gp, ee = p.g, p.g_phi, np.einsum("...i,...j->...ij", p.eta, p.eta)
+    pis = [four_term(G, G) / 2, four_term(Gp, Gp) / 2, -four_term(G, Gp), four_term(G, ee), four_term(Gp, ee)]
+    pi_primes = [four_term(g, g) / 2, four_term(gt, gt) / 2, -four_term(g, gt)]
+
+    def gap(i: int, want: np.ndarray) -> np.ndarray:  # pi'_i(Bx, By, Bz, Bu) - want, one slot at a time
+        pulled = np.einsum("abcd,...dl->...abcl", pi_primes[i - 1], B)
+        pulled = np.einsum("...abcl,...ck->...abkl", pulled, B)
+        pulled = np.einsum("...abkl,...bj->...ajkl", pulled, B)
+        pulled = np.einsum("...ajkl,...ai->...ijkl", pulled, B)
+        return np.abs(pulled - want).max(axis=(-4, -3, -2, -1))
+
+    metric = np.einsum("...ai,ab,...bj->...ij", B, gJ, B) - (Gp + tan_t * ee)
+    return np.maximum.reduce([
+        np.abs(metric).max(axis=(-2, -1)),
+        gap(1, pis[0]),
+        gap(2, pis[1] + t4 * pis[4]),
+        gap(3, pis[2] - t4 * pis[3]),
+    ])
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("n_prime", [2, 3, 4])
+def test_pullback_matches_independent_oracle(gen, n_prime, batch):
+    """The pullback check against the identities rebuilt with none of its kernels."""
+    normals = np.array([draw_normal(gen, n_prime) for _ in range(batch or 1)])
+    st = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), normals if batch else normals[0]))
+    want = pullback_oracle(st)
+    assert np.max(want) < 1e-12
+    np.testing.assert_allclose(pi_relations_residual(st), want, rtol=0, atol=1e-13)
 
 
 class TestHyperScalars:
