@@ -186,6 +186,10 @@ def _run_validate(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_induce(payload: dict, args) -> tuple[ValidationReport, dict]:
+    # the pullback check builds the ambient pi' family, of dimension d' = 2 n_prime <= MAX_DIM
+    ambient, _ = _need(payload, "ambient", "N")
+    n_prime = _size(_as_object(ambient, "ambient"), "n_prime")
+    _as_int(n_prime, "ambient n_prime", minimum=1, maximum=MAX_DIM // 2)
     structure = induce(_normal_frame(payload), args.tol)
     checks = (*validate_contact_axioms(structure.point, args.tol).checks,
               check("pullback_identities", pi_relations_residual(structure)))

@@ -55,3 +55,7 @@ class DegenerateFlat(GeometryError):
 
 class NonFiniteInput(GeometryError, ValueError):
     """Input data holds a NaN or an infinity; raised where data enters, not inside."""
+
+
+class NoAcceptableCandidate(GeometryError):
+    """Every candidate slot of a trial's row failed its rejection test."""

@@ -278,15 +278,19 @@ def shape_from_class(
 
 def validate_F6_shape(
     point: ContactNordenPoint, A: np.ndarray, scalars: HyperScalars
-) -> float:
-    """Max residual of the three F6 conditions on A."""
+) -> float | np.ndarray:
+    """Max residual of the five conditions under which A induces an F in F6: A is
+    g-self-adjoint, [A, phi] = 0, eta(A xi) = -dt(xi) / (2 cos t), tr A = eta(A xi) and
+    tr(A phi) = 0; one residual per entry of a batch."""
     phi = point.phi
-    res = [
-        float(np.max(np.abs(A @ phi - phi @ A))),
-        abs(trace_endo(A) - scalars.dt_xi / (2 * scalars.cos_t)),
-        abs(trace_compose(A, phi)),
-    ]
-    return max(res)
+    eta_A_xi = dot(point.eta, apply(A, point.xi))
+    return np.maximum.reduce([
+        matrix_max(point.g @ A - transpose(A) @ point.g),
+        matrix_max(A @ phi - phi @ A),
+        np.abs(eta_A_xi + scalars.dt_xi / (2 * scalars.cos_t)),
+        np.abs(trace_endo(A) - eta_A_xi),
+        np.abs(trace_compose(A, phi)),
+    ])
 
 
 def F_from_A(point: ContactNordenPoint, A: np.ndarray, t: float) -> MultilinearForm:

@@ -6,15 +6,20 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-A contact point and a time-like normal are drawn (`draw_point`,
-`draw_normal`) apart from being built (`contact_point`, `hyper_scalars`, a
-frame over the standard ambient), so a battery can draw its trials in
-order and build each run of trials of one size as one batch: a stack of
-draws builds a batched point.
+The per-call samplers (`draw_point`, `draw_normal`, `random_nu_pair`,
+`random_totally_real_pair`, the `random_*` builders) draw one instance per
+call.  The suite instead reads each trial from one row of uniform doubles
+(`suite._Row`): a value in [low, high) is `uniform(u, low, high)`, the map
+`Generator.uniform` applies, and an index below k is floor(u k).  Each
+rejection sampler gets a fixed number of candidate slots per row and takes
+the first acceptable candidate (`timelike_normals`, `totally_real_pairs`,
+`solver_angles`); the counts are set from the measured rejection rates so
+that a row with none is rarer than 1e-15, and such a row raises
+`NoAcceptableCandidate` instead of drawing again.
 
-Consecutive `uniform` calls with the same bounds are drawn as one call of
-their total size; PCG64 turns each value into one 64-bit output in order,
-so the values and the generator state are those of the separate calls.
+A contact point is drawn (`PointDraw`) apart from being built
+(`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
+stack of draws builds a batched point.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ import numpy as np
 
 from .complex_norden import ComplexNordenPoint
 from .contact_norden import ContactNordenPoint
+from .errors import NoAcceptableCandidate
 from .hypersurface import HyperScalars, TimelikeNormalFrame
 from .main_class import MainClassData
 from .multilinear import dot, per_entry
@@ -31,6 +37,26 @@ from .multilinear import dot, per_entry
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def uniform(u, low: float, high: float):
+    """Doubles u in [0, 1) mapped to [low, high), as `Generator.uniform` maps its draws."""
+    return low + (high - low) * u
+
+
+# Candidate slots per row for each rejection sampler: the least K with r**K < 1e-15 for
+# the largest rejection rate r measured at the sizes the suite draws (4e6 tries each).
+PAIR_CANDIDATES = 37  # totally real pair: r = 0.387 at n' = 2, 0.079 at 3, 0.011 at 4
+NORMAL_CANDIDATES = 11  # time-like normal: r = 0.040 to 0.041 at n' = 2..5
+RADICAND_CANDIDATES = 11  # solver radicand: r = 0.042
+
+
+def _first_accepted(ok: np.ndarray, what: str) -> np.ndarray:
+    """The index of each row's first True in ok (B, K): its first acceptable candidate."""
+    k = ok.argmax(axis=1)
+    if not ok[np.arange(len(ok)), k].all():
+        raise NoAcceptableCandidate(f"no acceptable {what} among {ok.shape[1]} candidates")
+    return k
 
 
 def random_congruence(gen: np.random.Generator, d: int, scale: float = 0.3) -> np.ndarray:
@@ -44,11 +70,10 @@ PointDraw = namedtuple("PointDraw", "U entry")
 
 
 def draw_point(gen: np.random.Generator, n: int, fault: float = 0.0) -> PointDraw:
-    """The raw block U, then (if fault) the entry as two scalar draws: the stream of one size-2 call,
-    since the bit generator keeps the unused half of a 64-bit output for the next 32-bit draw."""
+    """The raw block U, then (if fault) the entry."""
     d = 2 * n + 1
     U = gen.uniform(-1.0, 1.0, size=(d, d))
-    return PointDraw(U, np.array((gen.integers(d), gen.integers(d))) if fault else None)
+    return PointDraw(U, gen.integers(0, d, size=2) if fault else None)
 
 
 def contact_point(n: int, draw: PointDraw, fault: float = 0.0) -> ContactNordenPoint:
@@ -110,6 +135,44 @@ def random_timelike_frame(
 ) -> TimelikeNormalFrame:
     """Standard flat ambient with a random time-like unit normal (`draw_normal`)."""
     return TimelikeNormalFrame(ambient=ComplexNordenPoint.standard(n_prime), N=draw_normal(gen, n_prime, fault))
+
+
+def timelike_normals(u: np.ndarray, n_prime: int, fault: float = 0.0) -> np.ndarray:
+    """(B, 2n') normals from candidate slots u (B, K, 2 + 2m), m >= n', as `draw_normal` builds one:
+    per candidate the index floor(u n'), s and the 2n' tangential entries; the first candidate
+    whose square is below -0.1 is normalized."""
+    i = (u[..., 0] * n_prime).astype(np.intp)
+    s = uniform(u[..., 1], -1.2, 1.2)
+    v = 0.3 * uniform(u[..., 2:2 + 2 * n_prime], -1.0, 1.0)
+    at = (*np.indices(i.shape, sparse=True), i)
+    v[at] += np.sinh(s)
+    v[at[:-1] + (i + n_prime,)] += np.cosh(s)
+    sq = (v * v) @ np.diag(ComplexNordenPoint.standard(n_prime).g)
+    k = _first_accepted(sq < -0.1, "time-like normal")
+    rows = np.arange(len(u))
+    N = v[rows, k] / np.sqrt(-sq[rows, k])[:, None]
+    return N + fault if fault else N
+
+
+def totally_real_pairs(u: np.ndarray, n_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 2n') pairs x, y from candidate slots u (B, K, 2m), m >= n', as `random_totally_real_pair`
+    builds one: per candidate the n' x 2 coefficient block; the first nondegenerate one wins."""
+    c = uniform(u[..., :2 * n_prime], -1.0, 1.0).reshape(*u.shape[:2], n_prime, 2)
+    a, b = np.moveaxis(c, -1, 0)
+    xx, xy, yy = (np.einsum("...i,...i->...", p, q) for p, q in ((a, a), (a, b), (b, b)))  # the Gram block
+    k = _first_accepted(np.abs(yy * xx - xy**2) > 0.05, "totally real pair")
+    x, y = np.zeros((2, len(u), 2 * n_prime))
+    x[:, :n_prime], y[:, :n_prime] = np.moveaxis(c[np.arange(len(u)), k], -1, 0)
+    return x, y
+
+
+def solver_angles(u: np.ndarray) -> np.ndarray:
+    """(B, 3) rows (nu, nu~, t) from candidate slots u (B, K, 3): the first candidate whose
+    solver radicand nu cos t - nu~ sin t + |(nu, nu~)| is safely positive."""
+    nu, nut, t = uniform(u[..., 0], -2.0, 2.0), uniform(u[..., 1], -2.0, 2.0), uniform(u[..., 2], -1.2, 1.2)
+    k = _first_accepted(nu * np.cos(t) - nut * np.sin(t) + np.hypot(nu, nut) >= 0.01, "solver radicand")
+    rows = np.arange(len(u))
+    return np.stack([nu[rows, k], nut[rows, k], t[rows, k]], axis=-1)
 
 
 def hyper_scalars(t, derivatives, Omega=None, point: ContactNordenPoint | None = None) -> HyperScalars:

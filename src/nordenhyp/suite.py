@@ -10,25 +10,35 @@ tensors) count as infinite residuals, under every check name the battery
 or tag group declares, rather than aborting the run; any other exception
 is a bug and propagates.
 
-Every battery draws its trials in the order a per-trial loop would, and
-evaluates each size n's trials in consecutive runs of `CHUNK` (the last one
-shorter) as one batch through the layers' leading batch axis; a run that
-raises counts for all its trials.  The draws are streamed (`_runs`): a run
-is evaluated as soon as it is full, so at most one partial run per n is
-held and memory stays flat in `trials`.  Evaluation draws nothing, and the
-worst residual does not depend on the order of the runs, so the report is
-that of drawing every trial first.
+Every battery reads trial j from row j of its own stream of uniform doubles:
+the battery's generator cut into rows of a fixed width w (`_Row`), drawn
+`CHUNK` rows per generator call (`_blocks`).  A row holds, in order, the size
+draw, the congruence block U, the fault entry, t, Omega, the scalars and the
+section vectors, then a fixed number of candidate slots for each rejection
+sampler, which takes its first acceptable candidate (`sampling`); each field
+is sized for the largest n, and a smaller n uses a prefix of it.  The fault
+entry's slots are there at any fault, so a faulted run perturbs the very
+points a clean run of the same seed draws.  PCG64 turns
+one output into one double, so row j does not depend on CHUNK or on where a
+run ends, and a fresh generator advanced by j w draws it first.  A block's
+rows of one n are decoded together and join that n's buffer (`_trials`);
+each size n's trials are evaluated in consecutive runs of `CHUNK` (the last
+one shorter) as one batch through the layers' leading batch axis, and a run
+that raises counts for all its trials.  A run is evaluated as soon as it is
+full (`_runs`), so one block and at most one partial run per n are held and
+memory stays flat in `trials`.  Evaluation draws nothing, and the worst
+residual does not depend on the order of the runs, so the report is that of
+drawing every trial first.
 
 A battery stops once its report is decided: when every name it declares
 already holds infinity, no later run can change a byte of the report, so
-it pulls no further run from its stream and draws no further trial.  Each
-battery draws from its own generator, so stopping one leaves the others'
-inputs unchanged; `induced_curvature` keeps drawing its first loop's
-trials for the totally real loop that shares its generator, but skips a
-decided tag group's evaluation, and builds no run once both are decided.  A clean run decides no battery and
-evaluates every trial.  Under fault, the first run still goes through
-every battery's error path, but a non-geometry exception that a skipped
-run would have raised is not raised.
+it pulls no further run and draws no further block.  Each battery draws
+from its own generator, and `induced_curvature`'s totally real loop from a
+stream of its own (`jumped()`), so stopping one loop leaves every other
+loop's inputs unchanged.  A clean run decides no battery and evaluates every
+trial.  Under fault, the first run still goes through every battery's error
+path, but a non-geometry exception that a skipped run would have raised is
+not raised.
 
 Each identity has one check family, shared with the CLI kinds: a function
 from one point's (or one batch's) inputs to `{name: residual}`.
@@ -100,14 +110,16 @@ from .main_class import (
 from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance, apply, bilinear, trace_compose, trace_endo
 from .report import Check, ValidationReport
 from .sampling import (
+    NORMAL_CANDIDATES,
+    PAIR_CANDIDATES,
+    RADICAND_CANDIDATES,
     PointDraw,
     contact_point,
-    draw_normal,
-    draw_point,
     hyper_scalars,
-    random_nu_pair,
-    random_totally_real_pair,
     rng,
+    solver_angles,
+    timelike_normals,
+    totally_real_pairs,
 )
 
 # What a battery's except clause catches: a geometry error is a verdict, anything else a bug.
@@ -183,11 +195,12 @@ class _Worst:
         """Every declared name starting with prefix holds infinity, so no later residual can change them."""
         return all(self.residuals.get(name) == math.inf for name in self.names if name.startswith(prefix))
 
-    def until_decided(self, runs: Iterable, prefix: str = ""):
-        """The runs, each pulled after the last one is evaluated, up to the one that decides prefix."""
+    def until_decided(self, runs: Iterable, *prefixes: str):
+        """The runs, each pulled after the last one is evaluated, up to the one that decides every
+        prefix (every declared name if none is given)."""
         for run in runs:
             yield run
-            if self.decided(prefix):
+            if all(self.decided(prefix) for prefix in prefixes or ("",)):
                 return
 
     def checks(self) -> list[Check]:
@@ -250,69 +263,133 @@ def theorem31_checks(p, res: Theorem31Result, th, ths) -> dict:
     }
 
 
-def _chosen(gen: np.random.Generator, trials: int, values) -> Iterable[int]:
-    """One of values per trial, drawn lazily, as the trial starts; one integer draw is the
-    stream of `int(gen.choice(values))`."""
-    values = tuple(values)
-    for _ in range(trials):
-        yield values[gen.integers(len(values))]
+class _Row:
+    """The layout of one trial's row of uniform doubles: named fields in order, each sized for
+    the largest n of the battery, so its width is fixed; a smaller n uses a prefix of a field.
+    A field is a width, or (width, low, high) for values in [low, high): `values` maps a block
+    of rows to them in place, as `Generator.uniform` maps its draws, and leaves the other
+    slots in [0, 1)."""
+
+    def __init__(self, **fields):
+        widths, low, high = zip(*(f if isinstance(f, tuple) else (f, 0.0, 1.0) for f in fields.values()))
+        ends = np.cumsum(widths).tolist()
+        self.fields = {name: slice(end - width, end) for name, width, end in zip(fields, widths, ends)}
+        self.width = ends[-1]
+        self.low, self.scale = np.repeat(low, widths), np.repeat(np.subtract(high, low), widths)
+
+    def values(self, block: np.ndarray) -> np.ndarray:
+        block *= self.scale
+        block += self.low
+        return block
+
+    def slots(self, rows: np.ndarray, name: str) -> np.ndarray:
+        return rows[:, self.fields[name]]
+
+    def candidates(self, rows: np.ndarray, name: str, count: int) -> np.ndarray:
+        """A field of count candidate slots as (B, count, slots per candidate)."""
+        return self.slots(rows, name).reshape(len(rows), count, -1)
 
 
-def _runs(trials: Iterable[tuple]):
-    """Trials (n, *fields), drawn lazily in order, grouped by n into runs of at most CHUNK.
+def _blocks(gen: np.random.Generator, count: int, width: int):
+    """count rows of width uniform doubles as (index of the first row, block), CHUNK rows per
+    generator call.  PCG64 turns one output into one double, in order, so row j holds doubles
+    j*width to (j + 1)*width - 1 of the stream whatever the block it falls in, and a fresh
+    generator advanced by j*width draws it first."""
+    for start in range(0, count, CHUNK):
+        yield start, gen.random((min(CHUNK, count - start), width))
 
-    A run is yielded as (n, columns) when n's buffer reaches CHUNK trials, and the
-    partial buffers at the end of the draws, in first-seen order; so the runs are
-    each n's trials in consecutive slices of CHUNK, and one buffer per n is held.
-    columns holds, per field, its values over the run stacked along a leading axis
-    (None for a field that is None).
+
+def _runs(pieces: Iterable[tuple]):
+    """Pieces (n, *columns) in draw order, grouped by n into runs of at most CHUNK trials.
+
+    A piece joins n's buffer, and a run is yielded as (n, columns) once the buffer holds CHUNK
+    trials, then the partial buffers at the end, in first-seen order; so the runs are each n's
+    trials in consecutive slices of CHUNK, and one buffer per n is held.  A column holds a
+    field's values over the trials along a leading axis (None for a field that is None, never
+    the first).
     """
     buffers: dict[int, list] = {}
 
-    def run(n):
-        group, buffers[n] = buffers[n], []
-        return n, [None if col[0] is None else np.array(col) for col in zip(*group)]
+    def cut(columns, start, stop=None):
+        return [None if c is None else c[start:stop] for c in columns]
 
-    for n, *fields in trials:
-        buffers.setdefault(n, []).append(fields)
-        if len(buffers[n]) == CHUNK:
-            yield run(n)
-    for n in buffers:
-        if buffers[n]:
-            yield run(n)
+    for n, *columns in pieces:
+        if buffers.get(n):
+            columns = [None if c is None else np.concatenate([h, c]) for h, c in zip(buffers[n], columns)]
+        if len(columns[0]) >= CHUNK:
+            yield n, cut(columns, 0, CHUNK)
+            columns = cut(columns, CHUNK)
+        buffers[n] = columns if len(columns[0]) else None
+    for n, columns in buffers.items():
+        if columns:
+            yield n, columns
 
 
-def _contact_trial(
-    gen: np.random.Generator, n: int, fault: float,
-    omega: bool = False, nu: bool = False, vectors: int = 0, standard: bool = False,
-) -> tuple:
-    """One trial's draws in the order of the per-trial samplers: a contact point (not drawn if
-    standard: congruence block 0, fault entry phi[0, 0]), t, Omega (if asked), the five derivative
-    scalars and a nu pair (if asked) in one call, then `vectors` uniform vectors in one call."""
+def _trials(gen: np.random.Generator, count: int, row: _Row, values, decode: Callable, cyclic: bool = False):
+    """Runs (n, columns) of count trials, trial j being row j of the stream (`_blocks`).  A row's n
+    is values[floor(u len(values))] of its first slot, or values in turn over the row index if
+    cyclic; a block's rows of one n are decoded together, decode(n, rows) giving a column per field."""
+    values = tuple(values)
+
+    def pieces():
+        for start, block in _blocks(gen, count, row.width):
+            rows = row.values(block)
+            if cyclic:
+                index = (start + np.arange(len(rows))) % len(values)
+            else:
+                index = (rows[:, 0] * len(values)).astype(np.intp)
+            for k, n in enumerate(values):
+                mine = index == k
+                if mine.any():
+                    yield (n, *decode(n, rows[mine]))
+
+    return _runs(pieces())
+
+
+def _point_fields(row: _Row, rows: np.ndarray, n: int, fault: float) -> tuple:
+    """A contact point's draws: the block U from the first d^2 slots of "U", and (if fault) the
+    phi entry a fault perturbs, floor(u d) of each of the two "entry" slots."""
     d = 2 * n + 1
-    point = (np.zeros((d, d)), np.zeros(2, dtype=int) if fault else None) if standard else draw_point(gen, n, fault)
-    return (
-        n,
-        *point,
-        gen.uniform(-1.2, 1.2),
-        gen.uniform(-1.0, 1.0, size=d) if omega else None,
-        gen.uniform(-2.0, 2.0, size=7 if nu else 5),
-        gen.uniform(-1.0, 1.0, size=(vectors, d)) if vectors else None,
-    )
+    U = row.slots(rows, "U")[:, :d * d].reshape(-1, d, d)
+    return U, (row.slots(rows, "entry") * d).astype(np.intp) if fault else None
 
 
-def _contact_runs(
+def _contact_draws(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, every_n: bool = False,
-    needed: Callable[[], bool] | None = None, **draws
+    omega: bool = False, nu: bool = False, vectors: int = 0, standard: bool = False,
 ):
-    """Contact trials (`_contact_trial` with draws) of an n drawn from n_values (or each in turn if
-    every_n), built a run at a time as one batch: (point, scalars, nu pair, vectors), the nu pair as
-    two (B,) arrays (none if not drawn) and the vectors as one (k, B, d) array.  While needed() is
-    false a run is drawn but neither built nor yielded."""
-    sizes = (n for _ in range(trials) for n in n_values) if every_n else _chosen(gen, trials, n_values)
-    for n, (U, entry, t, Omega, scalars, xs) in _runs(_contact_trial(gen, n, fault, **draws) for n in sizes):
-        if needed and not needed():
-            continue
+    """Runs (n, columns) of contact trials of an n drawn from n_values (or each in turn if every_n,
+    a row per n).  A row holds the size draw (not if every_n), U and the fault entry (not if
+    standard: the standard point, fault at phi[0, 0]), t, Omega (if omega), the five derivative
+    scalars and the nu pair (if nu), then `vectors` section vectors."""
+    n_values = tuple(n_values)
+    m = 2 * max(n_values) + 1
+    drawn = 0 if standard else 1
+    row = _Row(size=0 if every_n else 1, U=(drawn * m * m, -1.0, 1.0), entry=drawn * 2, t=(1, -1.2, 1.2),
+               Omega=(m if omega else 0, -1.0, 1.0), scalars=(7 if nu else 5, -2.0, 2.0),
+               x=(vectors * m, -1.0, 1.0))
+
+    def decode(n, rows):
+        d, b = 2 * n + 1, len(rows)
+        if standard:
+            point = np.zeros((b, d, d)), np.zeros((b, 2), dtype=np.intp) if fault else None
+        else:
+            point = _point_fields(row, rows, n, fault)
+        return (
+            *point,
+            row.slots(rows, "t")[:, 0],
+            row.slots(rows, "Omega")[:, :d] if omega else None,
+            row.slots(rows, "scalars"),
+            row.candidates(rows, "x", vectors)[..., :d] if vectors else None,
+        )
+
+    return _trials(gen, trials * len(n_values) if every_n else trials, row, n_values, decode, cyclic=every_n)
+
+
+def _contact_runs(gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, **draws):
+    """The runs of `_contact_draws`, each built as one batch: (point, scalars, nu pair, vectors), the
+    nu pair as two (B,) arrays (none if not drawn) and the vectors as one (k, B, d) array."""
+    for n, (U, entry, t, Omega, scalars, xs) in _contact_draws(gen, trials, n_values, fault, **draws):
         p = contact_point(n, PointDraw(U, entry), fault)
         scalars = scalars.T
         yield p, hyper_scalars(t, scalars[:5], Omega, p), scalars[5:], None if xs is None else xs.swapaxes(0, 1)
@@ -324,8 +401,12 @@ def battery_axiom_induction(
     """Induced structures satisfy the contact axioms and the pullback identities."""
     w = _Worst("axiom_induction", ["axioms", "pullback_identities"])
     sizes = [n + 1 for n in n_values]
-    draws = _runs((m, draw_normal(gen, m, fault)) for m in _chosen(gen, trials, sizes))
-    for n_prime, (normals,) in w.until_decided(draws):
+    row = _Row(size=1, normal=NORMAL_CANDIDATES * (2 + 2 * max(sizes)))
+
+    def decode(n_prime, rows):
+        return (timelike_normals(row.candidates(rows, "normal", NORMAL_CANDIDATES), n_prime, fault),)
+
+    for n_prime, (normals,) in w.until_decided(_trials(gen, trials, row, sizes, decode)):
         with w.guard():
             structure = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), normals))
             w.add("axioms", validate_contact_axioms(structure.point).max_residual)
@@ -338,8 +419,8 @@ def battery_kaehlerity(
 ) -> list[Check]:
     """The two generator combinations every canonical curvature is built from."""
     w = _Worst("kaehlerity", ["pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"])
-    for n, draw in w.until_decided(_runs((n, *draw_point(gen, n, fault)) for _ in range(trials) for n in n_values)):
-        p = contact_point(n, PointDraw(*draw), fault)
+    for n, (U, entry, *_) in w.until_decided(_contact_draws(gen, trials, n_values, fault, every_n=True)):
+        p = contact_point(n, PointDraw(U, entry), fault)
         w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
         w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))
     return w.checks()
@@ -351,12 +432,15 @@ def battery_model_curvature(
     """Constant-curvature model: section values on special planes."""
     w = _Worst("model_curvature", ["ambient_axioms", "totally_real_k", "totally_real_k_assoc", "holomorphic_k"])
     nu, nut = 3.0, -1.0
-    sections = (
-        (n + 1, *random_totally_real_pair(gen, n + 1), gen.uniform(-1.0, 1.0, size=2 * n + 2))
-        for n in n_values
-        for _ in range(trials)
-    )
-    for n_prime, (x, y, v) in w.until_decided(_runs(sections)):
+    sizes = [n + 1 for n in n_values]
+    m = 2 * max(sizes)
+    row = _Row(v=(m, -1.0, 1.0), pair=PAIR_CANDIDATES * m)  # a row per size in turn
+
+    def decode(n_prime, rows):
+        x, y = totally_real_pairs(row.candidates(rows, "pair", PAIR_CANDIDATES), n_prime)
+        return x, y, row.slots(rows, "v")[:, :2 * n_prime]
+
+    for n_prime, (x, y, v) in w.until_decided(_trials(gen, trials * len(sizes), row, sizes, decode, cyclic=True)):
         with w.guard():
             amb = ComplexNordenPoint.standard(n_prime)
             if fault:
@@ -397,10 +481,10 @@ def battery_induced_curvature(
     names = ("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")
     w = _Worst("induced_curvature", [*_per_tag(names), "totally_real"])
     tags = (F4_F5, F11)
-    # once both tag groups are decided the draws go on unbuilt: the totally real loop below takes the same generator
-    draws = _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2,
-                          needed=lambda: not all(w.decided(f"{tag}.") for tag in tags))
-    for p, sc, (nu, nut), xs in draws:
+    # the totally real loop draws from its own stream, so this one stops once both tag groups are decided
+    wide_gen = np.random.Generator(gen.bit_generator.jumped())
+    draws = _contact_runs(gen, trials, n_values, fault, omega=True, nu=True, vectors=2)
+    for p, sc, (nu, nut), xs in w.until_decided(draws, *(f"{tag}." for tag in tags)):
         for tag, x in zip(tags, xs):
             if w.decided(f"{tag}."):
                 continue
@@ -414,7 +498,7 @@ def battery_induced_curvature(
     # totally real sections need pairings to vanish exactly: the standard
     # model itself (identity congruence), its phi[0, 0] perturbed under fault
     wide = [n for n in n_values if n >= 2]
-    draws = _contact_runs(gen, trials if wide else 0, wide, fault, nu=True, standard=True)
+    draws = _contact_runs(wide_gen, trials, wide, fault, nu=True, standard=True) if wide else ()
     for p, sc, (nu, nut), _ in w.until_decided(draws, "totally_real"):
         x, y = np.zeros((2,) + p.xi.shape)
         x[..., 0], y[..., 1] = 1.0, 1.0
@@ -470,19 +554,7 @@ def battery_canonical_connection(
     return w.checks()
 
 
-SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order a trial's x vectors are drawn
-
-
-def _solver_trial(gen: np.random.Generator, n_values, fault: float) -> tuple:
-    """nu, nu~ and t (redrawn until the solver's radicand is safely positive), n, a contact
-    point, then one section vector x for each branch epsilon = +1, -1, in one (2, d) call."""
-    while True:
-        nu, nut = random_nu_pair(gen)
-        t = gen.uniform(-1.2, 1.2)
-        if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) >= 0.01:
-            break
-    n = next(_chosen(gen, 1, n_values))
-    return n, *draw_point(gen, n, fault), (nu, nut, t), gen.uniform(-1.0, 1.0, size=(len(SOLVER_BRANCHES), 2 * n + 1))
+SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order of a trial's x vectors
 
 
 def battery_solver_theorem(
@@ -494,7 +566,16 @@ def battery_solver_theorem(
     """
     w = _Worst("solver_theorem", ["roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau",
                                   "tau_twisted", "xi_section", "phi_holomorphic"])
-    for n, (U, entry, nus, xs) in w.until_decided(_runs(_solver_trial(gen, n_values, fault) for _ in range(trials))):
+    m = 2 * max(n_values) + 1
+    row = _Row(size=1, U=(m * m, -1.0, 1.0), entry=2, x=(len(SOLVER_BRANCHES) * m, -1.0, 1.0),
+               radicand=RADICAND_CANDIDATES * 3)
+
+    def decode(n, rows):
+        nus = solver_angles(row.candidates(rows, "radicand", RADICAND_CANDIDATES))
+        xs = row.candidates(rows, "x", len(SOLVER_BRANCHES))[..., :2 * n + 1]
+        return (*_point_fields(row, rows, n, fault), nus, xs)
+
+    for n, (U, entry, nus, xs) in w.until_decided(_trials(gen, trials, row, n_values, decode)):
         runs = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus.tolist()]  # (eps, nu, nu~, t) per entry
         x = xs.swapaxes(0, 1).reshape(len(runs), 2 * n + 1)
         with w.guard():

@@ -4,8 +4,8 @@ Each batch-capable layer is called once on a stack of B random tangent
 spaces (n = 1..4, with a random non-symmetric A wherever a layer takes a
 shape operator) and compared with B separate unbatched calls, at 1e-13
 relative to the size of the values.  The suite's draw step is checked against
-the per-trial samplers, and a group holding one faulted entry must raise as
-a whole and report every declared check name.
+each trial's row of uniform doubles decoded by hand, and a group holding one
+faulted entry must raise as a whole and report every declared check name.
 """
 import dataclasses
 import json
@@ -31,7 +31,7 @@ from nordenhyp.contact_norden import (
     sectional_curvature,
     validate_contact_axioms,
 )
-from nordenhyp.errors import InconsistentStructure, NotTimelike
+from nordenhyp.errors import GeometryError, InconsistentStructure, NoAcceptableCandidate, NotTimelike
 from nordenhyp.hypersurface import (
     HyperScalars,
     TimelikeNormalFrame,
@@ -69,15 +69,21 @@ from nordenhyp.multilinear import (
     twist_last,
 )
 from nordenhyp.sampling import (
+    NORMAL_CANDIDATES,
+    PAIR_CANDIDATES,
+    RADICAND_CANDIDATES,
     PointDraw,
     contact_point,
     draw_normal,
-    draw_point,
+    hyper_scalars,
     random_contact_point,
     random_hyper_scalars,
     random_nu_pair,
     random_totally_real_pair,
     rng,
+    solver_angles,
+    timelike_normals,
+    totally_real_pairs,
 )
 
 SIZES = [(n, B) for n in (1, 2, 3, 4) for B in (1, 3, 7)]
@@ -226,25 +232,40 @@ def test_classify_section_batch(n):
     assert want[:4] == [K.XI_SECTION, K.XI_SECTION, K.PHI_HOLOMORPHIC, K.PHI_HOLOMORPHIC]
 
 
-def _reference_trial(gen, n, fault, omega, nu, vectors):
-    """One trial's raw draws, one generator call per value, in the order of the per-trial samplers."""
-    d = 2 * n + 1
-    S = np.eye(d) + 0.3 * gen.uniform(-1.0, 1.0, size=(d, d))
-    entry = gen.integers(0, d, size=2) if fault else None
-    t = float(gen.uniform(-1.2, 1.2))
-    Omega = gen.uniform(-1.0, 1.0, size=d) if omega else None
-    dt, th, ths, xth, xths = (float(gen.uniform(-2.0, 2.0)) for _ in range(5))
-    nus = (float(gen.uniform(-2.0, 2.0)), float(gen.uniform(-2.0, 2.0))) if nu else (0.0, 0.0)
-    xs = [gen.uniform(-1.0, 1.0, size=d) for _ in range(vectors)]
-    return n, S, entry, (t, dt, th, ths, xth, xths), Omega, nus, xs
+def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vectors=0, every_n=False):
+    """Each contact trial decoded by hand, slot by slot, from its row of rng(seed).random((rows, w)):
+    (n, U, entry, (t, five derivative scalars), Omega, nu pair, section vectors), and the generator.
+
+    A row holds the size slot (none if every_n: a row per n in turn), the block U (m^2 slots for
+    m = 2 max(n) + 1, the first d^2 used), the two entry slots, t, Omega (m slots, if omega), the five
+    derivative scalars and the nu pair (if nu), then `vectors` section vectors of m slots each.
+    """
+    m = 2 * max(n_values) + 1
+    w = (0 if every_n else 1) + m * m + 2 + 1 + (m if omega else 0) + (7 if nu else 5) + vectors * m
+    gen = rng(seed)
+    drawn = []
+    for j, row in enumerate(gen.random((trials * len(n_values) if every_n else trials, w)).tolist()):
+        slots = iter(row)
+        n = n_values[j % len(n_values)] if every_n else n_values[int(next(slots) * len(n_values))]
+        d = 2 * n + 1
+        U = [-1.0 + 2.0 * next(slots) for _ in range(m * m)][:d * d]
+        entry = [int(next(slots) * d) for _ in range(2)]
+        t = -1.2 + 2.4 * next(slots)
+        Omega = [-1.0 + 2.0 * next(slots) for _ in range(m)][:d] if omega else None
+        scalars = [-2.0 + 4.0 * next(slots) for _ in range(7 if nu else 5)]
+        xs = [[-1.0 + 2.0 * next(slots) for _ in range(m)][:d] for _ in range(vectors)]
+        assert next(slots, None) is None
+        U = np.reshape(U, (d, d))
+        drawn.append((n, U, entry if fault else None, (t, *scalars[:5]), Omega, tuple(scalars[5:]), xs))
+    return drawn, gen
 
 
 def _recording(monkeypatch, runs: list):
     """Has suite._runs append every run it yields to runs."""
     real = suite._runs
 
-    def recorded(trials):
-        for run in real(trials):
+    def recorded(pieces):
+        for run in real(pieces):
             runs.append(run)
             yield run
 
@@ -279,70 +300,114 @@ def _paired(runs, trials, complete: bool = True) -> list[tuple]:
     "options", [{"omega": True, "nu": True, "vectors": 2}, {"nu": True}, {"every_n": True}], ids=str
 )
 def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
-    """The streamed contact draws are the per-trial draws, bit for bit and in the same generator
-    order; with CHUNK at 3, runs fill and are yielded mid-stream."""
+    """The streamed contact draws are the rows decoded by hand, bit for bit, and leave the generator
+    where those rows do; with CHUNK at 3, blocks of 3 rows are drawn and runs fill mid-stream."""
     monkeypatch.setattr(suite, "CHUNK", 3)
     n_values = (1, 2, 3)
-    every_n, nu = options.get("every_n", False), options.get("nu", False)
-    drawing, gen = rng(11), rng(11)
-    runs = []
-    _recording(monkeypatch, runs)
-    for _ in suite._contact_runs(drawing, 7, n_values, fault, **options):
-        pass
-    reference = []
-    for _ in range(7):
-        for n in n_values if every_n else [int(gen.choice(list(n_values)))]:
-            reference.append(_reference_trial(
-                gen, n, fault, options.get("omega", False), nu, options.get("vectors", 0)
-            ))
+    drawing = rng(11)
+    runs = list(suite._contact_draws(drawing, 7, n_values, fault, **options))
+    reference, gen = _contact_oracle(11, 7, n_values, fault, **options)
     assert drawing.bit_generator.state == gen.bit_generator.state
-    # the raw congruence block U becomes S = I + 0.3 U once per run, elementwise
-    runs = [(n, [np.eye(2 * n + 1) + 0.3 * columns[0], *columns[1:]]) for n, columns in runs]
     pairs = _paired(runs, reference)
-    for (S, entry, t, Omega, scalars, xs), (_, want_S, want_entry, want_scalars, want_Omega, nus, want_xs) in pairs:
-        assert [t, *scalars.tolist()] == [*want_scalars, *(nus if nu else ())]
-        np.testing.assert_array_equal(S, want_S)
+    for (U, entry, t, Omega, scalars, xs), (_, want_U, want_entry, want_scalars, want_Omega, nus, want_xs) in pairs:
+        assert [t, *scalars.tolist()] == [*want_scalars, *nus]
+        np.testing.assert_array_equal(U, want_U)
         np.testing.assert_array_equal(entry, want_entry)
         np.testing.assert_array_equal(Omega, want_Omega)
         np.testing.assert_array_equal(np.reshape([] if xs is None else xs, (-1,)), np.reshape(want_xs, (-1,)))
 
 
 def test_chosen_sizes_are_the_choice_stream():
-    """One integer draw per trial picks n as `gen.choice` did, for every list a battery picks from."""
+    """A row's n is values[floor(u len(values))] of its first slot (values in turn over the row index
+    if cyclic), and each n's runs hold its rows in row order, for every list a battery picks from;
+    150 rows are three blocks."""
+    row = suite._Row(size=1, rest=2)
     for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), [2, 3], [2, 3, 4]]:
         for seed in range(50):
-            chosen, gen = rng(seed), rng(seed)
-            got = []
-            for n in suite._chosen(chosen, 20, values):
-                got.append(n)
-                chosen.uniform(size=3)
-            want = []
-            for _ in range(20):
-                want.append(int(gen.choice(list(values))))
-                gen.uniform(size=3)
-            assert got == want and all(type(n) is int for n in got)
-            assert chosen.bit_generator.state == gen.bit_generator.state
+            for cyclic in (False, True):
+                runs = list(suite._trials(rng(seed), 150, row, values, lambda n, rows: (rows,), cyclic))
+                rows = rng(seed).random((150, 3))
+                want = [values[j % len(values)] if cyclic else values[int(u * len(values))]
+                        for j, u in enumerate(rows[:, 0].tolist())]
+                assert all(type(n) is int for n, _ in runs)
+                for n in set(values):
+                    got = [columns[0] for m, columns in runs if m == n]
+                    np.testing.assert_array_equal(np.concatenate(got) if got else np.empty((0, 3)),
+                                                  rows[[k == n for k in want]])
 
 
 def test_fault_entry_is_the_size_two_stream():
-    """Two scalar integer draws give the entry, and the generator state, of one size-2 call."""
-    for seed in range(100):
-        for n in (1, 2, 3, 4):
-            drawing, gen = rng(seed), rng(seed)
-            for _ in range(3):
-                _, entry = draw_point(drawing, n, fault=1e-3)
-                gen.uniform(-1.0, 1.0, size=(2 * n + 1,) * 2)
-                np.testing.assert_array_equal(entry, gen.integers(0, 2 * n + 1, size=2))
-            assert drawing.bit_generator.state == gen.bit_generator.state
+    """The phi entry a fault perturbs is floor(u d) of each of its two slots, in range even for the
+    largest double below 1, and unfaulted it is None.  The row layout does not depend on fault, so
+    a clean and a faulted run of one seed draw the same trials otherwise."""
+    top = np.nextafter(1.0, 0.0)
+    row = suite._Row(U=81, entry=2)
+    for n in (1, 2, 3, 4):
+        rows = np.zeros((3, 83))
+        rows[:, 81:] = [[0.0, top], [top, 0.5], [0.5, 0.0]]
+        _, entry = suite._point_fields(row, rows, n, 1e-3)
+        assert entry.tolist() == [[0, 2 * n], [2 * n, n], [n, 0]]
+        assert suite._point_fields(row, rows, n, 0.0)[1] is None
+    for seed in range(20):
+        clean = list(suite._contact_draws(rng(seed), 30, (1, 2, 3), 0.0, nu=True))
+        faulted = list(suite._contact_draws(rng(seed), 30, (1, 2, 3), 1e-3, nu=True))
+        assert [n for n, _ in clean] == [n for n, _ in faulted]
+        for (n, (U, entry, *rest)), (_, (U_f, entry_f, *rest_f)) in zip(clean, faulted):
+            assert entry is None and entry_f.shape == (len(U), 2)
+            assert entry_f.min() >= 0 and entry_f.max() <= 2 * n
+            for a, b in zip([U, *rest], [U_f, *rest_f]):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_advanced_generator_reproduces_each_row():
+    """Row j of a battery's stream is the first w doubles of a fresh generator advanced by j w, whatever
+    the block it was drawn in: the replay of one trial is one advance."""
+    w = 51
+    for seed in (3, 21):
+        drawing = rng(seed)
+        rows = np.concatenate([block for _, block in suite._blocks(drawing, 150, w)])
+        for j in (0, 1, suite.CHUNK - 1, suite.CHUNK, 2 * suite.CHUNK + 5, 149):
+            replay = rng(seed)
+            replay.bit_generator.advance(j * w)
+            np.testing.assert_array_equal(replay.random(w), rows[j])
+        end = rng(seed)
+        end.bit_generator.advance(150 * w)
+        assert drawing.bit_generator.state == end.bit_generator.state
+
+
+def test_first_acceptable_candidate_wins():
+    """Each rejection sampler takes a row's first acceptable candidate, not a later one; a row
+    whose candidates are all rejected raises NoAcceptableCandidate, a GeometryError."""
+    top = np.nextafter(1.0, 0.0)
+    # time-like normal, n' = 2: index 0 and s = 1.2 with the tangential entries +0.3 at e_1
+    # and -0.3 at J e_1 give a space-like square (rejected); s = 0 gives -1 (accepted)
+    space_like = [0.0, top, top, 0.5, 0.0, 0.5]
+    time_like, other = [0.0, 0.5, 0.5, 0.5, 0.5, 0.5], [0.6, 0.5, 0.5, 0.5, 0.5, 0.5]
+    N = timelike_normals(np.array([[space_like, time_like, other], [time_like, other, space_like]]), 2)
+    np.testing.assert_array_equal(N, [[0.0, 0.0, 1.0, 0.0]] * 2)
+    # totally real pair, n' = 2: a zero block is degenerate, the identity block is not
+    zero, unit, scaled = [0.5] * 4, [top, 0.5, 0.5, top], [0.75, 0.5, 0.5, 0.75]
+    x, y = totally_real_pairs(np.array([[zero, zero, unit, scaled]]), 2)
+    np.testing.assert_allclose([x[0], y[0]], [[1, 0, 0, 0], [0, 1, 0, 0]], rtol=0, atol=1e-15)
+    # solver radicand: nu = -2, nu~ = 0, t = 0 gives a zero radicand (rejected), nu = 1 gives 2
+    rejected, accepted, later = [0.0, 0.5, 0.5], [0.75, 0.5, 0.5], [top, 0.5, 0.5]
+    np.testing.assert_array_equal(solver_angles(np.array([[rejected, accepted, later]])), [[1.0, 0.0, 0.0]])
+    for call in (
+        lambda: timelike_normals(np.array([[time_like], [space_like]]), 2),
+        lambda: totally_real_pairs(np.array([[unit, zero], [zero, zero]]), 2),
+        lambda: solver_angles(np.array([[rejected, rejected]])),
+    ):
+        with pytest.raises(NoAcceptableCandidate):
+            call()
+    assert issubclass(NoAcceptableCandidate, GeometryError)
 
 
 def _drained_peak(trials: int) -> int:
     """tracemalloc's peak while one battery's drawer is drained for `trials` trials."""
-    gen = rng(4)
-    drawn = (suite._contact_trial(gen, n, 1e-3, omega=True, nu=True, vectors=2) for n in suite._chosen(gen, trials, (1, 2, 3)))
+    drawn = suite._contact_draws(rng(4), trials, (1, 2, 3), 1e-3, omega=True, nu=True, vectors=2)
     tracemalloc.start()
     try:
-        for _ in suite._runs(drawn):
+        for _ in drawn:
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -361,14 +426,13 @@ def test_drawer_memory_is_flat_in_trials():
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 def test_groups_stack_the_per_trial_points(fault):
-    """Each run's batched point and scalars equal the per-trial samplers' output for its trials."""
+    """Each run's batched point and scalars equal the unbatched builds of its trials, decoded by hand."""
     runs = list(suite._contact_runs(rng(12), 9, (1, 2, 3), fault, omega=True, nu=True))
-    gen = rng(12)
     singles = []
-    for _ in range(9):
-        n = int(gen.choice([1, 2, 3]))
-        p = random_contact_point(gen, n, fault=fault)
-        singles.append((n, p, random_hyper_scalars(gen, p, with_omega=True), random_nu_pair(gen)))
+    for n, U, entry, scalars, Omega, nus, _ in _contact_oracle(12, 9, (1, 2, 3), fault, omega=True, nu=True)[0]:
+        p = contact_point(n, PointDraw(U, None if entry is None else np.array(entry)), fault)
+        singles.append((n, p, hyper_scalars(scalars[0], scalars[1:], np.array(Omega), p), nus))
+    assert sum(len(nu) for _, _, (nu, _), _ in runs) == len(singles)
     for point, scalars, (nu, nut), _ in runs:
         members = [s for s in singles if s[0] == point.n]
         for f in ("g", "phi", "xi", "eta"):
@@ -543,26 +607,33 @@ def test_hyper_scalars_broadcast_float_fields():
         HyperScalars(t=t, theta_xi=np.ones(2))
 
 
-# Literal per-trial draws of the three batteries that draw no contact trials.
+# The rows of the three batteries that draw no contact trials, decoded by hand.
 
 
-def _reference_normals(gen, trials, n_values, fault):
+def _reference_normals(seed, trials, n_values, fault):
+    """A row: the size slot, then NORMAL_CANDIDATES candidates of 2 + 2 max(n') slots each, an
+    index slot, s and the 2n' tangential entries; the first time-like candidate is normalized."""
+    sizes = [n + 1 for n in n_values]
+    c = 2 + 2 * max(sizes)
+    gen = rng(seed)
     drawn = []
-    for _ in range(trials):
-        n_prime = int(gen.choice([n + 1 for n in n_values]))
+    for row in gen.random((trials, 1 + NORMAL_CANDIDATES * c)).tolist():
+        n_prime = sizes[int(row[0] * len(sizes))]
         g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
-        while True:
-            i = int(gen.integers(0, n_prime))
-            s = gen.uniform(-1.2, 1.2)
-            v = np.zeros(2 * n_prime)
-            v[i], v[n_prime + i] = np.sinh(s), np.cosh(s)
-            v = v + 0.3 * gen.uniform(-1.0, 1.0, size=2 * n_prime)
+        for k in range(NORMAL_CANDIDATES):
+            slots = row[1 + k * c:1 + (k + 1) * c]
+            i, s = int(slots[0] * n_prime), -1.2 + 2.4 * slots[1]
+            v = np.array([0.3 * (-1.0 + 2.0 * u) for u in slots[2:2 + 2 * n_prime]])
+            v[i] += np.sinh(s)
+            v[n_prime + i] += np.cosh(s)
             sq = float(v @ g @ v)
             if sq < -0.1:
                 break
+        else:
+            raise AssertionError("no time-like candidate")
         N = v / np.sqrt(-sq)
         drawn.append((n_prime, N + fault if fault else N))
-    return drawn
+    return drawn, gen
 
 
 def _reference_totally_real_pair(gen, n_prime):
@@ -575,13 +646,26 @@ def _reference_totally_real_pair(gen, n_prime):
             return x, y
 
 
-def _reference_sections(gen, trials, n_values, fault):
+def _reference_sections(seed, trials, n_values, fault):
+    """A row per size n' in turn: a section vector v of m = 2 max(n') slots, then PAIR_CANDIDATES
+    candidates of m slots, the first 2n' an n' x 2 coefficient block; the first nondegenerate wins."""
+    sizes = [n + 1 for n in n_values]
+    m = 2 * max(sizes)
+    gen = rng(seed)
     drawn = []
-    for n in n_values:
-        for _ in range(trials):
-            x, y = _reference_totally_real_pair(gen, n + 1)
-            drawn.append((n + 1, x, y, gen.uniform(-1.0, 1.0, size=2 * n + 2)))
-    return drawn
+    for j, row in enumerate(gen.random((trials * len(sizes), m + PAIR_CANDIDATES * m)).tolist()):
+        n_prime = sizes[j % len(sizes)]
+        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
+        for k in range(PAIR_CANDIDATES):
+            coeffs = [-1.0 + 2.0 * u for u in row[m + k * m:m + k * m + 2 * n_prime]]
+            x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
+            x[:n_prime], y[:n_prime] = coeffs[0::2], coeffs[1::2]
+            if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
+                break
+        else:
+            raise AssertionError("no nondegenerate candidate")
+        drawn.append((n_prime, x, y, np.array([-1.0 + 2.0 * u for u in row[:2 * n_prime]])))
+    return drawn, gen
 
 
 @pytest.mark.parametrize("n_prime", [2, 3, 4])
@@ -597,20 +681,31 @@ def test_totally_real_pair_matches_the_full_metric_test(n_prime):
         assert got.bit_generator.state == want.bit_generator.state
 
 
-def _reference_solver(gen, trials, n_values, fault):
+def _reference_solver(seed, trials, n_values, fault):
+    """A row: the size slot, U (m^2 slots), the two entry slots, the x vectors of branches +1 and -1
+    (m slots each), then RADICAND_CANDIDATES candidates (nu, nu~, t); the first with a safely
+    positive radicand wins."""
+    m = 2 * max(n_values) + 1
+    gen = rng(seed)
     drawn = []
-    while len(drawn) < trials:
-        nu, nut = float(gen.uniform(-2.0, 2.0)), float(gen.uniform(-2.0, 2.0))
-        t = float(gen.uniform(-1.2, 1.2))
-        if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) < 0.01:
-            continue
-        n = int(gen.choice(list(n_values)))
+    for row in gen.random((trials, 1 + m * m + 2 + 2 * m + 3 * RADICAND_CANDIDATES)).tolist():
+        n = n_values[int(row[0] * len(n_values))]
         d = 2 * n + 1
-        U = gen.uniform(-1.0, 1.0, size=(d, d))  # the congruence S = I + 0.3 U
-        entry = gen.integers(0, d, size=2) if fault else None
-        x_plus, x_minus = gen.uniform(-1.0, 1.0, size=d), gen.uniform(-1.0, 1.0, size=d)
+        U = np.array([-1.0 + 2.0 * u for u in row[1:1 + d * d]]).reshape(d, d)  # the congruence S = I + 0.3 U
+        at = 1 + m * m
+        entry = np.array([int(row[at] * d), int(row[at + 1] * d)]) if fault else None
+        at += 2
+        x_plus, x_minus = (np.array([-1.0 + 2.0 * u for u in row[at + b * m:at + b * m + d]]) for b in (0, 1))
+        at += 2 * m
+        for k in range(RADICAND_CANDIDATES):
+            u_nu, u_nut, u_t = row[at + 3 * k:at + 3 * k + 3]
+            nu, nut, t = -2.0 + 4.0 * u_nu, -2.0 + 4.0 * u_nut, -1.2 + 2.4 * u_t
+            if nu * math.cos(t) - nut * math.sin(t) + math.hypot(nu, nut) >= 0.01:
+                break
+        else:
+            raise AssertionError("no stable candidate")
         drawn.append((n, U, entry, (nu, nut, t), (x_plus, x_minus)))
-    return drawn
+    return drawn, gen
 
 
 LITERAL_DRAWS = {
@@ -623,43 +718,47 @@ LITERAL_DRAWS = {
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize("battery", sorted(LITERAL_DRAWS))
 def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fault):
-    """The runs a battery evaluates hold the literal per-trial draws, and leave the generator where they do.
+    """The runs a battery evaluates hold its rows decoded by hand, and leave the generator where
+    those rows do.  A normal is divided by a square summed in another order, so it is compared at
+    1e-15; every other field bit for bit.
 
     Faulted, `axiom_induction` is decided by its first run (every faulted normal is off the
-    hyperboloid, so `induce` raises NotTimelike): it evaluates the literal draws' runs up to and
-    including that one and none after it.  At 9 trials every draw is made before the first run.
+    hyperboloid, so `induce` raises NotTimelike): at 9 trials every row is in the first block,
+    drawn before that run, which is the first size in n_values order that holds a trial.
     """
     runs = []
     _recording(monkeypatch, runs)
-    drawing, gen = rng(21), rng(21)
+    drawing = rng(21)
     report = suite.BATTERIES[battery](drawing, 9, (1, 2, 3), fault)
-    want = LITERAL_DRAWS[battery](gen, 9, (1, 2, 3), fault)
+    want, gen = LITERAL_DRAWS[battery](21, 9, (1, 2, 3), fault)
     assert drawing.bit_generator.state == gen.bit_generator.state
     decided = bool(fault) and battery == "axiom_induction"
     if decided:
-        first = want[0][0]
+        first = min(n for n, *_ in want)
         assert [(n, len(columns[0])) for n, columns in runs] == [(first, sum(n == first for n, *_ in want))]
         assert all(c.residual == math.inf for c in report)
     for got, (_, *fields) in _paired(runs, want, complete=not decided):
         for a, b in zip(got, fields, strict=True):
             if b is None:
                 assert a is None
+            elif battery == "axiom_induction":
+                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
             else:
                 np.testing.assert_array_equal(a, np.asarray(b))
 
 
 def test_decided_battery_stops_drawing(monkeypatch):
     """Faulted, `axiom_induction` is decided by its first run of CHUNK trials: it evaluates that run
-    alone and leaves its generator where the literal draws of those CHUNK trials leave it."""
+    alone and pulls no further block, so its generator stops after the first CHUNK rows of 150."""
     runs = []
     _recording(monkeypatch, runs)
-    drawing, gen = rng(21), rng(21)
+    drawing = rng(21)
     report = suite.battery_axiom_induction(drawing, 150, (1,), fault=1e-3)
-    want = _reference_normals(gen, suite.CHUNK, (1,), 1e-3)
+    want, gen = _reference_normals(21, suite.CHUNK, (1,), 1e-3)
     assert drawing.bit_generator.state == gen.bit_generator.state
     assert len(runs) == 1
     for (got,), (_, normal) in _paired(runs, want):
-        np.testing.assert_array_equal(got, normal)
+        np.testing.assert_allclose(got, normal, rtol=1e-15, atol=0)
     assert report and all(c.residual == math.inf for c in report)
 
 
@@ -676,33 +775,32 @@ def _recording_calls(monkeypatch, names) -> dict[str, list]:
 
 
 def test_decided_tag_groups_build_no_more_runs(monkeypatch):
-    """Faulted, `induced_curvature`'s first run decides both tag groups: the first loop builds that
-    run alone and draws the rest unbuilt, and the totally real loop builds its one run.  Building
-    every run of the first loop gives the same report and leaves the generator in the same state."""
+    """Faulted at n = 2, `induced_curvature`'s first run decides both tag groups, and the totally real
+    loop's first run decides it: each loop builds one run, and the first loop's generator stops after
+    CHUNK rows of its 51-slot layout, since the totally real loop reads its own stream (`jumped()`).
+    Evaluating every run gives the same report, builds every run and reads all 150 rows."""
     calls = _recording_calls(monkeypatch, ["contact_point"])
-    drawing = rng(7)
-    report = suite.battery_induced_curvature(drawing, 150, (1, 2, 3), fault=1e-3)
+    drawing, gen = rng(7), rng(7)
+    report = suite.battery_induced_curvature(drawing, 150, (2,), fault=1e-3)
     assert len(calls["contact_point"]) == 2
-    real = suite._Worst.decided
-
-    def only_totally_real(self, prefix=""):  # the first loop's tag groups never count as decided
-        return prefix == "totally_real" and real(self, prefix)
-
-    monkeypatch.setattr(suite._Worst, "decided", only_totally_real)
-    every = rng(7)
-    assert suite.battery_induced_curvature(every, 150, (1, 2, 3), fault=1e-3) == report
-    assert len(calls["contact_point"]) == 2 + 4
-    assert drawing.bit_generator.state == every.bit_generator.state
+    gen.random((suite.CHUNK, 51))  # size, U (25), entry (2), t, Omega (5), 7 scalars, 2 x vectors (5)
+    assert drawing.bit_generator.state == gen.bit_generator.state
+    monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
+    every, gen = rng(7), rng(7)
+    assert suite.battery_induced_curvature(every, 150, (2,), fault=1e-3) == report
+    assert len(calls["contact_point"]) == 2 + 2 * 3
+    gen.random((150, 51))
+    assert every.bit_generator.state == gen.bit_generator.state
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
     """Every batch entry theorem31 and section_checks receive is one literal trial's point, angles and
-    section vector, on one branch: each n's trials in draw order, branch +1 first."""
+    section vector, on one branch: each n's trials in row order, branch +1 first."""
     calls = _recording_calls(monkeypatch, ["theorem31", "section_checks"])
     suite.battery_solver_theorem(rng(21), 9, (1, 2, 3), fault)
-    want = _reference_solver(rng(21), 9, (1, 2, 3), fault)
-    sizes = list(dict.fromkeys(n for n, *_ in want))  # one run per n, in first-seen order: 9 trials < CHUNK
+    want, _ = _reference_solver(21, 9, (1, 2, 3), fault)
+    sizes = sorted({n for n, *_ in want})  # one run per n, in n_values order: 9 trials are one block
     assert len(calls["theorem31"]) == len(calls["section_checks"]) == len(sizes)
     for n, ((p, th, ths), kw), ((_, p_sec, x, *_), _) in zip(sizes, calls["theorem31"], calls["section_checks"]):
         entries = [(eps, trial) for eps in suite.SOLVER_BRANCHES for trial in want if trial[0] == n]
@@ -717,17 +815,20 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
 
 
 def _first_trial_of_each_size(runs, corrupt):
-    """A drawer whose first trial of every size n goes through corrupt."""
+    """A drawer whose first trial of every size n goes through corrupt: the first piece of each n
+    is split into that trial, corrupted, and the rest, which `_runs` joins back into one run."""
 
-    def corrupted(trials):
+    def corrupted(pieces):
         seen = set()
-        for trial in trials:
-            if trial[0] not in seen:
-                seen.add(trial[0])
-                trial = corrupt(trial)
-            yield trial
+        for n, *columns in pieces:
+            if n not in seen:
+                seen.add(n)
+                yield corrupt((n, *(None if c is None else c[:1] for c in columns)))
+                columns = [None if c is None else c[1:] for c in columns]
+            if len(columns[0]):
+                yield (n, *columns)
 
-    return lambda trials: runs(corrupted(trials))
+    return lambda pieces: runs(corrupted(pieces))
 
 
 CORRUPT = {

@@ -137,6 +137,8 @@ OVERSIZE_CASES = [
     ({"kind": "solve", "n": 100000, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0}, [], "n"),
     ({"kind": "curvature", "n": 100000, "nu": 1.0, "nu_tilde": 0.0, "scalars": {"t": 0.1}}, [], "n"),
     ({"kind": "induce", "ambient": {"n_prime": 100000}, "N": [0.0, 1.0]}, [], "n_prime"),
+    # induce's pullback check builds the ambient pi' family, so its n_prime stops at MAX_DIM // 2
+    ({"kind": "induce", "ambient": {"n_prime": 5}, "N": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, [], "ambient n_prime"),
     ({"kind": "suite", "trials": 1, "n_values": [1, 100000]}, [], "n_values entry"),
     ({"kind": "suite", "trials": 1}, ["--n", "1", "--n", "100000"], "--n"),
 ]
@@ -174,6 +176,23 @@ def test_largest_size_is_accepted(tmp_path, capsys, kind, size, value):
     }[kind]
     code, _ = run(tmp_path, capsys, {**scenario, size: value})
     assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["induce", "curvature", "canonical", "classify"])
+def test_largest_ambient_is_accepted(tmp_path, capsys, kind):
+    """An n_prime = 5 ambient (d' = 10) works wherever no pi' family is built on it; induce, whose
+    pullback check builds one, takes n_prime = 4."""
+    n_prime = 4 if kind == "induce" else 5
+    frame = {"ambient": {"n_prime": n_prime}, "N": [0.0] * n_prime + [1.0] + [0.0] * (n_prime - 1)}
+    scenario = {
+        "induce": {"kind": "induce", **frame},
+        "curvature": {"kind": "curvature", "nu": 1.0, "nu_tilde": 0.0, **frame},
+        "canonical": {"kind": "canonical", "class": "F4+F5", "nu": 1.0, "nu_tilde": 0.0,
+                      "scalars": {"theta_xi": 1.0}, **frame},
+        "classify": {"kind": "classify", "n_prime": 5, "x": [1.0] + [0.0] * 9, "y": [0.0, 1.0] + [0.0] * 8},
+    }[kind]
+    code, doc = run(tmp_path, capsys, scenario)
+    assert code == 0 and doc["passed"]
 
 
 def test_run_suite_rejects_sizes_below_one():

@@ -194,13 +194,38 @@ class TestShapeFromClass:
     def test_f6_validator_flags_f4(self, gen):
         p = random_contact_point(gen, 2)
         sc = random_hyper_scalars(gen, p)
-        # a trace-calibrated multiple of the identity meets all three
-        # conditions: it commutes with phi and tr(phi) = 0
-        A6 = (sc.dt_xi / (2 * sc.cos_t * p.dim)) * np.eye(p.dim)
-        assert validate_F6_shape(p, A6, sc) < 1e-10
+        # the F0 shape induces F = 0, which lies in every class, F6 among them
+        A0 = shape_from_class(p, F0, sc)
+        assert class_residual(F_from_A(p, A0, sc.t), p, F6) < 1e-10
+        assert validate_F6_shape(p, A0, sc) < 1e-10
         A4 = shape_from_class(p, F4, sc)
         if abs(sc.theta_xi) > 0.1:
             assert validate_F6_shape(p, A4, sc) > 1e-3
+
+    def test_f6_validator_needs_self_adjoint(self, gen):
+        """A rotation of each half of the block commutes with phi and meets the three trace
+        conditions, so only g-self-adjointness rejects the F0 shape plus it."""
+        p = ContactNordenPoint.standard(2)
+        sc = random_hyper_scalars(gen, p)
+        B = np.zeros((5, 5))
+        B[:2, :2] = B[2:4, 2:4] = [[0.0, 1.0], [-1.0, 0.0]]
+        assert validate_F6_shape(p, shape_from_class(p, F0, sc) + B, sc) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_f6_validator_batch(self, gen, n):
+        """A stack of points and shapes gives each entry's unbatched residual."""
+        singles = []
+        for tag in (F0, F4, F0, F11):
+            p = random_contact_point(gen, n)
+            sc = random_hyper_scalars(gen, p, with_omega=True)
+            singles.append((p, shape_from_class(p, tag, sc), sc))
+        want = [validate_F6_shape(*s) for s in singles]
+        p = ContactNordenPoint(n, *(np.stack([getattr(s[0], f) for s in singles]) for f in ("g", "phi", "xi", "eta")))
+        fields = ("t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
+        sc = HyperScalars(**{f: np.array([getattr(s[2], f) for s in singles]) for f in fields})
+        got = validate_F6_shape(p, np.stack([s[1] for s in singles]), sc)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        assert got[0] < 1e-10 and got[2] < 1e-10
 
 
 class TestStructureTensorFromShape:
