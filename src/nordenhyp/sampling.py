@@ -140,14 +140,15 @@ def random_timelike_frame(
 def timelike_normals(u: np.ndarray, n_prime: int, fault: float = 0.0) -> np.ndarray:
     """(B, 2n') normals from candidate slots u (B, K, 2 + 2m), m >= n', as `draw_normal` builds one:
     per candidate the index floor(u n'), s and the 2n' tangential entries; the first candidate
-    whose square is below -0.1 is normalized."""
+    whose square is below -0.1 is normalized.  The square is summed entry by entry in order, so
+    each candidate's is the one a single vector gives, bit for bit."""
     i = (u[..., 0] * n_prime).astype(np.intp)
     s = uniform(u[..., 1], -1.2, 1.2)
     v = 0.3 * uniform(u[..., 2:2 + 2 * n_prime], -1.0, 1.0)
     at = (*np.indices(i.shape, sparse=True), i)
     v[at] += np.sinh(s)
     v[at[:-1] + (i + n_prime,)] += np.cosh(s)
-    sq = (v * v) @ np.diag(ComplexNordenPoint.standard(n_prime).g)
+    sq = sum(g * v[..., j] * v[..., j] for j, g in enumerate(np.diag(ComplexNordenPoint.standard(n_prime).g)))
     k = _first_accepted(sq < -0.1, "time-like normal")
     rows = np.arange(len(u))
     N = v[rows, k] / np.sqrt(-sq[rows, k])[:, None]

@@ -327,7 +327,7 @@ def _runs(pieces: Iterable[tuple]):
 
 def _trials(gen: np.random.Generator, count: int, row: _Row, values, decode: Callable, cyclic: bool = False):
     """Runs (n, columns) of count trials, trial j being row j of the stream (`_blocks`).  A row's n
-    is values[floor(u len(values))] of its first slot, or values in turn over the row index if
+    is values[floor(u len(values))] of its "size" slot, or values in turn over the row index if
     cyclic; a block's rows of one n are decoded together, decode(n, rows) giving a column per field."""
     values = tuple(values)
 
@@ -337,7 +337,7 @@ def _trials(gen: np.random.Generator, count: int, row: _Row, values, decode: Cal
             if cyclic:
                 index = (start + np.arange(len(rows))) % len(values)
             else:
-                index = (rows[:, 0] * len(values)).astype(np.intp)
+                index = (row.slots(rows, "size")[:, 0] * len(values)).astype(np.intp)
             for k, n in enumerate(values):
                 mine = index == k
                 if mine.any():
@@ -356,18 +356,18 @@ def _point_fields(row: _Row, rows: np.ndarray, n: int, fault: float) -> tuple:
 
 def _contact_draws(
     gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float, every_n: bool = False,
-    omega: bool = False, nu: bool = False, vectors: int = 0, standard: bool = False,
+    omega: bool = False, nu: bool = False, vectors: int = 0, standard: bool = False, point_only: bool = False,
 ):
     """Runs (n, columns) of contact trials of an n drawn from n_values (or each in turn if every_n,
     a row per n).  A row holds the size draw (not if every_n), U and the fault entry (not if
-    standard: the standard point, fault at phi[0, 0]), t, Omega (if omega), the five derivative
-    scalars and the nu pair (if nu), then `vectors` section vectors."""
+    standard: the standard point, fault at phi[0, 0]), then, unless point_only, t, Omega (if omega),
+    the five derivative scalars and the nu pair (if nu), and `vectors` section vectors."""
     n_values = tuple(n_values)
     m = 2 * max(n_values) + 1
-    drawn = 0 if standard else 1
-    row = _Row(size=0 if every_n else 1, U=(drawn * m * m, -1.0, 1.0), entry=drawn * 2, t=(1, -1.2, 1.2),
-               Omega=(m if omega else 0, -1.0, 1.0), scalars=(7 if nu else 5, -2.0, 2.0),
-               x=(vectors * m, -1.0, 1.0))
+    drawn, rest = (0 if standard else 1), (0 if point_only else 1)
+    row = _Row(size=0 if every_n else 1, U=(drawn * m * m, -1.0, 1.0), entry=drawn * 2, t=(rest, -1.2, 1.2),
+               Omega=(rest * m if omega else 0, -1.0, 1.0), scalars=(rest * (7 if nu else 5), -2.0, 2.0),
+               x=(rest * vectors * m, -1.0, 1.0))
 
     def decode(n, rows):
         d, b = 2 * n + 1, len(rows)
@@ -375,6 +375,8 @@ def _contact_draws(
             point = np.zeros((b, d, d)), np.zeros((b, 2), dtype=np.intp) if fault else None
         else:
             point = _point_fields(row, rows, n, fault)
+        if point_only:
+            return (*point, None, None, None, None)
         return (
             *point,
             row.slots(rows, "t")[:, 0],
@@ -419,7 +421,8 @@ def battery_kaehlerity(
 ) -> list[Check]:
     """The two generator combinations every canonical curvature is built from."""
     w = _Worst("kaehlerity", ["pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"])
-    for n, (U, entry, *_) in w.until_decided(_contact_draws(gen, trials, n_values, fault, every_n=True)):
+    points = _contact_draws(gen, trials, n_values, fault, every_n=True, point_only=True)
+    for n, (U, entry, *_) in w.until_decided(points):
         p = contact_point(n, PointDraw(U, entry), fault)
         w.add("pi1_minus_pi2_minus_pi4", kaehler_residual(p.pi_combination(PI_KAEHLER), p))
         w.add("pi3_plus_pi5", kaehler_residual(p.pi_combination(PI_TWISTED), p))

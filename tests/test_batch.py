@@ -232,16 +232,20 @@ def test_classify_section_batch(n):
     assert want[:4] == [K.XI_SECTION, K.XI_SECTION, K.PHI_HOLOMORPHIC, K.PHI_HOLOMORPHIC]
 
 
-def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vectors=0, every_n=False):
+def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vectors=0, every_n=False,
+                    point_only=False):
     """Each contact trial decoded by hand, slot by slot, from its row of rng(seed).random((rows, w)):
     (n, U, entry, (t, five derivative scalars), Omega, nu pair, section vectors), and the generator.
 
     A row holds the size slot (none if every_n: a row per n in turn), the block U (m^2 slots for
-    m = 2 max(n) + 1, the first d^2 used), the two entry slots, t, Omega (m slots, if omega), the five
-    derivative scalars and the nu pair (if nu), then `vectors` section vectors of m slots each.
+    m = 2 max(n) + 1, the first d^2 used), the two entry slots, then, unless point_only (no scalars,
+    Omega, nu pair or vectors), t, Omega (m slots, if omega), the five derivative scalars and the nu
+    pair (if nu), and `vectors` section vectors of m slots each.
     """
     m = 2 * max(n_values) + 1
-    w = (0 if every_n else 1) + m * m + 2 + 1 + (m if omega else 0) + (7 if nu else 5) + vectors * m
+    w = (0 if every_n else 1) + m * m + 2
+    if not point_only:
+        w += 1 + (m if omega else 0) + (7 if nu else 5) + vectors * m
     gen = rng(seed)
     drawn = []
     for j, row in enumerate(gen.random((trials * len(n_values) if every_n else trials, w)).tolist()):
@@ -250,6 +254,10 @@ def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vector
         d = 2 * n + 1
         U = [-1.0 + 2.0 * next(slots) for _ in range(m * m)][:d * d]
         entry = [int(next(slots) * d) for _ in range(2)]
+        if point_only:
+            assert next(slots, None) is None
+            drawn.append((n, np.reshape(U, (d, d)), entry if fault else None, None, None, None, []))
+            continue
         t = -1.2 + 2.4 * next(slots)
         Omega = [-1.0 + 2.0 * next(slots) for _ in range(m)][:d] if omega else None
         scalars = [-2.0 + 4.0 * next(slots) for _ in range(7 if nu else 5)]
@@ -297,7 +305,9 @@ def _paired(runs, trials, complete: bool = True) -> list[tuple]:
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize(
-    "options", [{"omega": True, "nu": True, "vectors": 2}, {"nu": True}, {"every_n": True}], ids=str
+    "options",
+    [{"omega": True, "nu": True, "vectors": 2}, {"nu": True}, {"every_n": True}, {"every_n": True, "point_only": True}],
+    ids=str,
 )
 def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
     """The streamed contact draws are the rows decoded by hand, bit for bit, and leave the generator
@@ -310,7 +320,10 @@ def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
     assert drawing.bit_generator.state == gen.bit_generator.state
     pairs = _paired(runs, reference)
     for (U, entry, t, Omega, scalars, xs), (_, want_U, want_entry, want_scalars, want_Omega, nus, want_xs) in pairs:
-        assert [t, *scalars.tolist()] == [*want_scalars, *nus]
+        if want_scalars is None:
+            assert t is None and scalars is None
+        else:
+            assert [t, *scalars.tolist()] == [*want_scalars, *nus]
         np.testing.assert_array_equal(U, want_U)
         np.testing.assert_array_equal(entry, want_entry)
         np.testing.assert_array_equal(Omega, want_Omega)
@@ -619,14 +632,14 @@ def _reference_normals(seed, trials, n_values, fault):
     drawn = []
     for row in gen.random((trials, 1 + NORMAL_CANDIDATES * c)).tolist():
         n_prime = sizes[int(row[0] * len(sizes))]
-        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
+        g = [1.0] * n_prime + [-1.0] * n_prime
         for k in range(NORMAL_CANDIDATES):
             slots = row[1 + k * c:1 + (k + 1) * c]
             i, s = int(slots[0] * n_prime), -1.2 + 2.4 * slots[1]
             v = np.array([0.3 * (-1.0 + 2.0 * u) for u in slots[2:2 + 2 * n_prime]])
             v[i] += np.sinh(s)
             v[n_prime + i] += np.cosh(s)
-            sq = float(v @ g @ v)
+            sq = sum(sign * x * x for sign, x in zip(g, v.tolist()))
             if sq < -0.1:
                 break
         else:
@@ -719,8 +732,7 @@ LITERAL_DRAWS = {
 @pytest.mark.parametrize("battery", sorted(LITERAL_DRAWS))
 def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fault):
     """The runs a battery evaluates hold its rows decoded by hand, and leave the generator where
-    those rows do.  A normal is divided by a square summed in another order, so it is compared at
-    1e-15; every other field bit for bit.
+    those rows do, bit for bit.
 
     Faulted, `axiom_induction` is decided by its first run (every faulted normal is off the
     hyperboloid, so `induce` raises NotTimelike): at 9 trials every row is in the first block,
@@ -741,8 +753,6 @@ def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fau
         for a, b in zip(got, fields, strict=True):
             if b is None:
                 assert a is None
-            elif battery == "axiom_induction":
-                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
             else:
                 np.testing.assert_array_equal(a, np.asarray(b))
 
@@ -758,7 +768,7 @@ def test_decided_battery_stops_drawing(monkeypatch):
     assert drawing.bit_generator.state == gen.bit_generator.state
     assert len(runs) == 1
     for (got,), (_, normal) in _paired(runs, want):
-        np.testing.assert_allclose(got, normal, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(got, normal)
     assert report and all(c.residual == math.inf for c in report)
 
 
