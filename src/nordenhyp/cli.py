@@ -36,7 +36,7 @@ from .main_class import (
 from .multilinear import DEFAULT_TOL, MAX_DIM, Tolerance
 from .report import ValidationReport, finite_or_none
 from .suite import (
-    canonical_checks, check, curvature_checks, family_report, roundtrip_checks, run_suite, theorem31_checks,
+    MAX_N, canonical_checks, check, curvature_checks, family_report, roundtrip_checks, run_suite, theorem31_checks,
 )
 
 
@@ -255,7 +255,7 @@ def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     if not isinstance(n_values, list) or not n_values:
         raise SchemaError(f"n_values must be a non-empty list, got {n_values!r}")
     key = "--n" if args.n else "n_values entry"
-    n_values = [_as_int(v, key, minimum=1, maximum=MAX_SIZE["n"]) for v in n_values]
+    n_values = [_as_int(v, key, minimum=1, maximum=MAX_N) for v in n_values]  # the suite's own cap
     fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
     reading = args.cor32_reading or payload.get("cor32_reading")
     if reading is not None and reading not in COR32_READINGS:

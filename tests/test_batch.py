@@ -61,6 +61,7 @@ from nordenhyp.main_class import (
 )
 from nordenhyp.multilinear import (
     MultilinearForm,
+    Tolerance,
     area_factor,
     ricci_contract,
     scalar_contract,
@@ -303,19 +304,28 @@ def _paired(runs, trials, complete: bool = True) -> list[tuple]:
     return pairs
 
 
+# A battery whose (first) loop draws contact trials, with the oracle's description of its rows.
+CONTACT_LAYOUTS = [
+    ("induced_curvature", {"omega": True, "nu": True, "vectors": 2}),
+    ("scalar_calibration", {"nu": True}),
+    ("canonical_connection", {"every_n": True}),
+    ("kaehlerity", {"every_n": True, "point_only": True}),
+    ("canonical_curvature", {"omega": True, "nu": True}),
+    ("expanded_coefficients", {}),
+]
+
+
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
-@pytest.mark.parametrize(
-    "options",
-    [{"omega": True, "nu": True, "vectors": 2}, {"nu": True}, {"every_n": True}, {"every_n": True, "point_only": True}],
-    ids=str,
-)
+@pytest.mark.parametrize("options", [options for _, options in CONTACT_LAYOUTS], ids=str)
 def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
-    """The streamed contact draws are the rows decoded by hand, bit for bit, and leave the generator
-    where those rows do; with CHUNK at 3, blocks of 3 rows are drawn and runs fill mid-stream."""
+    """The streamed contact draws of the table's layout are the rows decoded by hand, bit for bit, and
+    leave the generator where those rows do; with CHUNK at 3, blocks of 3 rows are drawn and runs
+    fill mid-stream."""
     monkeypatch.setattr(suite, "CHUNK", 3)
     n_values = (1, 2, 3)
     drawing = rng(11)
-    runs = list(suite._contact_draws(drawing, 7, n_values, fault, **options))
+    loop = suite.TABLE[next(b for b, o in CONTACT_LAYOUTS if o == options)].loops[0]
+    runs = list(suite._draws(loop, drawing, 7, n_values, fault))
     reference, gen = _contact_oracle(11, 7, n_values, fault, **options)
     assert drawing.bit_generator.state == gen.bit_generator.state
     pairs = _paired(runs, reference)
@@ -332,20 +342,20 @@ def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
 
 def test_chosen_sizes_are_the_choice_stream():
     """A row's n is values[floor(u len(values))] of its first slot (values in turn over the row index
-    if cyclic), and each n's runs hold its rows in row order, for every list a battery picks from;
-    150 rows are three blocks."""
-    row = suite._Row(size=1, rest=2)
+    for a layout without a size slot, which draws 150 rows per value), and each n's runs hold its rows
+    in row order, for every list a battery picks from; 150 rows are three blocks."""
     for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), [2, 3], [2, 3, 4]]:
         for seed in range(50):
             for cyclic in (False, True):
-                runs = list(suite._trials(rng(seed), 150, row, values, lambda n, rows: (rows,), cyclic))
-                rows = rng(seed).random((150, 3))
+                row = suite._Row(values, ("rest", 2)) if cyclic else suite._Row(values, ("size", ()), ("rest", 2))
+                runs = list(suite._trials(rng(seed), 150, row, lambda n, rows: (rows,)))
+                rows = rng(seed).random((150 * len(values) if cyclic else 150, row.width))
                 want = [values[j % len(values)] if cyclic else values[int(u * len(values))]
                         for j, u in enumerate(rows[:, 0].tolist())]
                 assert all(type(n) is int for n, _ in runs)
                 for n in set(values):
                     got = [columns[0] for m, columns in runs if m == n]
-                    np.testing.assert_array_equal(np.concatenate(got) if got else np.empty((0, 3)),
+                    np.testing.assert_array_equal(np.concatenate(got) if got else np.empty((0, row.width)),
                                                   rows[[k == n for k in want]])
 
 
@@ -354,7 +364,7 @@ def test_fault_entry_is_the_size_two_stream():
     largest double below 1, and unfaulted it is None.  The row layout does not depend on fault, so
     a clean and a faulted run of one seed draw the same trials otherwise."""
     top = np.nextafter(1.0, 0.0)
-    row = suite._Row(U=81, entry=2)
+    row = suite._Row((4,), ("U", 81), ("entry", 2))
     for n in (1, 2, 3, 4):
         rows = np.zeros((3, 83))
         rows[:, 81:] = [[0.0, top], [top, 0.5], [0.5, 0.0]]
@@ -362,8 +372,8 @@ def test_fault_entry_is_the_size_two_stream():
         assert entry.tolist() == [[0, 2 * n], [2 * n, n], [n, 0]]
         assert suite._point_fields(row, rows, n, 0.0)[1] is None
     for seed in range(20):
-        clean = list(suite._contact_draws(rng(seed), 30, (1, 2, 3), 0.0, nu=True))
-        faulted = list(suite._contact_draws(rng(seed), 30, (1, 2, 3), 1e-3, nu=True))
+        clean = list(suite._draws(suite.TABLE["scalar_calibration"].loops[0], rng(seed), 30, (1, 2, 3), 0.0))
+        faulted = list(suite._draws(suite.TABLE["scalar_calibration"].loops[0], rng(seed), 30, (1, 2, 3), 1e-3))
         assert [n for n, _ in clean] == [n for n, _ in faulted]
         for (n, (U, entry, *rest)), (_, (U_f, entry_f, *rest_f)) in zip(clean, faulted):
             assert entry is None and entry_f.shape == (len(U), 2)
@@ -386,6 +396,53 @@ def test_advanced_generator_reproduces_each_row():
         end = rng(seed)
         end.bit_generator.advance(150 * w)
         assert drawing.bit_generator.state == end.bit_generator.state
+
+
+def _replayed_row(battery, k, seed, j, n_values):
+    """Trial j's size and decoded row in loop k of a battery, from the table alone: a fresh generator
+    of the battery's seed, jumped k times, advanced by j w, draws the row first."""
+    spec = suite.TABLE[battery]
+    loop = spec.loops[k]
+    row = loop.layout(n_values)
+    bits = np.random.PCG64(seed + spec.offset)
+    bits = bits.jumped(k) if k else bits
+    bits.advance(j * row.width)
+    rows = row.values(np.random.Generator(bits).random((1, row.width)))
+    if "size" in row.fields:
+        return row.sizes[int(row.slots(rows, "size")[0] * len(row.sizes))], row, rows
+    return row.sizes[j % len(row.sizes)], row, rows
+
+
+@pytest.mark.parametrize("battery", list(suite.TABLE))
+def test_table_replays_each_trial(monkeypatch, battery):
+    """Trial j of every loop of every battery, built from the table alone, is the input its run used."""
+    seed, trials, n_values = 7, 150, (1, 2, 3)
+    loops = []  # the runs of each loop, one list per _runs call
+    real = suite._runs
+
+    def recorded(pieces):
+        loops.append([])
+        for run in real(pieces):
+            loops[-1].append(run)
+            yield run
+
+    monkeypatch.setattr(suite, "_runs", recorded)
+    spec = suite.TABLE[battery]
+    suite.BATTERIES[battery](rng(seed + spec.offset), trials, n_values)
+    assert len(loops) == len(spec.loops)
+    for k, (loop, runs) in enumerate(zip(spec.loops, loops)):
+        sizes = [_replayed_row(battery, k, seed, j, n_values)[0] for j in range(150)]
+        for j in (0, 1, 63, 64, 149):
+            n, row, rows = _replayed_row(battery, k, seed, j, n_values)
+            columns = [np.concatenate(c) if c[0] is not None else None
+                       for c in zip(*(columns for m, columns in runs if m == n))]
+            at = sizes[:j].count(n)
+            for got, want in zip([None if c is None else c[at] for c in columns],
+                                 loop.decode(row, n, rows, 0.0), strict=True):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want[0])
 
 
 def test_first_acceptable_candidate_wins():
@@ -417,7 +474,7 @@ def test_first_acceptable_candidate_wins():
 
 def _drained_peak(trials: int) -> int:
     """tracemalloc's peak while one battery's drawer is drained for `trials` trials."""
-    drawn = suite._contact_draws(rng(4), trials, (1, 2, 3), 1e-3, omega=True, nu=True, vectors=2)
+    drawn = suite._draws(suite.TABLE["induced_curvature"].loops[0], rng(4), trials, (1, 2, 3), 1e-3)
     tracemalloc.start()
     try:
         for _ in drawn:
@@ -440,7 +497,8 @@ def test_drawer_memory_is_flat_in_trials():
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 def test_groups_stack_the_per_trial_points(fault):
     """Each run's batched point and scalars equal the unbatched builds of its trials, decoded by hand."""
-    runs = list(suite._contact_runs(rng(12), 9, (1, 2, 3), fault, omega=True, nu=True))
+    loop = suite.TABLE["canonical_curvature"].loops[0]
+    runs = [loop.build(n, columns, fault) for n, columns in suite._draws(loop, rng(12), 9, (1, 2, 3), fault)]
     singles = []
     for n, U, entry, scalars, Omega, nus, _ in _contact_oracle(12, 9, (1, 2, 3), fault, omega=True, nu=True)[0]:
         p = contact_point(n, PointDraw(U, None if entry is None else np.array(entry)), fault)
@@ -763,7 +821,7 @@ def test_decided_battery_stops_drawing(monkeypatch):
     runs = []
     _recording(monkeypatch, runs)
     drawing = rng(21)
-    report = suite.battery_axiom_induction(drawing, 150, (1,), fault=1e-3)
+    report = suite.BATTERIES["axiom_induction"](drawing, 150, (1,), fault=1e-3)
     want, gen = _reference_normals(21, suite.CHUNK, (1,), 1e-3)
     assert drawing.bit_generator.state == gen.bit_generator.state
     assert len(runs) == 1
@@ -791,13 +849,13 @@ def test_decided_tag_groups_build_no_more_runs(monkeypatch):
     Evaluating every run gives the same report, builds every run and reads all 150 rows."""
     calls = _recording_calls(monkeypatch, ["contact_point"])
     drawing, gen = rng(7), rng(7)
-    report = suite.battery_induced_curvature(drawing, 150, (2,), fault=1e-3)
+    report = suite.BATTERIES["induced_curvature"](drawing, 150, (2,), fault=1e-3)
     assert len(calls["contact_point"]) == 2
     gen.random((suite.CHUNK, 51))  # size, U (25), entry (2), t, Omega (5), 7 scalars, 2 x vectors (5)
     assert drawing.bit_generator.state == gen.bit_generator.state
     monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
     every, gen = rng(7), rng(7)
-    assert suite.battery_induced_curvature(every, 150, (2,), fault=1e-3) == report
+    assert suite.BATTERIES["induced_curvature"](every, 150, (2,), fault=1e-3) == report
     assert len(calls["contact_point"]) == 2 + 2 * 3
     gen.random((150, 51))
     assert every.bit_generator.state == gen.bit_generator.state
@@ -808,7 +866,7 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
     """Every batch entry theorem31 and section_checks receive is one literal trial's point, angles and
     section vector, on one branch: each n's trials in row order, branch +1 first."""
     calls = _recording_calls(monkeypatch, ["theorem31", "section_checks"])
-    suite.battery_solver_theorem(rng(21), 9, (1, 2, 3), fault)
+    suite.BATTERIES["solver_theorem"](rng(21), 9, (1, 2, 3), fault)
     want, _ = _reference_solver(21, 9, (1, 2, 3), fault)
     sizes = sorted({n for n, *_ in want})  # one run per n, in n_values order: 9 trials are one block
     assert len(calls["theorem31"]) == len(calls["section_checks"]) == len(sizes)
@@ -873,6 +931,12 @@ def test_chunked_groups_give_the_same_report(monkeypatch):
             np.testing.assert_allclose([c.residual for c in chunked], [c.residual for c in whole], rtol=0, atol=1e-13)
 
 
+def test_run_suite_applies_its_tolerance():
+    """The tolerance reaches the layers' input checks: at 1e-30 they reject the suite's own data."""
+    assert suite.run_suite(7, 5).passed
+    assert not suite.run_suite(7, 5, tol=Tolerance(1e-30, 1e-30)).passed
+
+
 def _report(report) -> tuple:
     return json.dumps(report.to_dict(), sort_keys=True), [(c.name, float(c.residual)) for c in report.checks]
 
@@ -900,6 +964,6 @@ def test_nan_reading_residual_is_infinite(monkeypatch):
         return MultilinearForm._trusted(entries, K.batch)
 
     monkeypatch.setattr(suite, "K_cor32", nan_squared)
-    checks = {c.name: c for c in suite.battery_expanded_coefficients(rng(3), 6, (1, 2, 3))}
+    checks = {c.name: c for c in suite.BATTERIES["expanded_coefficients"](rng(3), 6, (1, 2, 3))}
     assert checks["expanded_coefficients.reading_squared"].residual == math.inf
     assert not checks["expanded_coefficients.reading_squared"].passed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nordenhyp import cli
+from nordenhyp.suite import MAX_N
 
 
 def run(tmp_path, capsys, scenario, *flags):
@@ -141,10 +142,14 @@ OVERSIZE_CASES = [
     ({"kind": "induce", "ambient": {"n_prime": 5}, "N": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, [], "ambient n_prime"),
     ({"kind": "suite", "trials": 1, "n_values": [1, 100000]}, [], "n_values entry"),
     ({"kind": "suite", "trials": 1}, ["--n", "1", "--n", "100000"], "--n"),
+    # the suite stops at n = 3: two batteries build the pi' family of the ambient n' = n + 1
+    ({"kind": "suite", "trials": 1, "n_values": [4]}, [], "n_values entry"),
+    ({"kind": "suite", "trials": 1}, ["--n", "4"], "--n"),
 ]
+OVERSIZE_IDS = [f"{c[0]['kind']}-{c[2]}" for c in OVERSIZE_CASES[:-2]] + ["suite-n_values entry-4", "suite---n-4"]
 
 
-@pytest.mark.parametrize("scenario, flags, field", OVERSIZE_CASES, ids=[f"{c[0]['kind']}-{c[2]}" for c in OVERSIZE_CASES])
+@pytest.mark.parametrize("scenario, flags, field", OVERSIZE_CASES, ids=OVERSIZE_IDS)
 def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario, flags, field):
     """Sizes past MAX_DIM are rejected at the boundary: no point is built and the suite never starts."""
     from nordenhyp.complex_norden import ComplexNordenPoint
@@ -162,7 +167,8 @@ def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario
     assert cli.main([str(path), "--json", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {field} must be at most {cli.MAX_SIZE.get(field, 4)}")
+    bound = MAX_N if scenario["kind"] == "suite" else cli.MAX_SIZE.get(field, 4)
+    assert captured.err.startswith(f"error: {field} must be at most {bound}")
 
 
 @pytest.mark.parametrize(
@@ -195,10 +201,10 @@ def test_largest_ambient_is_accepted(tmp_path, capsys, kind):
     assert code == 0 and doc["passed"]
 
 
-def test_run_suite_rejects_sizes_below_one():
+def test_run_suite_rejects_sizes_outside_one_to_three():
     from nordenhyp.suite import run_suite
 
-    for n_values in ((0,), (1, -1), ()):
+    for n_values in ((0,), (1, -1), (), (4,), (5,), (1, 4)):
         with pytest.raises(ValueError):
             run_suite(seed=1, trials=1, n_values=n_values)
 
