@@ -247,7 +247,8 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
-    seed = args.seed if args.seed is not None else _as_int(payload.get("seed", 0), "seed")
+    seed = (_as_int(args.seed, "--seed", minimum=0) if args.seed is not None
+            else _as_int(payload.get("seed", 0), "seed", minimum=0))
     trials = args.trials if args.trials is not None else _as_int(payload.get("trials", 20), "trials")
     n_values = args.n or payload.get("n_values")
     if n_values is None:

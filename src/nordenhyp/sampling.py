@@ -10,12 +10,14 @@ The per-call samplers (`draw_point`, `draw_normal`, `random_nu_pair`,
 `random_totally_real_pair`, the `random_*` builders) draw one instance per
 call.  The suite instead reads each trial from one row of uniform doubles
 (`suite._Row`): a value in [low, high) is `uniform(u, low, high)`, the map
-`Generator.uniform` applies, and an index below k is floor(u k).  Each
-rejection sampler gets a fixed number of candidate slots per row and takes
-the first acceptable candidate (`timelike_normals`, `totally_real_pairs`,
-`solver_angles`); the counts are set from the measured rejection rates so
-that a row with none is rarer than 1e-15, and such a row raises
-`NoAcceptableCandidate` instead of drawing again.
+`Generator.uniform` applies, and an index below k (the fault entry, a
+normal's plane) is floor(u k); a row's size is not drawn, as each suite
+loop takes its sizes in turn.  Each rejection sampler gets a fixed number
+of candidate slots per row and takes the first acceptable candidate
+(`timelike_normals`, `totally_real_pairs`, `solver_angles`); the counts
+are set from the measured rejection rates so that a row with none is
+rarer than 1e-15, and such a row raises `NoAcceptableCandidate` instead of
+drawing again.
 
 A contact point is drawn (`PointDraw`) apart from being built
 (`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a

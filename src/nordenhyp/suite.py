@@ -7,25 +7,26 @@ one structure tensor per dataset, and every battery must then fail a check.
 A geometry error raised mid-check is an infinite residual under every name
 of the guard group that raised; any other exception is a bug and propagates.
 
-The batteries are data: `TABLE` gives each its check names, seed offset,
-loops (`Loop`: row layout, decoder, batch builder, guard groups and the
-evaluation of a built run for one group) and an optional finishing step,
-and one driver (`_drive`) runs any of them.  Loop k reads the battery's
-stream jumped k times, so `induced_curvature`'s totally real loop has its own.
+The batteries are data: `TABLE` gives each its check names, stream key,
+loops (`Loop`: row layout, batch builder, guard groups and the evaluation
+of a built run for one group) and an optional finishing step, and one
+driver (`_drive`) runs any of them.  Loop l of a battery reads its own
+keyed stream, PCG64([seed, key, l]) (`_stream`).
 
-Trial j of a loop is row j of its stream of uniform doubles (`_Row`), drawn
-`CHUNK` rows per generator call (`_blocks`): the size draw (a layout without
-one takes the sizes in turn), then the fields the battery reads, each sized
-for the largest n, a smaller n using a prefix.  PCG64 turns one output into
-one double, so a fresh generator advanced by j w draws row j first.  The
-fault entry's slots are there at any fault, so a faulted run perturbs the
-points a clean run draws.  A block's rows of one n are decoded together
-(`_trials`), and each n's trials are evaluated as soon as a run of `CHUNK`
-is full, in one batch through the layers' batch axis (`_runs`), so memory
-stays flat in `trials`; a run that raises counts for all its trials.  The
-driver skips a decided group (every name holds infinity, so no run can
-change it) and stops a loop once all its groups are decided, drawing no
-further block.  A clean run decides nothing.
+A trial is one row of uniform doubles (`_Row`): the fields the battery
+reads, each sized for the largest n, a smaller n using a prefix.  A loop
+draws its sizes in turn, the trials split over them (`_Row.counts`), or all
+of them at each size for a layout drawn at every n, so the work of a suite
+op does not depend on its seed.  A size's rows are drawn `CHUNK` at a time,
+and each block is built as one run, evaluated in one batch through the
+layers' batch axis, so memory stays flat in `trials`; a run that raises
+counts for all its trials.  PCG64 turns one output into one double, so
+trial j of size i is row sum(counts[:i]) + j of the stream, and a fresh
+generator advanced by that many rows draws it first.  The fault entry's
+slots are there at any fault, so a faulted run perturbs the points a clean
+run draws.  The driver skips a decided group (every name holds infinity,
+so no run can change it) and stops a loop once all its groups are decided,
+drawing no further block.  A clean run decides nothing.
 
 Each identity has one check family, shared with the CLI kinds, from one
 point's (or one batch's) inputs to `{name: residual}`: `scalar_checks`
@@ -108,7 +109,6 @@ from .sampling import (
     PointDraw,
     contact_point,
     hyper_scalars,
-    rng,
     solver_angles,
     timelike_normals,
     totally_real_pairs,
@@ -249,14 +249,14 @@ def theorem31_checks(p, res: Theorem31Result, th, ths) -> dict:
 
 
 class _Row:
-    """The layout of one trial's row of uniform doubles: the sizes a row's n is drawn from, then
-    named fields in order, each sized for the largest n, so the width is fixed; a smaller n uses a
-    prefix of a field.  A field is (name, shape) or (name, shape, low, high) for values in
-    [low, high): `values` maps a block of rows to them in place, as `Generator.uniform` maps its
-    draws, and leaves the other slots in [0, 1)."""
+    """The layout of one trial's row of uniform doubles: the sizes a loop draws, then named fields in
+    order, each sized for the largest n, so the width is fixed; a smaller n uses a prefix of a field.
+    A field is (name, shape) or (name, shape, low, high) for values in [low, high): `values` maps a
+    block of rows to them in place, as `Generator.uniform` maps its draws, and leaves the other slots
+    in [0, 1).  The trials are split over the sizes, or drawn in full at each size if every_n."""
 
-    def __init__(self, sizes: Iterable[int], *fields):
-        self.sizes = tuple(sizes)
+    def __init__(self, sizes: Iterable[int], *fields, every_n: bool = False):
+        self.sizes, self.every_n = tuple(sizes), every_n
         self.fields: dict[str, tuple[slice, tuple]] = {}
         low, scale, end = [], [], 0
         for name, shape, *bounds in fields:
@@ -270,6 +270,12 @@ class _Row:
         self.width = end
         self.low, self.scale = np.concatenate(low), np.concatenate(scale)
 
+    def counts(self, trials: int) -> list[int]:
+        """The rows each size draws, in turn: trials at each if every_n, else trials split over the k
+        sizes, the first trials % k taking one more."""
+        k = len(self.sizes)
+        return [trials if self.every_n else trials // k + (i < trials % k) for i in range(k)]
+
     def values(self, block: np.ndarray) -> np.ndarray:
         block *= self.scale
         block += self.low
@@ -281,65 +287,7 @@ class _Row:
         return rows[:, where].reshape(len(rows), *shape)
 
 
-def _blocks(gen: np.random.Generator, count: int, width: int):
-    """count rows of width uniform doubles as (index of the first row, block), CHUNK rows per
-    generator call; row j holds doubles j*width to (j + 1)*width - 1 of the stream."""
-    for start in range(0, count, CHUNK):
-        yield start, gen.random((min(CHUNK, count - start), width))
-
-
-def _runs(pieces: Iterable[tuple]):
-    """Pieces (n, *columns) in draw order, grouped by n into runs of at most CHUNK trials.
-
-    A piece joins n's buffer, and a run is yielded as (n, columns) once the buffer holds CHUNK
-    trials, then the partial buffers at the end, in first-seen order; so the runs are each n's
-    trials in consecutive slices of CHUNK, and one buffer per n is held.  A column holds a
-    field's values over the trials along a leading axis (None for a field that is None, never
-    the first).
-    """
-    buffers: dict[int, list] = {}
-
-    def cut(columns, start, stop=None):
-        return [None if c is None else c[start:stop] for c in columns]
-
-    for n, *columns in pieces:
-        if buffers.get(n):
-            columns = [None if c is None else np.concatenate([h, c]) for h, c in zip(buffers[n], columns)]
-        if len(columns[0]) >= CHUNK:
-            yield n, cut(columns, 0, CHUNK)
-            columns = cut(columns, CHUNK)
-        buffers[n] = columns if len(columns[0]) else None
-    for n, columns in buffers.items():
-        if columns:
-            yield n, columns
-
-
-def _trials(gen: np.random.Generator, trials: int, row: _Row, decode: Callable):
-    """Runs (n, columns) of a layout's trials, trial j being row j of the stream.  A row's n is
-    row.sizes[floor(u len(row.sizes))] of its "size" slot; a layout without one draws trials rows
-    per size, the sizes in turn, and one without sizes draws nothing.  A block's rows of one n are
-    decoded together, decode(n, rows) giving a column per field."""
-    cyclic = "size" not in row.fields
-    if not row.sizes:
-        return iter(())
-
-    def pieces():
-        for start, block in _blocks(gen, trials * len(row.sizes) if cyclic else trials, row.width):
-            rows = row.values(block)
-            if cyclic:
-                index = (start + np.arange(len(rows))) % len(row.sizes)
-            else:
-                index = (row.slots(rows, "size") * len(row.sizes)).astype(np.intp)
-            for k, n in enumerate(row.sizes):
-                mine = index == k
-                if mine.any():
-                    yield (n, *decode(n, rows[mine]))
-
-    return _runs(pieces())
-
-
-# --- the row layouts, decoders and builders
-SIZE = ("size", ())
+# --- the row layouts and builders: a block of rows of one n to the batch its groups read
 T = ("t", (), -1.2, 1.2)
 SCALARS = ("scalars", 5, -2.0, 2.0)  # the five derivative scalars
 SCALARS_NU = ("scalars", 7, -2.0, 2.0)  # and the nu pair
@@ -356,70 +304,53 @@ def _point(n_values) -> tuple:
     return ("U", m * m, -1.0, 1.0), ("entry", 2)
 
 
-def _point_fields(row: _Row, rows: np.ndarray, n: int, fault: float) -> tuple:
-    """A contact point's draws: the block U from the first d^2 slots of "U", and (if fault) the
-    phi entry a fault perturbs, floor(u d) of each of the two "entry" slots."""
+def _point_draw(row: _Row, rows: np.ndarray, n: int, fault: float) -> PointDraw:
+    """A contact point's draws: the block U from the first d^2 slots of "U", and (if fault) the phi
+    entry a fault perturbs, floor(u d) of each of the two "entry" slots.  A layout without U draws
+    the standard point, a fault at phi[0, 0]."""
     d = 2 * n + 1
+    if "U" not in row.fields:
+        return PointDraw(np.zeros((len(rows), d, d)), np.zeros((len(rows), 2), dtype=np.intp) if fault else None)
     U = row.slots(rows, "U")[:, :d * d].reshape(-1, d, d)
-    return U, (row.slots(rows, "entry") * d).astype(np.intp) if fault else None
+    return PointDraw(U, (row.slots(rows, "entry") * d).astype(np.intp) if fault else None)
 
 
-def _contact_columns(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
-    """A contact trial's columns (U, entry, t, Omega, scalars, x), None for a field the layout
-    lacks; a layout without U draws the standard point, a fault at phi[0, 0]."""
-    d = 2 * n + 1
-    if "U" in row.fields:
-        point = _point_fields(row, rows, n, fault)
-    else:
-        point = np.zeros((len(rows), d, d)), np.zeros((len(rows), 2), dtype=np.intp) if fault else None
-    fields = (("t", None), ("Omega", d), ("scalars", None), ("x", d))
-    return *point, *(row.slots(rows, k)[..., :stop] if k in row.fields else None for k, stop in fields)
-
-
-def _contact_run(n: int, columns, fault: float) -> tuple:
-    """A run of contact trials as one batch: (point, scalars, nu pair as two (B,) arrays, vectors
+def _contact(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
+    """A block of contact trials as one batch: (point, scalars, nu pair as two (B,) arrays, vectors
     as one (k, B, d) array), None for what the layout lacks."""
-    U, entry, t, Omega, scalars, xs = columns
-    p = contact_point(n, PointDraw(U, entry), fault)
-    if t is None:
+    d = 2 * n + 1
+    p = contact_point(n, _point_draw(row, rows, n, fault), fault)
+    if "t" not in row.fields:
         return p, None, None, None
-    scalars = scalars.T
-    return p, hyper_scalars(t, scalars[:5], Omega, p), scalars[5:], None if xs is None else xs.swapaxes(0, 1)
+    scalars = row.slots(rows, "scalars").T
+    Omega = row.slots(rows, "Omega")[:, :d] if "Omega" in row.fields else None
+    xs = row.slots(rows, "x")[..., :d].swapaxes(0, 1) if "x" in row.fields else None
+    return p, hyper_scalars(row.slots(rows, "t"), scalars[:5], Omega, p), scalars[5:], xs
 
 
-def _normal_columns(row: _Row, n_prime: int, rows: np.ndarray, fault: float) -> tuple:
-    return (timelike_normals(row.slots(rows, "normal"), n_prime, fault),)
-
-
-def _section_columns(row: _Row, n_prime: int, rows: np.ndarray, fault: float) -> tuple:
-    return (*totally_real_pairs(row.slots(rows, "pair"), n_prime), row.slots(rows, "v")[:, :2 * n_prime])
-
-
-def _ambient_run(n_prime: int, columns, fault: float) -> tuple:
-    """The standard ambient of the run's size, J[0, 0] perturbed under fault, and the columns."""
+def _ambient(row: _Row, n_prime: int, rows: np.ndarray, fault: float) -> tuple:
+    """The standard ambient of the block's size, J[0, 0] perturbed under fault, the totally real
+    pairs and the section vectors."""
     amb = ComplexNordenPoint.standard(n_prime)
     if fault:
         J = amb.J.copy()
         J[0, 0] += fault
         amb = ComplexNordenPoint(n_prime, amb.g, J)
-    return (amb, *columns)
+    return amb, *totally_real_pairs(row.slots(rows, "pair"), n_prime), row.slots(rows, "v")[:, :2 * n_prime]
 
 
 SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order of a trial's x vectors
 
 
-def _solver_columns(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
-    nus = solver_angles(row.slots(rows, "radicand"))
-    return (*_point_fields(row, rows, n, fault), nus, row.slots(rows, "x")[..., :2 * n + 1])
-
-
-def _solver_run(n: int, columns, fault: float) -> tuple:
-    """Both branches of a run as one batch of twice its size, branch +1 first: the point, each
+def _solver_run(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
+    """Both branches of a block as one batch of twice its size, branch +1 first: the point, each
     entry's (eps, nu, nu~, t) and its section vector."""
-    U, entry, nus, xs = columns
-    draw = PointDraw(*(a if a is None else np.concatenate([a] * len(SOLVER_BRANCHES)) for a in (U, entry)))
-    entries = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus.tolist()]
-    return contact_point(n, draw, fault), entries, xs.swapaxes(0, 1).reshape(len(entries), 2 * n + 1)
+    draw = PointDraw(*(a if a is None else np.concatenate([a] * len(SOLVER_BRANCHES))
+                       for a in _point_draw(row, rows, n, fault)))
+    nus = solver_angles(row.slots(rows, "radicand")).tolist()
+    entries = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus]
+    xs = row.slots(rows, "x")[..., :2 * n + 1].swapaxes(0, 1)
+    return contact_point(n, draw, fault), entries, xs.reshape(len(entries), 2 * n + 1)
 
 
 # --- the evaluations: a built run and one guard group to {name: residual}
@@ -542,86 +473,90 @@ def _one_reading(w: _Worst, reading: str | None) -> None:
 
 # --- the table and its driver
 
-# One stream of a battery's trials: layout(n_values) is the row layout, decode(row, n, rows, fault)
-# maps a block's rows of one n to columns, build(n, columns, fault) a run's columns to the batch its
-# groups read, and evaluate(run, group, tol) that batch to {name: residual} for one guard group (the
-# prefix of the names it marks on a geometry error, "" for every name).
-Loop = namedtuple("Loop", "layout evaluate groups decode build", defaults=(("",), _contact_columns, _contact_run))
+# One stream of a battery's trials: layout(n_values) is the row layout, build(row, n, rows, fault) maps
+# a block of rows of one n to the batch its groups read, and evaluate(run, group, tol) that batch to
+# {name: residual} for one guard group (the prefix of the names it marks on a geometry error, "" for
+# every name).
+Loop = namedtuple("Loop", "layout evaluate groups build", defaults=(("",), _contact))
 
-# A battery: its declared check names, its seed's offset from the suite seed (the sum of the
-# ord() of its name's characters), its loops, loop k on the stream jumped k times, and a step
-# finish(w, reading) on the residuals at the end.
-Battery = namedtuple("Battery", "names offset loops finish", defaults=(None,))
+# A battery: its declared check names, its stream key (the sum of the ord() of its name's
+# characters), its loops, loop l on the stream PCG64([seed, key, l]), and a step finish(w, reading)
+# on the residuals at the end.
+Battery = namedtuple("Battery", "names key loops finish", defaults=(None,))
 
 
 TABLE: dict[str, Battery] = {
     # induced structures satisfy the contact axioms and the pullback identities
     "axiom_induction": Battery(("axioms", "pullback_identities"), 1610, (Loop(
-        lambda ns: _Row([n + 1 for n in ns], SIZE, ("normal", (NORMAL_CANDIDATES, 4 + 2 * max(ns)))), _axioms,
-        decode=_normal_columns, build=lambda n_prime, columns, fault: (n_prime, *columns)),)),
+        lambda ns: _Row([n + 1 for n in ns], ("normal", (NORMAL_CANDIDATES, 4 + 2 * max(ns)))), _axioms,
+        build=lambda row, n_prime, rows, fault: (
+            n_prime, timelike_normals(row.slots(rows, "normal"), n_prime, fault))),)),
     # the two generator combinations every canonical curvature is built from
     "kaehlerity": Battery(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"), 1074, (Loop(
-        lambda ns: _Row(ns, *_point(ns)), _kaehlerity),)),
+        lambda ns: _Row(ns, *_point(ns), every_n=True), _kaehlerity),)),
     # constant-curvature model: section values on special planes
     "model_curvature": Battery(("ambient_axioms", "totally_real_k", "totally_real_k_assoc", "holomorphic_k"), 1617, (
         Loop(lambda ns: _Row([n + 1 for n in ns], ("v", 2 * max(ns) + 2, -1.0, 1.0),
-                             ("pair", (PAIR_CANDIDATES, 2 * max(ns) + 2))),
-             _model, decode=_section_columns, build=_ambient_run),)),
+                             ("pair", (PAIR_CANDIDATES, 2 * max(ns) + 2)), every_n=True),
+             _model, build=_ambient),)),
     # double contraction of the induced curvature vs the trace closed forms, on the rank-one class
     "scalar_calibration": Battery(("tau", "tau_twisted"), 1885, (Loop(
-        lambda ns: _Row(ns, SIZE, *_point(ns), T, SCALARS_NU), _calibration),)),
+        lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _calibration),)),
     # scalar and special sectional curvatures of the two closed-form classes
     "induced_curvature": Battery(
         (*_per_tag(("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")), "totally_real"),
         1820,
-        (Loop(lambda ns: _Row(ns, SIZE, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU, _vectors("x", ns, 2)),
+        (Loop(lambda ns: _Row(ns, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU, _vectors("x", ns, 2)),
               _induced, TAG_GROUPS),
-         Loop(lambda ns: _Row([n for n in ns if n >= 2], SIZE, T, SCALARS_NU), _totally_real, ("totally_real",))),
+         Loop(lambda ns: _Row([n for n in ns if n >= 2], T, SCALARS_NU), _totally_real, ("totally_real",))),
     ),
     # the two routes to the canonical curvature and its trace closed forms
     "canonical_curvature": Battery(_per_tag(("routes_agree", "kaehlerian", "tau", "tau_twisted")), 2024, (Loop(
-        lambda ns: _Row(ns, SIZE, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU), _canonical, TAG_GROUPS),)),
+        lambda ns: _Row(ns, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU), _canonical, TAG_GROUPS),)),
     # main-class closed forms vs the generic induced-curvature route
     "main_class": Battery(("trace_A", "trace_A_phi", "R_routes_agree", "tau", "tau_twisted"), 1050, (Loop(
-        lambda ns: _Row(ns, SIZE, *_point(ns), T, SCALARS_NU), _main_class),)),
+        lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _main_class),)),
     # difference tensor: generic reconstruction vs the main-class display
     "canonical_connection": Battery(("difference_tensor",), 2103, (Loop(
-        lambda ns: _Row(ns, *_point(ns), T, SCALARS), _connection),)),
+        lambda ns: _Row(ns, *_point(ns), T, SCALARS, every_n=True), _connection),)),
     # round trip of the angle solver and the flat-regime closed forms
     "solver_theorem": Battery(
         ("roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau", "tau_twisted", "xi_section",
          "phi_holomorphic"),
         1518,
-        (Loop(lambda ns: _Row(ns, SIZE, *_point(ns), _vectors("x", ns, len(SOLVER_BRANCHES)),
+        (Loop(lambda ns: _Row(ns, *_point(ns), _vectors("x", ns, len(SOLVER_BRANCHES)),
                               ("radicand", (RADICAND_CANDIDATES, 3))),
-              _solver, decode=_solver_columns, build=_solver_run),),
+              _solver, build=_solver_run),),
     ),
     # exactly one coefficient reading of the expanded canonical curvature is consistent with the
     # compositional route; the report records which
     "expanded_coefficients": Battery(
         ("kaehlerian", *(f"reading_{r}" for r in COR32_READINGS)), 2202,
-        (Loop(lambda ns: _Row(ns, SIZE, *_point(ns), T, SCALARS), _readings),), finish=_one_reading,
+        (Loop(lambda ns: _Row(ns, *_point(ns), T, SCALARS), _readings),), finish=_one_reading,
     ),
 }
 
 
-def _draws(loop: Loop, gen: np.random.Generator, trials: int, n_values: tuple[int, ...], fault: float):
-    """The runs (n, columns) of one loop's trials (`_trials`)."""
-    row = loop.layout(n_values)
-    return _trials(gen, trials, row, lambda n, rows: loop.decode(row, n, rows, fault))
+def _stream(seed: int, key: int, l: int, row: _Row, trials: int):
+    """Loop l's blocks (n, rows) in draw order: its generator PCG64([seed, key, l]) draws the rows of
+    each size in turn (`_Row.counts`), CHUNK rows per call."""
+    gen = np.random.Generator(np.random.PCG64([seed, key, l]))
+    for n, count in zip(row.sizes, row.counts(trials)):
+        for start in range(0, count, CHUNK):
+            yield n, row.values(gen.random((min(CHUNK, count - start), row.width)))
 
 
-def _drive(name: str, gen: np.random.Generator, trials: int, n_values: Iterable[int], fault: float = 0.0,
+def _drive(name: str, seed: int, trials: int, n_values: Iterable[int], fault: float = 0.0,
            reading: str | None = None, tol: Tolerance = DEFAULT_TOL) -> list[Check]:
-    """Runs the battery TABLE[name]: each loop's runs are built and each undecided group evaluated
-    under its guard, until all the loop's groups are decided; then the finishing step."""
+    """Runs the battery TABLE[name]: each block of each loop's stream is built as one run and each
+    undecided group evaluated under its guard, until all the loop's groups are decided; then the
+    finishing step."""
     battery, n_values = TABLE[name], tuple(n_values)
     w = _Worst(name, battery.names)
-    # every jumped stream is taken before the first loop draws
-    gens = [gen, *(np.random.Generator(gen.bit_generator.jumped(k)) for k in range(1, len(battery.loops)))]
-    for loop, loop_gen in zip(battery.loops, gens):
-        for n, columns in _draws(loop, loop_gen, trials, n_values, fault):
-            run = loop.build(n, columns, fault)
+    for l, loop in enumerate(battery.loops):
+        row = loop.layout(n_values)
+        for n, rows in _stream(seed, battery.key, l, row, trials):
+            run = loop.build(row, n, rows, fault)
             for group in loop.groups:
                 if not w.decided(group):
                     with w.guard(group):
@@ -645,6 +580,10 @@ def run_suite(
     tol: Tolerance = DEFAULT_TOL,
 ) -> ValidationReport:
     """Run every battery from one seed; identical inputs give identical reports."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not math.isfinite(fault):
+        raise ValueError(f"fault must be finite, got {fault!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_values = tuple(n_values)
@@ -653,7 +592,6 @@ def run_suite(
     if cor32_reading is not None and cor32_reading not in COR32_READINGS:
         raise ValueError(f"cor32_reading must be one of {COR32_READINGS}, got {cor32_reading!r}")
     checks: list[Check] = []
-    for name, battery in BATTERIES.items():
-        gen = rng(seed + TABLE[name].offset)
-        checks.extend(battery(gen, trials, n_values, fault=fault, reading=cor32_reading, tol=tol))
+    for battery in BATTERIES.values():
+        checks.extend(battery(seed, trials, n_values, fault=fault, reading=cor32_reading, tol=tol))
     return ValidationReport(tuple(checks))

@@ -3,9 +3,10 @@
 Each batch-capable layer is called once on a stack of B random tangent
 spaces (n = 1..4, with a random non-symmetric A wherever a layer takes a
 shape operator) and compared with B separate unbatched calls, at 1e-13
-relative to the size of the values.  The suite's draw step is checked against
-each trial's row of uniform doubles decoded by hand, and a group holding one
-faulted entry must raise as a whole and report every declared check name.
+relative to the size of the values.  Each run the suite builds is checked
+against its trials' rows of uniform doubles, decoded by hand and built one by
+one, and a group holding one faulted entry must raise as a whole and report
+every declared check name.
 """
 import dataclasses
 import json
@@ -233,25 +234,82 @@ def test_classify_section_batch(n):
     assert want[:4] == [K.XI_SECTION, K.XI_SECTION, K.PHI_HOLOMORPHIC, K.PHI_HOLOMORPHIC]
 
 
-def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vectors=0, every_n=False,
-                    point_only=False):
-    """Each contact trial decoded by hand, slot by slot, from its row of rng(seed).random((rows, w)):
-    (n, U, entry, (t, five derivative scalars), Omega, nu pair, section vectors), and the generator.
+def _generator(battery: str, seed: int, loop: int = 0) -> np.random.Generator:
+    """A fresh generator on a loop's stream of a battery, PCG64([seed, key, loop])."""
+    return np.random.Generator(np.random.PCG64([seed, suite.TABLE[battery].key, loop]))
 
-    A row holds the size slot (none if every_n: a row per n in turn), the block U (m^2 slots for
-    m = 2 max(n) + 1, the first d^2 used), the two entry slots, then, unless point_only (no scalars,
-    Omega, nu pair or vectors), t, Omega (m slots, if omega), the five derivative scalars and the nu
-    pair (if nu), and `vectors` section vectors of m slots each.
+
+def _sizes(trials: int, n_values, every_n: bool = False) -> list[int]:
+    """Each row's size, derived by hand: the sizes in turn, each taking trials rows if every_n, else
+    the trials dealt out one per size in turn, so that the first trials % k sizes take one more."""
+    k = len(n_values)
+    return [n for i, n in enumerate(n_values) for _ in range(trials if every_n else len(range(i, trials, k)))]
+
+
+def _dealt(blocks: list[tuple[int, int]], trials: list, complete: bool = True) -> list[list]:
+    """The reference trials of each block, given as (n, its row count).
+
+    Checks first that the blocks hold the trials in draw order, each size's in consecutive slices
+    of CHUNK (the last one shorter), and, if complete, leave none out.
+    """
+    want = []
+    for n in dict.fromkeys(trial[0] for trial in trials):
+        count = sum(trial[0] == n for trial in trials)
+        want += [(n, min(suite.CHUNK, count - start)) for start in range(0, count, suite.CHUNK)]
+    assert blocks == (want if complete else want[:len(blocks)])
+    ends = np.cumsum([size for _, size in blocks]).tolist()
+    return [trials[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _recording(monkeypatch, battery: str) -> list:
+    """Has each loop of a battery append (loop index, n, rows, built run) to the returned list as
+    the driver builds a run."""
+    runs, spec = [], suite.TABLE[battery]
+
+    def recorded(l, build):
+        def built(row, n, rows, fault):
+            run = build(row, n, rows, fault)
+            runs.append((l, n, rows.copy(), run))
+            return run
+
+        return built
+
+    loops = tuple(loop._replace(build=recorded(l, loop.build)) for l, loop in enumerate(spec.loops))
+    monkeypatch.setitem(suite.TABLE, battery, spec._replace(loops=loops))
+    return runs
+
+
+def _recording_blocks(monkeypatch) -> list:
+    """Has suite._stream append every block (n, rows) it draws to the returned list."""
+    blocks, real = [], suite._stream
+
+    def recorded(*args):
+        for block in real(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(suite, "_stream", recorded)
+    return blocks
+
+
+def _contact_oracle(battery, seed, trials, n_values, fault, omega=False, nu=False, vectors=0, every_n=False,
+                    point_only=False):
+    """Each contact trial of a battery's first loop decoded by hand, slot by slot, from its row of the
+    loop's stream (`_generator`), the rows in the order of `_sizes`: (n, U, entry, (t, five derivative
+    scalars), Omega, nu pair, section vectors).
+
+    A row holds the block U (m^2 slots for m = 2 max(n) + 1, the first d^2 used), the two entry slots,
+    then, unless point_only (no scalars, Omega, nu pair or vectors), t, Omega (m slots, if omega), the
+    five derivative scalars and the nu pair (if nu), and `vectors` section vectors of m slots each.
     """
     m = 2 * max(n_values) + 1
-    w = (0 if every_n else 1) + m * m + 2
+    w = m * m + 2
     if not point_only:
         w += 1 + (m if omega else 0) + (7 if nu else 5) + vectors * m
-    gen = rng(seed)
+    sizes = _sizes(trials, n_values, every_n)
     drawn = []
-    for j, row in enumerate(gen.random((trials * len(n_values) if every_n else trials, w)).tolist()):
+    for n, row in zip(sizes, _generator(battery, seed).random((len(sizes), w)).tolist()):
         slots = iter(row)
-        n = n_values[j % len(n_values)] if every_n else n_values[int(next(slots) * len(n_values))]
         d = 2 * n + 1
         U = [-1.0 + 2.0 * next(slots) for _ in range(m * m)][:d * d]
         entry = [int(next(slots) * d) for _ in range(2)]
@@ -266,42 +324,32 @@ def _contact_oracle(seed, trials, n_values, fault, omega=False, nu=False, vector
         assert next(slots, None) is None
         U = np.reshape(U, (d, d))
         drawn.append((n, U, entry if fault else None, (t, *scalars[:5]), Omega, tuple(scalars[5:]), xs))
-    return drawn, gen
+    return drawn
 
 
-def _recording(monkeypatch, runs: list):
-    """Has suite._runs append every run it yields to runs."""
-    real = suite._runs
-
-    def recorded(pieces):
-        for run in real(pieces):
-            runs.append(run)
-            yield run
-
-    monkeypatch.setattr(suite, "_runs", recorded)
-
-
-def _paired(runs, trials, complete: bool = True) -> list[tuple]:
-    """Each trial of the runs, as a tuple of its fields, with the reference trial of its n.
-
-    Checks first that the runs hold each n's trials in draw order, in consecutive
-    slices of CHUNK (the last one shorter), and, if complete, leave none out.
-    """
-    left: dict[int, list] = {}
-    for trial in trials:
-        left.setdefault(trial[0], []).append(trial)
-    sizes: dict[int, list] = {}
-    pairs = []
-    for n, columns in runs:
-        size = len(next(c for c in columns if c is not None))
-        assert len(left[n]) >= size
-        sizes.setdefault(n, []).append(size)
-        pairs += zip(zip(*(c if c is not None else [None] * size for c in columns)), left[n][:size])
-        left[n] = left[n][size:]
-    assert not (complete and any(left.values()))
-    for each in sizes.values():
-        assert each[:-1] == [suite.CHUNK] * (len(each) - 1) and 0 < each[-1] <= suite.CHUNK
-    return pairs
+def _assert_contact_run(run, n: int, trials: list, fault: float) -> None:
+    """A built contact run is its trials built one by one from their hand-decoded draws, bit for bit:
+    the point, the scalars, the nu pair and the section vectors."""
+    p, sc, nus, xs = run
+    singles = [contact_point(n, PointDraw(U, None if entry is None else np.array(entry)), fault)
+               for _, U, entry, *_ in trials]
+    for f in ("g", "phi", "xi", "eta"):
+        np.testing.assert_array_equal(getattr(p, f), np.stack([getattr(q, f) for q in singles]))
+    if trials[0][3] is None:  # a point-only layout
+        assert sc is None and nus is None and xs is None
+        return
+    scalars = [hyper_scalars(s[0], s[1:], None if Omega is None else np.array(Omega), q)
+               for q, (*_, s, Omega, _, _) in zip(singles, trials)]
+    for f in dataclasses.fields(sc):
+        got, want = getattr(sc, f.name), [getattr(s, f.name) for s in scalars]
+        if got is None:
+            assert all(w is None for w in want)
+        else:
+            np.testing.assert_array_equal(got, np.stack(want))
+    assert nus.T.tolist() == [list(pair) for *_, pair, _ in trials]
+    assert (xs is None) == (not trials[0][6])
+    if xs is not None:
+        np.testing.assert_array_equal(xs.swapaxes(0, 1), [x for *_, x in trials])
 
 
 # A battery whose (first) loop draws contact trials, with the oracle's description of its rows.
@@ -318,131 +366,152 @@ CONTACT_LAYOUTS = [
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize("options", [options for _, options in CONTACT_LAYOUTS], ids=str)
 def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
-    """The streamed contact draws of the table's layout are the rows decoded by hand, bit for bit, and
-    leave the generator where those rows do; with CHUNK at 3, blocks of 3 rows are drawn and runs
-    fill mid-stream."""
+    """Each run the table's contact layout builds is its rows decoded by hand and built trial by
+    trial, bit for bit, and the blocks hold exactly those rows; with CHUNK at 3, each size's rows
+    are drawn in blocks of 3."""
     monkeypatch.setattr(suite, "CHUNK", 3)
     n_values = (1, 2, 3)
-    drawing = rng(11)
-    loop = suite.TABLE[next(b for b, o in CONTACT_LAYOUTS if o == options)].loops[0]
-    runs = list(suite._draws(loop, drawing, 7, n_values, fault))
-    reference, gen = _contact_oracle(11, 7, n_values, fault, **options)
-    assert drawing.bit_generator.state == gen.bit_generator.state
-    pairs = _paired(runs, reference)
-    for (U, entry, t, Omega, scalars, xs), (_, want_U, want_entry, want_scalars, want_Omega, nus, want_xs) in pairs:
-        if want_scalars is None:
-            assert t is None and scalars is None
-        else:
-            assert [t, *scalars.tolist()] == [*want_scalars, *nus]
-        np.testing.assert_array_equal(U, want_U)
-        np.testing.assert_array_equal(entry, want_entry)
-        np.testing.assert_array_equal(Omega, want_Omega)
-        np.testing.assert_array_equal(np.reshape([] if xs is None else xs, (-1,)), np.reshape(want_xs, (-1,)))
+    battery = next(b for b, o in CONTACT_LAYOUTS if o == options)
+    loop = suite.TABLE[battery].loops[0]
+    row = loop.layout(n_values)
+    blocks = list(suite._stream(11, suite.TABLE[battery].key, 0, row, 7))
+    reference = _contact_oracle(battery, 11, 7, n_values, fault, **options)
+    for (n, rows), trials in zip(blocks, _dealt([(n, len(rows)) for n, rows in blocks], reference), strict=True):
+        _assert_contact_run(loop.build(row, n, rows, fault), n, trials, fault)
 
 
-def test_chosen_sizes_are_the_choice_stream():
-    """A row's n is values[floor(u len(values))] of its first slot (values in turn over the row index
-    for a layout without a size slot, which draws 150 rows per value), and each n's runs hold its rows
-    in row order, for every list a battery picks from; 150 rows are three blocks."""
-    for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), [2, 3], [2, 3, 4]]:
-        for seed in range(50):
-            for cyclic in (False, True):
-                row = suite._Row(values, ("rest", 2)) if cyclic else suite._Row(values, ("size", ()), ("rest", 2))
-                runs = list(suite._trials(rng(seed), 150, row, lambda n, rows: (rows,)))
-                rows = rng(seed).random((150 * len(values) if cyclic else 150, row.width))
-                want = [values[j % len(values)] if cyclic else values[int(u * len(values))]
-                        for j, u in enumerate(rows[:, 0].tolist())]
-                assert all(type(n) is int for n, _ in runs)
-                for n in set(values):
-                    got = [columns[0] for m, columns in runs if m == n]
-                    np.testing.assert_array_equal(np.concatenate(got) if got else np.empty((0, row.width)),
-                                                  rows[[k == n for k in want]])
+def test_sizes_take_their_rows_in_turn():
+    """A loop draws its sizes in turn: of k sizes, size i takes trials // k rows, one more if
+    i < trials % k (trials rows at each size for a layout drawn at every n), the next rows of the
+    loop's stream, CHUNK at a time; at 150 trials a size's rows span three blocks.  A loop with no
+    sizes draws nothing."""
+    assert suite._Row((1, 2, 3), ("rest", 2)).counts(20) == [7, 7, 6]
+    assert suite._Row((2, 3), ("rest", 2)).counts(20) == [10, 10]
+    assert suite._Row((1, 2, 3), ("rest", 2), every_n=True).counts(20) == [20, 20, 20]
+    assert list(suite._stream(1, 5, 0, suite._Row((), ("rest", 2)), 20)) == []
+    for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4)]:
+        for seed in range(20):
+            for every_n in (False, True):
+                for trials in (1, 20, 150):
+                    blocks = list(suite._stream(seed, 5, 0, suite._Row(values, ("rest", 2), every_n=every_n), trials))
+                    sizes = _sizes(trials, values, every_n)
+                    assert all(type(n) is int for n, _ in blocks)
+                    _dealt([(n, len(rows)) for n, rows in blocks], [(n,) for n in sizes])
+                    rows = np.random.Generator(np.random.PCG64([seed, 5, 0])).random((len(sizes), 2))
+                    np.testing.assert_array_equal(np.concatenate([rows for _, rows in blocks]), rows)
 
 
 def test_fault_entry_is_the_size_two_stream():
     """The phi entry a fault perturbs is floor(u d) of each of its two slots, in range even for the
-    largest double below 1, and unfaulted it is None.  The row layout does not depend on fault, so
-    a clean and a faulted run of one seed draw the same trials otherwise."""
+    largest double below 1, and unfaulted it is None.  The stream does not depend on fault, so a
+    clean and a faulted run of one seed draw the same trials otherwise."""
     top = np.nextafter(1.0, 0.0)
     row = suite._Row((4,), ("U", 81), ("entry", 2))
     for n in (1, 2, 3, 4):
         rows = np.zeros((3, 83))
         rows[:, 81:] = [[0.0, top], [top, 0.5], [0.5, 0.0]]
-        _, entry = suite._point_fields(row, rows, n, 1e-3)
-        assert entry.tolist() == [[0, 2 * n], [2 * n, n], [n, 0]]
-        assert suite._point_fields(row, rows, n, 0.0)[1] is None
+        assert suite._point_draw(row, rows, n, 1e-3).entry.tolist() == [[0, 2 * n], [2 * n, n], [n, 0]]
+        assert suite._point_draw(row, rows, n, 0.0).entry is None
+    battery = suite.TABLE["scalar_calibration"]
+    row = battery.loops[0].layout((1, 2, 3))
     for seed in range(20):
-        clean = list(suite._draws(suite.TABLE["scalar_calibration"].loops[0], rng(seed), 30, (1, 2, 3), 0.0))
-        faulted = list(suite._draws(suite.TABLE["scalar_calibration"].loops[0], rng(seed), 30, (1, 2, 3), 1e-3))
-        assert [n for n, _ in clean] == [n for n, _ in faulted]
-        for (n, (U, entry, *rest)), (_, (U_f, entry_f, *rest_f)) in zip(clean, faulted):
-            assert entry is None and entry_f.shape == (len(U), 2)
+        for n, rows in suite._stream(seed, battery.key, 0, row, 30):
+            (U, entry), (U_f, entry_f) = (suite._point_draw(row, rows, n, f) for f in (0.0, 1e-3))
+            assert entry is None and entry_f.shape == (len(rows), 2)
             assert entry_f.min() >= 0 and entry_f.max() <= 2 * n
-            for a, b in zip([U, *rest], [U_f, *rest_f]):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(U, U_f)
+            (_, sc, nus, _), (_, sc_f, nus_f, _) = (battery.loops[0].build(row, n, rows, f) for f in (0.0, 1e-3))
+            for f in ("t", "dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi"):
+                np.testing.assert_array_equal(getattr(sc, f), getattr(sc_f, f))
+            np.testing.assert_array_equal(nus, nus_f)
 
 
 def test_advanced_generator_reproduces_each_row():
-    """Row j of a battery's stream is the first w doubles of a fresh generator advanced by j w, whatever
-    the block it was drawn in: the replay of one trial is one advance."""
-    w = 51
+    """Row r of a loop's stream is the first w doubles of a fresh generator advanced by r w, whatever
+    the block and the size it was drawn in: the replay of one trial is one advance."""
+    row = suite._Row((1, 2, 3), ("rest", 51))
     for seed in (3, 21):
-        drawing = rng(seed)
-        rows = np.concatenate([block for _, block in suite._blocks(drawing, 150, w)])
-        for j in (0, 1, suite.CHUNK - 1, suite.CHUNK, 2 * suite.CHUNK + 5, 149):
-            replay = rng(seed)
-            replay.bit_generator.advance(j * w)
-            np.testing.assert_array_equal(replay.random(w), rows[j])
-        end = rng(seed)
-        end.bit_generator.advance(150 * w)
-        assert drawing.bit_generator.state == end.bit_generator.state
+        rows = np.concatenate([rows for _, rows in suite._stream(seed, 1820, 1, row, 450)])
+        assert len(rows) == 450
+        for r in (0, 1, suite.CHUNK - 1, suite.CHUNK, 2 * suite.CHUNK + 5, 149, 150, 151, 449):
+            replay = np.random.Generator(np.random.PCG64([seed, 1820, 1]))
+            replay.bit_generator.advance(r * row.width)
+            np.testing.assert_array_equal(replay.random(row.width), rows[r])
 
 
-def _replayed_row(battery, k, seed, j, n_values):
-    """Trial j's size and decoded row in loop k of a battery, from the table alone: a fresh generator
-    of the battery's seed, jumped k times, advanced by j w, draws the row first."""
+def _replayed_row(battery, l, seed, i, j, trials, n_values):
+    """Trial j at size i of loop l of a battery, from the table alone: row sum(counts[:i]) + j of the
+    loop's stream, the counts derived by hand (`_sizes`), which a fresh PCG64([seed, key, l])
+    advanced by that many rows draws first."""
     spec = suite.TABLE[battery]
-    loop = spec.loops[k]
-    row = loop.layout(n_values)
-    bits = np.random.PCG64(seed + spec.offset)
-    bits = bits.jumped(k) if k else bits
-    bits.advance(j * row.width)
-    rows = row.values(np.random.Generator(bits).random((1, row.width)))
-    if "size" in row.fields:
-        return row.sizes[int(row.slots(rows, "size")[0] * len(row.sizes))], row, rows
-    return row.sizes[j % len(row.sizes)], row, rows
+    row = spec.loops[l].layout(n_values)
+    sizes = _sizes(trials, row.sizes, row.every_n)
+    bits = np.random.PCG64([seed, spec.key, l])
+    bits.advance((sizes.index(row.sizes[i]) + j) * row.width)
+    return row.values(np.random.Generator(bits).random((1, row.width)))[0]
 
 
 @pytest.mark.parametrize("battery", list(suite.TABLE))
 def test_table_replays_each_trial(monkeypatch, battery):
-    """Trial j of every loop of every battery, built from the table alone, is the input its run used."""
+    """Trial j at size i of every loop of every battery, replayed from the table alone, is the row
+    its run was built from: the first, second and last trial of each size, and trials 63 and 64 (the
+    last of one block and the first of the next) where the size has that many."""
     seed, trials, n_values = 7, 150, (1, 2, 3)
-    loops = []  # the runs of each loop, one list per _runs call
-    real = suite._runs
+    runs = _recording(monkeypatch, battery)
+    suite.BATTERIES[battery](seed, trials, n_values)
+    for l, loop in enumerate(suite.TABLE[battery].loops):
+        row = loop.layout(n_values)
+        assert row.sizes
+        for i, n in enumerate(row.sizes):
+            rows = np.concatenate([rows for k, m, rows, _ in runs if (k, m) == (l, n)])
+            assert len(rows) == _sizes(trials, row.sizes, row.every_n).count(n)
+            for j in sorted({0, 1, len(rows) - 1} | ({63, 64} & set(range(len(rows))))):
+                np.testing.assert_array_equal(rows[j], _replayed_row(battery, l, seed, i, j, trials, n_values))
 
-    def recorded(pieces):
-        loops.append([])
-        for run in real(pieces):
-            loops[-1].append(run)
-            yield run
 
-    monkeypatch.setattr(suite, "_runs", recorded)
-    spec = suite.TABLE[battery]
-    suite.BATTERIES[battery](rng(seed + spec.offset), trials, n_values)
-    assert len(loops) == len(spec.loops)
-    for k, (loop, runs) in enumerate(zip(spec.loops, loops)):
-        sizes = [_replayed_row(battery, k, seed, j, n_values)[0] for j in range(150)]
-        for j in (0, 1, 63, 64, 149):
-            n, row, rows = _replayed_row(battery, k, seed, j, n_values)
-            columns = [np.concatenate(c) if c[0] is not None else None
-                       for c in zip(*(columns for m, columns in runs if m == n))]
-            at = sizes[:j].count(n)
-            for got, want in zip([None if c is None else c[at] for c in columns],
-                                 loop.decode(row, n, rows, 0.0), strict=True):
-                if want is None:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got, want[0])
+def test_loop_streams_are_distinct():
+    """The table's keys are distinct, and for seeds 0 to 999 no two (seed, battery, loop) streams start
+    from the same PCG64 state."""
+    keys = [spec.key for spec in suite.TABLE.values()]
+    assert len(set(keys)) == len(keys)
+    states = set()
+    for seed in range(1000):
+        for spec in suite.TABLE.values():
+            for l in range(len(spec.loops)):
+                state = np.random.PCG64([seed, spec.key, l]).state["state"]
+                states.add((state["state"], state["inc"]))
+    assert len(states) == 1000 * sum(len(spec.loops) for spec in suite.TABLE.values())
+
+
+SPLIT = [(1, 7), (2, 7), (3, 6)]  # 20 trials dealt over n = 1, 2, 3
+EVERY_N = [(1, 20), (2, 20), (3, 20)]
+
+# The (n, trials) each loop evaluates at 20 trials over n = 1, 2, 3, size by size.
+WORK = {
+    "axiom_induction": [[(2, 7), (3, 7), (4, 6)]],
+    "kaehlerity": [EVERY_N],
+    "model_curvature": [[(2, 20), (3, 20), (4, 20)]],
+    "scalar_calibration": [SPLIT],
+    "induced_curvature": [SPLIT, [(2, 10), (3, 10)]],
+    "canonical_curvature": [SPLIT],
+    "main_class": [SPLIT],
+    "canonical_connection": [EVERY_N],
+    "solver_theorem": [SPLIT],
+    "expanded_coefficients": [SPLIT],
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_work_per_op_is_fixed(monkeypatch, seed):
+    """Every seed evaluates the same trials at each size: the work of a suite op does not depend on
+    its seed."""
+    runs = {battery: _recording(monkeypatch, battery) for battery in WORK}
+    assert list(WORK) == list(suite.TABLE)
+    assert suite.run_suite(seed, 20).passed
+    for battery, loops in WORK.items():
+        assert len(suite.TABLE[battery].loops) == len(loops)
+        got = [[(n, len(rows)) for k, n, rows, _ in runs[battery] if k == l] for l in range(len(loops))]
+        assert got == loops, battery
 
 
 def test_first_acceptable_candidate_wins():
@@ -473,44 +542,39 @@ def test_first_acceptable_candidate_wins():
 
 
 def _drained_peak(trials: int) -> int:
-    """tracemalloc's peak while one battery's drawer is drained for `trials` trials."""
-    drawn = suite._draws(suite.TABLE["induced_curvature"].loops[0], rng(4), trials, (1, 2, 3), 1e-3)
+    """tracemalloc's peak while one battery's loop is drawn and built for `trials` trials."""
+    spec = suite.TABLE["induced_curvature"]
+    row = spec.loops[0].layout((1, 2, 3))
     tracemalloc.start()
     try:
-        for _ in drawn:
-            pass
+        for n, rows in suite._stream(4, spec.key, 0, row, trials):
+            spec.loops[0].build(row, n, rows, 1e-3)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_drawer_memory_is_flat_in_trials():
-    """At most one partial run per n is held: 3,200 trials peak where 200 do.
+    """One block and its run are held at a time: 3,200 trials peak where 200 do.
 
-    The peaks (about 0.25 MB) differ by how full the other buffers are when a run
-    is yielded, under 0.1 MB; holding every trial would add about 3.4 MB.
+    The peaks (about 0.17 MB) differ by under 10 kB; holding every row of 3,200 trials would
+    add about 1.3 MB.
     """
     small, large = _drained_peak(200), _drained_peak(3200)
     assert large <= small + 128 * 1024, (small, large)
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
-def test_groups_stack_the_per_trial_points(fault):
-    """Each run's batched point and scalars equal the unbatched builds of its trials, decoded by hand."""
-    loop = suite.TABLE["canonical_curvature"].loops[0]
-    runs = [loop.build(n, columns, fault) for n, columns in suite._draws(loop, rng(12), 9, (1, 2, 3), fault)]
-    singles = []
-    for n, U, entry, scalars, Omega, nus, _ in _contact_oracle(12, 9, (1, 2, 3), fault, omega=True, nu=True)[0]:
-        p = contact_point(n, PointDraw(U, None if entry is None else np.array(entry)), fault)
-        singles.append((n, p, hyper_scalars(scalars[0], scalars[1:], np.array(Omega), p), nus))
-    assert sum(len(nu) for _, _, (nu, _), _ in runs) == len(singles)
-    for point, scalars, (nu, nut), _ in runs:
-        members = [s for s in singles if s[0] == point.n]
-        for f in ("g", "phi", "xi", "eta"):
-            np.testing.assert_array_equal(getattr(point, f), np.stack([getattr(s[1], f) for s in members]))
-        for f in dataclasses.fields(scalars):
-            np.testing.assert_array_equal(getattr(scalars, f.name), np.stack([getattr(s[2], f.name) for s in members]))
-        np.testing.assert_array_equal(np.stack([nu, nut], axis=-1), [s[3] for s in members])
+def test_groups_stack_the_per_trial_points(monkeypatch, fault):
+    """Each run the driver builds holds its trials' points and scalars, decoded by hand and built one
+    by one; faulted, the first run decides both tag groups, and it is the only one built."""
+    runs = _recording(monkeypatch, "canonical_curvature")
+    suite.BATTERIES["canonical_curvature"](12, 9, (1, 2, 3), fault)
+    reference = _contact_oracle("canonical_curvature", 12, 9, (1, 2, 3), fault, omega=True, nu=True)
+    dealt = _dealt([(n, len(rows)) for _, n, rows, _ in runs], reference, complete=not fault)
+    assert len(runs) == (1 if fault else 3)
+    for (_, n, _, run), trials in zip(runs, dealt, strict=True):
+        _assert_contact_run(run, n, trials, fault)
 
 
 def _one_faulted_entry(real):
@@ -544,9 +608,9 @@ def test_group_with_one_faulted_entry_raises():
 )
 def test_faulted_group_reports_every_declared_name(monkeypatch, battery):
     """One faulted entry per group: each group raises, so every declared name reads infinity."""
-    clean = {c.name for c in suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))}
+    clean = {c.name for c in suite.BATTERIES[battery](3, 6, (1, 2, 3))}
     monkeypatch.setattr(suite, "contact_point", _one_faulted_entry(suite.contact_point))
-    faulted = suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))
+    faulted = suite.BATTERIES[battery](3, 6, (1, 2, 3))
     assert {c.name for c in faulted} == clean
     assert all(c.residual == np.inf and not c.passed for c in faulted)
 
@@ -682,17 +746,16 @@ def test_hyper_scalars_broadcast_float_fields():
 
 
 def _reference_normals(seed, trials, n_values, fault):
-    """A row: the size slot, then NORMAL_CANDIDATES candidates of 2 + 2 max(n') slots each, an
-    index slot, s and the 2n' tangential entries; the first time-like candidate is normalized."""
-    sizes = [n + 1 for n in n_values]
+    """A row: NORMAL_CANDIDATES candidates of 2 + 2 max(n') slots each, an index slot, s and the 2n'
+    tangential entries; the first time-like candidate is normalized."""
+    sizes = _sizes(trials, [n + 1 for n in n_values])
     c = 2 + 2 * max(sizes)
-    gen = rng(seed)
+    rows = _generator("axiom_induction", seed).random((trials, NORMAL_CANDIDATES * c)).tolist()
     drawn = []
-    for row in gen.random((trials, 1 + NORMAL_CANDIDATES * c)).tolist():
-        n_prime = sizes[int(row[0] * len(sizes))]
+    for n_prime, row in zip(sizes, rows):
         g = [1.0] * n_prime + [-1.0] * n_prime
         for k in range(NORMAL_CANDIDATES):
-            slots = row[1 + k * c:1 + (k + 1) * c]
+            slots = row[k * c:(k + 1) * c]
             i, s = int(slots[0] * n_prime), -1.2 + 2.4 * slots[1]
             v = np.array([0.3 * (-1.0 + 2.0 * u) for u in slots[2:2 + 2 * n_prime]])
             v[i] += np.sinh(s)
@@ -704,7 +767,7 @@ def _reference_normals(seed, trials, n_values, fault):
             raise AssertionError("no time-like candidate")
         N = v / np.sqrt(-sq)
         drawn.append((n_prime, N + fault if fault else N))
-    return drawn, gen
+    return drawn
 
 
 def _reference_totally_real_pair(gen, n_prime):
@@ -718,14 +781,14 @@ def _reference_totally_real_pair(gen, n_prime):
 
 
 def _reference_sections(seed, trials, n_values, fault):
-    """A row per size n' in turn: a section vector v of m = 2 max(n') slots, then PAIR_CANDIDATES
-    candidates of m slots, the first 2n' an n' x 2 coefficient block; the first nondegenerate wins."""
-    sizes = [n + 1 for n in n_values]
+    """A row per trial at every size n' in turn: a section vector v of m = 2 max(n') slots, then
+    PAIR_CANDIDATES candidates of m slots, the first 2n' an n' x 2 coefficient block; the first
+    nondegenerate wins."""
+    sizes = _sizes(trials, [n + 1 for n in n_values], every_n=True)
     m = 2 * max(sizes)
-    gen = rng(seed)
+    rows = _generator("model_curvature", seed).random((len(sizes), m + PAIR_CANDIDATES * m)).tolist()
     drawn = []
-    for j, row in enumerate(gen.random((trials * len(sizes), m + PAIR_CANDIDATES * m)).tolist()):
-        n_prime = sizes[j % len(sizes)]
+    for n_prime, row in zip(sizes, rows):
         g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
         for k in range(PAIR_CANDIDATES):
             coeffs = [-1.0 + 2.0 * u for u in row[m + k * m:m + k * m + 2 * n_prime]]
@@ -736,7 +799,7 @@ def _reference_sections(seed, trials, n_values, fault):
         else:
             raise AssertionError("no nondegenerate candidate")
         drawn.append((n_prime, x, y, np.array([-1.0 + 2.0 * u for u in row[:2 * n_prime]])))
-    return drawn, gen
+    return drawn
 
 
 @pytest.mark.parametrize("n_prime", [2, 3, 4])
@@ -753,17 +816,16 @@ def test_totally_real_pair_matches_the_full_metric_test(n_prime):
 
 
 def _reference_solver(seed, trials, n_values, fault):
-    """A row: the size slot, U (m^2 slots), the two entry slots, the x vectors of branches +1 and -1
-    (m slots each), then RADICAND_CANDIDATES candidates (nu, nu~, t); the first with a safely
-    positive radicand wins."""
+    """A row: U (m^2 slots), the two entry slots, the x vectors of branches +1 and -1 (m slots each),
+    then RADICAND_CANDIDATES candidates (nu, nu~, t); the first with a safely positive radicand
+    wins."""
     m = 2 * max(n_values) + 1
-    gen = rng(seed)
+    rows = _generator("solver_theorem", seed).random((trials, m * m + 2 + 2 * m + 3 * RADICAND_CANDIDATES)).tolist()
     drawn = []
-    for row in gen.random((trials, 1 + m * m + 2 + 2 * m + 3 * RADICAND_CANDIDATES)).tolist():
-        n = n_values[int(row[0] * len(n_values))]
+    for n, row in zip(_sizes(trials, n_values), rows):
         d = 2 * n + 1
-        U = np.array([-1.0 + 2.0 * u for u in row[1:1 + d * d]]).reshape(d, d)  # the congruence S = I + 0.3 U
-        at = 1 + m * m
+        U = np.array([-1.0 + 2.0 * u for u in row[:d * d]]).reshape(d, d)  # the congruence S = I + 0.3 U
+        at = m * m
         entry = np.array([int(row[at] * d), int(row[at + 1] * d)]) if fault else None
         at += 2
         x_plus, x_minus = (np.array([-1.0 + 2.0 * u for u in row[at + b * m:at + b * m + d]]) for b in (0, 1))
@@ -776,57 +838,88 @@ def _reference_solver(seed, trials, n_values, fault):
         else:
             raise AssertionError("no stable candidate")
         drawn.append((n, U, entry, (nu, nut, t), (x_plus, x_minus)))
-    return drawn, gen
+    return drawn
 
 
+def _stacked_points(n, draws, fault) -> ContactNordenPoint:
+    """The points of (U, entry) draws, each built alone, stacked into one batch."""
+    points = [contact_point(n, PointDraw(U, entry), fault) for U, entry in draws]
+    return ContactNordenPoint(n, *(np.stack([getattr(q, f) for q in points]) for f in ("g", "phi", "xi", "eta")))
+
+
+def _literal_ambient(n_prime, trials, fault):
+    """The standard ambient with J[0, 0] perturbed by fault, and the stacked (x, y, v) of the trials."""
+    amb = ComplexNordenPoint.standard(n_prime)
+    J = amb.J.copy()
+    J[0, 0] += fault
+    return ComplexNordenPoint(n_prime, amb.g, J), *(np.stack(c) for c in zip(*(trial[1:] for trial in trials)))
+
+
+def _literal_solver(n, trials, fault):
+    """Each trial on branch +1, then each on branch -1: the stacked points, (eps, nu, nu~, t) and x vectors."""
+    draws = [(U, entry) for _, U, entry, *_ in trials]
+    entries = [(eps, *angles) for eps in suite.SOLVER_BRANCHES for _, _, _, angles, _ in trials]
+    xs = np.stack([pair[b] for b in range(len(suite.SOLVER_BRANCHES)) for *_, pair in trials])
+    return _stacked_points(n, draws * len(suite.SOLVER_BRANCHES), fault), entries, xs
+
+
+# Each battery's literal rows, and the run its trials build, made trial by trial.
 LITERAL_DRAWS = {
-    "axiom_induction": _reference_normals,
-    "model_curvature": _reference_sections,
-    "solver_theorem": _reference_solver,
+    "axiom_induction": (_reference_normals, lambda n, trials, fault: (n, np.stack([N for _, N in trials]))),
+    "model_curvature": (_reference_sections, _literal_ambient),
+    "solver_theorem": (_reference_solver, _literal_solver),
 }
+
+
+def _assert_run(got, want) -> None:
+    """Two built runs are equal leaf by leaf, bit for bit: a dataclass field by field, a tuple or a
+    list entry by entry."""
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_run(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_run(a, b)
+    else:
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
 @pytest.mark.parametrize("battery", sorted(LITERAL_DRAWS))
 def test_predrawn_inputs_match_literal_per_trial_draws(monkeypatch, battery, fault):
-    """The runs a battery evaluates hold its rows decoded by hand, and leave the generator where
-    those rows do, bit for bit.
+    """The runs a battery evaluates are its rows decoded by hand and built trial by trial, bit for
+    bit, and its blocks hold exactly those rows.
 
     Faulted, `axiom_induction` is decided by its first run (every faulted normal is off the
-    hyperboloid, so `induce` raises NotTimelike): at 9 trials every row is in the first block,
-    drawn before that run, which is the first size in n_values order that holds a trial.
+    hyperboloid, so `induce` raises NotTimelike): it builds only the run of its first size and
+    draws no further block.
     """
-    runs = []
-    _recording(monkeypatch, runs)
-    drawing = rng(21)
-    report = suite.BATTERIES[battery](drawing, 9, (1, 2, 3), fault)
-    want, gen = LITERAL_DRAWS[battery](21, 9, (1, 2, 3), fault)
-    assert drawing.bit_generator.state == gen.bit_generator.state
+    runs = _recording(monkeypatch, battery)
+    blocks = _recording_blocks(monkeypatch)
+    report = suite.BATTERIES[battery](21, 9, (1, 2, 3), fault)
+    reference, literal = LITERAL_DRAWS[battery]
+    want = reference(21, 9, (1, 2, 3), fault)
     decided = bool(fault) and battery == "axiom_induction"
+    dealt = _dealt([(n, len(rows)) for _, n, rows, _ in runs], want, complete=not decided)
+    assert [(n, len(rows)) for n, rows in blocks] == [(n, len(rows)) for _, n, rows, _ in runs]
     if decided:
-        first = min(n for n, *_ in want)
-        assert [(n, len(columns[0])) for n, columns in runs] == [(first, sum(n == first for n, *_ in want))]
+        assert len(runs) == 1
         assert all(c.residual == math.inf for c in report)
-    for got, (_, *fields) in _paired(runs, want, complete=not decided):
-        for a, b in zip(got, fields, strict=True):
-            if b is None:
-                assert a is None
-            else:
-                np.testing.assert_array_equal(a, np.asarray(b))
+    for (_, n, _, run), trials in zip(runs, dealt, strict=True):
+        _assert_run(run, literal(n, trials, fault))
 
 
 def test_decided_battery_stops_drawing(monkeypatch):
     """Faulted, `axiom_induction` is decided by its first run of CHUNK trials: it evaluates that run
-    alone and pulls no further block, so its generator stops after the first CHUNK rows of 150."""
-    runs = []
-    _recording(monkeypatch, runs)
-    drawing = rng(21)
-    report = suite.BATTERIES["axiom_induction"](drawing, 150, (1,), fault=1e-3)
-    want, gen = _reference_normals(21, suite.CHUNK, (1,), 1e-3)
-    assert drawing.bit_generator.state == gen.bit_generator.state
+    alone and draws no further block, so of 150 trials at n = 1 only the first CHUNK rows are drawn."""
+    runs = _recording(monkeypatch, "axiom_induction")
+    blocks = _recording_blocks(monkeypatch)
+    report = suite.BATTERIES["axiom_induction"](21, 150, (1,), fault=1e-3)
+    want = _reference_normals(21, suite.CHUNK, (1,), 1e-3)
+    assert [(n, len(rows)) for n, rows in blocks] == [(2, suite.CHUNK)]
     assert len(runs) == 1
-    for (got,), (_, normal) in _paired(runs, want):
-        np.testing.assert_array_equal(got, normal)
+    np.testing.assert_array_equal(runs[0][3][1], [normal for _, normal in want])
     assert report and all(c.residual == math.inf for c in report)
 
 
@@ -844,21 +937,20 @@ def _recording_calls(monkeypatch, names) -> dict[str, list]:
 
 def test_decided_tag_groups_build_no_more_runs(monkeypatch):
     """Faulted at n = 2, `induced_curvature`'s first run decides both tag groups, and the totally real
-    loop's first run decides it: each loop builds one run, and the first loop's generator stops after
-    CHUNK rows of its 51-slot layout, since the totally real loop reads its own stream (`jumped()`).
-    Evaluating every run gives the same report, builds every run and reads all 150 rows."""
+    loop's first run decides it: each loop builds one run and draws one block of CHUNK rows, of its
+    50-slot and 8-slot layouts.  Evaluating every run gives the same report, builds every run and
+    reads all 150 rows of each loop."""
     calls = _recording_calls(monkeypatch, ["contact_point"])
-    drawing, gen = rng(7), rng(7)
-    report = suite.BATTERIES["induced_curvature"](drawing, 150, (2,), fault=1e-3)
+    blocks = _recording_blocks(monkeypatch)
+    report = suite.BATTERIES["induced_curvature"](7, 150, (2,), fault=1e-3)
     assert len(calls["contact_point"]) == 2
-    gen.random((suite.CHUNK, 51))  # size, U (25), entry (2), t, Omega (5), 7 scalars, 2 x vectors (5)
-    assert drawing.bit_generator.state == gen.bit_generator.state
+    # U (25), entry (2), t, Omega (5), 7 scalars, 2 x vectors (5); then t and 7 scalars
+    assert [rows.shape for _, rows in blocks] == [(suite.CHUNK, 50), (suite.CHUNK, 8)]
     monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
-    every, gen = rng(7), rng(7)
-    assert suite.BATTERIES["induced_curvature"](every, 150, (2,), fault=1e-3) == report
+    blocks.clear()
+    assert suite.BATTERIES["induced_curvature"](7, 150, (2,), fault=1e-3) == report
     assert len(calls["contact_point"]) == 2 + 2 * 3
-    gen.random((150, 51))
-    assert every.bit_generator.state == gen.bit_generator.state
+    assert [len(rows) for _, rows in blocks] == [64, 64, 22] * 2
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-3])
@@ -866,9 +958,9 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
     """Every batch entry theorem31 and section_checks receive is one literal trial's point, angles and
     section vector, on one branch: each n's trials in row order, branch +1 first."""
     calls = _recording_calls(monkeypatch, ["theorem31", "section_checks"])
-    suite.BATTERIES["solver_theorem"](rng(21), 9, (1, 2, 3), fault)
-    want, _ = _reference_solver(21, 9, (1, 2, 3), fault)
-    sizes = sorted({n for n, *_ in want})  # one run per n, in n_values order: 9 trials are one block
+    suite.BATTERIES["solver_theorem"](21, 9, (1, 2, 3), fault)
+    want = _reference_solver(21, 9, (1, 2, 3), fault)
+    sizes = sorted({n for n, *_ in want})  # one run per n, in n_values order: 9 trials are one block a size
     assert len(calls["theorem31"]) == len(calls["section_checks"]) == len(sizes)
     for n, ((p, th, ths), kw), ((_, p_sec, x, *_), _) in zip(sizes, calls["theorem31"], calls["section_checks"]):
         entries = [(eps, trial) for eps in suite.SOLVER_BRANCHES for trial in want if trial[0] == n]
@@ -882,39 +974,43 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
             np.testing.assert_array_equal(x[j], x_plus if eps == 1 else x_minus)
 
 
-def _first_trial_of_each_size(runs, corrupt):
-    """A drawer whose first trial of every size n goes through corrupt: the first piece of each n
-    is split into that trial, corrupted, and the rest, which `_runs` joins back into one run."""
+def _first_trial_of_each_size(monkeypatch, battery, corrupt):
+    """Has the battery's loop build its first run of every size n through corrupt, which corrupts
+    the run's first trial."""
+    spec, seen = suite.TABLE[battery], set()
+    (loop,) = spec.loops
 
-    def corrupted(pieces):
-        seen = set()
-        for n, *columns in pieces:
-            if n not in seen:
-                seen.add(n)
-                yield corrupt((n, *(None if c is None else c[:1] for c in columns)))
-                columns = [None if c is None else c[1:] for c in columns]
-            if len(columns[0]):
-                yield (n, *columns)
+    def build(row, n, rows, fault):
+        run = loop.build(row, n, rows, fault)
+        if n in seen:
+            return run
+        seen.add(n)
+        return corrupt(run)
 
-    return lambda pieces: runs(corrupted(pieces))
+    monkeypatch.setitem(suite.TABLE, battery, spec._replace(loops=(loop._replace(build=build),)))
+
+
+def _first(column, value):
+    """column with its first entry replaced by value."""
+    return np.concatenate([value[None], column[1:]])
 
 
 CORRUPT = {
     # a normal off the unit hyperboloid: induce raises NotTimelike
-    "axiom_induction": lambda tr: (tr[0], tr[1] * 1.1),
+    "axiom_induction": lambda run: (run[0], _first(run[1], run[1][0] * 1.1)),
     # a plane spanned by one vector: its area factor vanishes, DegenerateSection
-    "model_curvature": lambda tr: (tr[0], tr[1], tr[1], tr[3]),
+    "model_curvature": lambda run: (run[0], run[1], _first(run[2], run[1][0]), run[3]),
     # a zero section vector: k_xi's denominator vanishes, DegenerateSection
-    "solver_theorem": lambda tr: (*tr[:4], np.zeros_like(tr[4])),
+    "solver_theorem": lambda run: (*run[:2], _first(run[2], np.zeros_like(run[2][0]))),
 }
 
 
 @pytest.mark.parametrize("battery", sorted(CORRUPT))
 def test_faulted_entry_fails_its_group_in_new_batteries(monkeypatch, battery):
     """One faulted trial per size: its group raises as a whole, so every declared name reads infinity."""
-    clean = {c.name for c in suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))}
-    monkeypatch.setattr(suite, "_runs", _first_trial_of_each_size(suite._runs, CORRUPT[battery]))
-    faulted = suite.BATTERIES[battery](rng(3), 6, (1, 2, 3))
+    clean = {c.name for c in suite.BATTERIES[battery](3, 6, (1, 2, 3))}
+    _first_trial_of_each_size(monkeypatch, battery, CORRUPT[battery])
+    faulted = suite.BATTERIES[battery](3, 6, (1, 2, 3))
     assert {c.name for c in faulted} == clean
     assert all(c.residual == np.inf and not c.passed for c in faulted)
 
@@ -964,6 +1060,6 @@ def test_nan_reading_residual_is_infinite(monkeypatch):
         return MultilinearForm._trusted(entries, K.batch)
 
     monkeypatch.setattr(suite, "K_cor32", nan_squared)
-    checks = {c.name: c for c in suite.BATTERIES["expanded_coefficients"](rng(3), 6, (1, 2, 3))}
+    checks = {c.name: c for c in suite.BATTERIES["expanded_coefficients"](3, 6, (1, 2, 3))}
     assert checks["expanded_coefficients.reading_squared"].residual == math.inf
     assert not checks["expanded_coefficients.reading_squared"].passed

@@ -217,8 +217,9 @@ def test_run_suite_rejects_sizes_outside_one_to_three():
         ({"cor32_reading": 3}, "cor32_reading"),
         ({"n_values": []}, "n_values"),
         ({"n_values": 0}, "n_values"),
+        ({"seed": -1}, "seed"),
     ],
-    ids=["reading-list", "reading-unknown", "reading-number", "n-values-empty", "n-values-zero"],
+    ids=["reading-list", "reading-unknown", "reading-number", "n-values-empty", "n-values-zero", "seed-negative"],
 )
 def test_suite_fields_exit_2_before_running(tmp_path, capsys, monkeypatch, fields, field):
     """A bad suite field is named in the error and the suite never starts."""
@@ -250,6 +251,21 @@ def test_run_suite_rejects_unknown_reading_before_any_battery(monkeypatch):
     for reading in ("bogus", []):
         with pytest.raises(ValueError, match="cor32_reading"):
             suite.run_suite(seed=1, trials=1, cor32_reading=reading)
+    # and a seed that is not a non-negative integer, or a fault that is not finite
+    for seed in (-1, -1100, 1.0, True):
+        with pytest.raises(ValueError, match="seed"):
+            suite.run_suite(seed=seed, trials=2)
+    for fault in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="fault"):
+            suite.run_suite(seed=1, trials=2, fault=fault)
+
+
+def test_suite_seed_flag_below_zero_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("started the suite"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
+    assert cli.main([str(path), "--json", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
 
 
 def test_stdin_scenario(tmp_path, capsys, monkeypatch):
