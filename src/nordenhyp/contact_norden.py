@@ -28,7 +28,6 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
-    any_entry,
     apply,
     dot,
     generator_factors,
@@ -207,11 +206,6 @@ def validate_contact_axioms(point: ContactNordenPoint, tol: Tolerance = DEFAULT_
     return ValidationReport(tuple(checks))
 
 
-def associated_metric(point: ContactNordenPoint) -> np.ndarray:
-    """g~(x, y) = g(x, phi y) + eta(x) eta(y)."""
-    return point.g_phi + np.outer(point.eta, point.eta)
-
-
 def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
     """The five curvature-like building blocks over (g, phi, xi, eta).
 
@@ -264,11 +258,6 @@ def class_form(tag: str, point: ContactNordenPoint, params: OneForms) -> Multili
     if tag == F11:
         ent += sym(eta[..., :, None] * np.asarray(params.omega, dtype=float)[..., None, :])
     return MultilinearForm(ent, len(point.batch))
-
-
-def f_tensor_residual(F: MultilinearForm) -> float:
-    """Symmetry residual of F in its last two slots."""
-    return float(np.max(np.abs(F.entries - np.transpose(F.entries, (0, 2, 1)))))
 
 
 def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> float:
@@ -365,7 +354,7 @@ def nabla_xi_from_F(
     rhs = np.concatenate([rhs, np.zeros_like(rhs[..., :1, :])], axis=-2)
     sol = np.linalg.pinv(M) @ rhs
     resid = matrix_max(M @ sol - rhs)
-    if any_entry(resid > tol.abs_tol + tol.rel_tol * np.maximum(1.0, F.max_norm)):
+    if not tol.ok(resid, np.maximum(1.0, F.max_norm)).all():
         raise InconsistentStructure(f"xi-derivative system residual {np.max(resid):.3e}")
     return sol
 

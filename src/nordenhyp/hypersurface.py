@@ -168,7 +168,7 @@ def induce(frame: TimelikeNormalFrame, tol: Tolerance = DEFAULT_TOL) -> InducedS
     amb = frame.ambient
     G, J, N = amb.g, amb.J, frame.N
     nsq = frame.normal_square()
-    if any_entry(np.abs(nsq + 1.0) > tol.abs_tol + tol.rel_tol):
+    if not tol.ok(nsq + 1.0).all():
         raise NotTimelike(f"g'(N, N) = {nsq}, expected -1")
     JN = apply(J, N)
     t = np.arctan(bilinear(G, N, JN))
@@ -193,7 +193,7 @@ def induce(frame: TimelikeNormalFrame, tol: Tolerance = DEFAULT_TOL) -> InducedS
     X = np.concatenate([phi_ambient, xi_ambient[..., None]], axis=-1)
     coords = BT @ X
     resid = matrix_max(B @ coords - X)
-    if any_entry(resid > tol.abs_tol + tol.rel_tol * np.maximum(1.0, matrix_max(B))):
+    if not tol.ok(resid, np.maximum(1.0, matrix_max(B))).all():
         raise InconsistentStructure(f"induced tensors are not tangent, residual {np.max(resid):.3e}")
     point = ContactNordenPoint((d - 1) // 2, g_hyp, coords[..., :d], coords[..., d], eta_hyp)
     return InducedStructure(t=t, tangent_basis=B, point=point, frame=frame)
@@ -271,7 +271,7 @@ def shape_from_class(
         A -= sin_t * (outer(apply(phi, Omega), point.eta) + outer(point.xi, apply(transpose(phi), omega_cov)))
 
     sym_res = matrix_max(point.g @ A - transpose(A) @ point.g)
-    if any_entry(sym_res > tol.abs_tol + tol.rel_tol * np.maximum(1.0, matrix_max(A))):
+    if not tol.ok(sym_res, np.maximum(1.0, matrix_max(A))).all():
         raise InconsistentStructure(f"shape operator not g-self-adjoint, residual {np.max(sym_res):.3e}")
     return A
 

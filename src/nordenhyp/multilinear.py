@@ -13,7 +13,7 @@ of a unit vector, and a substitution moves the factors,
 (h o k)(Ax, Ay, Bz, Bu) = (A^T h B) o (A^T k B).
 
 Finiteness is checked where data enters: the public `MultilinearForm`
-constructor, a scalar factor, a coefficient vector, and the point and
+constructor, a coefficient vector, and the point and
 scalar types built on this module.  Forms derived from checked forms by
 arithmetic or by the kernels below are not rescanned.
 
@@ -48,9 +48,9 @@ class Tolerance:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
 
-    def ok(self, residual: float, scale: float = 1.0) -> bool:
-        """Whether a residual is negligible at the given scale."""
-        return abs(residual) <= self.abs_tol + self.rel_tol * abs(scale)
+    def ok(self, residual, scale=1.0) -> np.bool_ | np.ndarray:
+        """Whether a residual is negligible at the given scale, per entry of an array; NaN is not."""
+        return np.abs(residual) <= self.abs_tol + self.rel_tol * np.abs(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -129,17 +129,6 @@ class MultilinearForm:
     def __sub__(self, other: "MultilinearForm") -> "MultilinearForm":
         return self._wrap(self.entries - other.entries)
 
-    def __neg__(self) -> "MultilinearForm":
-        return self._wrap(-self.entries)
-
-    def __mul__(self, c: float) -> "MultilinearForm":
-        c = float(c)
-        if not math.isfinite(c):
-            raise NonFiniteInput(f"factor {c} is not finite")
-        return self._wrap(self.entries * c)
-
-    __rmul__ = __mul__
-
 
 def require_finite(a, name: str) -> None:
     """Raise NonFiniteInput unless every entry of a is finite."""
@@ -185,7 +174,7 @@ def matrix_max(m) -> float | np.ndarray:
 def _metric_eigenvalues(g, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """A validated metric candidate and the eigenvalues of its symmetric part, per batch entry."""
     g = _as_square(g, "metric")
-    if any_entry(matrix_max(g - transpose(g)) > tol.abs_tol + tol.rel_tol * matrix_max(g)):
+    if not tol.ok(matrix_max(g - transpose(g)), matrix_max(g)).all():
         raise DegenerateMetric("metric is not symmetric")
     eig = np.linalg.eigvalsh(0.5 * (g + transpose(g)))
     if np.min(np.abs(eig)) <= tol.abs_tol:
@@ -193,14 +182,9 @@ def _metric_eigenvalues(g, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return g, eig
 
 
-def check_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate symmetry and nondegeneracy of a metric candidate."""
-    return _metric_eigenvalues(g, tol)[0]
-
-
 def invert_metric(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a symmetric nondegenerate bilinear form."""
-    g = check_metric(g, tol)
+    """Inverse of a symmetric nondegenerate bilinear form, checked as such first."""
+    g, _ = _metric_eigenvalues(g, tol)
     g_inv = np.linalg.inv(g)
     return 0.5 * (g_inv + transpose(g_inv))
 

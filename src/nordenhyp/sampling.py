@@ -6,18 +6,18 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-The per-call samplers (`draw_point`, `draw_normal`, `random_nu_pair`,
-`random_totally_real_pair`, the `random_*` builders) draw one instance per
-call.  The suite instead reads each trial from one row of uniform doubles
-(`suite._Row`): a value in [low, high) is `uniform(u, low, high)`, the map
-`Generator.uniform` applies, and an index below k (the fault entry, a
-normal's plane) is floor(u k); a row's size is not drawn, as each suite
-loop takes its sizes in turn.  Each rejection sampler gets a fixed number
-of candidate slots per row and takes the first acceptable candidate
-(`timelike_normals`, `totally_real_pairs`, `solver_angles`); the counts
-are set from the measured rejection rates so that a row with none is
-rarer than 1e-15, and such a row raises `NoAcceptableCandidate` instead of
-drawing again.
+The per-call samplers (`draw_point`, the `random_*` builders) draw one
+instance per call, for tests and the benchmark.  The suite reads each
+trial from one row of uniform doubles (`suite._Row`): a value in
+[low, high) is `uniform(u, low, high)`, the map `Generator.uniform`
+applies, and an index below k (the fault entry, a normal's plane) is
+floor(u k); a row's size is not drawn, as each suite loop takes its sizes
+in turn.  Each rejection test is written once, in a row form that takes a
+fixed number of candidate slots per row and keeps the first acceptable one
+(`timelike_normals`, `totally_real_pairs`, `solver_angles`; `draw_normal`
+and `random_totally_real_pair` are one-row calls); the counts are set from
+the measured rejection rates so that a row with none is rarer than 1e-15,
+and such a row raises `NoAcceptableCandidate` instead of drawing again.
 
 A contact point is drawn (`PointDraw`) apart from being built
 (`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
@@ -109,27 +109,9 @@ def random_complex_point(
 
 
 def draw_normal(gen: np.random.Generator, n_prime: int, fault: float = 0.0) -> np.ndarray:
-    """A random time-like unit normal of the standard flat ambient, plus fault in every entry.
-
-    Mixes a sinh-parameterized {a_i, Ja_i}-plane normal with a small
-    random tangential component, then renormalizes; resamples until the
-    square is safely negative.  The plane part is added at its two entries:
-    each sum has the same two terms as adding the full vectors.
-    """
-    g = ComplexNordenPoint.standard(n_prime).g
-    while True:
-        i = int(gen.integers(0, n_prime))
-        s = gen.uniform(-1.2, 1.2)
-        v = 0.3 * gen.uniform(-1.0, 1.0, size=2 * n_prime)
-        v[i] += np.sinh(s)
-        v[n_prime + i] += np.cosh(s)
-        sq = float(v @ g @ v)
-        if sq < -0.1:
-            break
-    N = v / np.sqrt(-sq)
-    if fault:
-        N = N + fault
-    return N
+    """A random time-like unit normal of the standard flat ambient, plus fault in every entry:
+    the `timelike_normals` normal of one row of NORMAL_CANDIDATES candidates."""
+    return timelike_normals(gen.random((1, NORMAL_CANDIDATES, 2 + 2 * n_prime)), n_prime, fault)[0]
 
 
 def random_timelike_frame(
@@ -140,10 +122,10 @@ def random_timelike_frame(
 
 
 def timelike_normals(u: np.ndarray, n_prime: int, fault: float = 0.0) -> np.ndarray:
-    """(B, 2n') normals from candidate slots u (B, K, 2 + 2m), m >= n', as `draw_normal` builds one:
-    per candidate the index floor(u n'), s and the 2n' tangential entries; the first candidate
-    whose square is below -0.1 is normalized.  The square is summed entry by entry in order, so
-    each candidate's is the one a single vector gives, bit for bit."""
+    """(B, 2n') time-like unit normals from candidate slots u (B, K, 2 + 2m), m >= n': per candidate
+    the index i = floor(u n'), s, and 2n' entries of a small tangential part added to the sinh-
+    parameterized {a_i, Ja_i}-plane normal; the first candidate whose square is below -0.1 is
+    normalized.  The square is summed entry by entry in order, as a loop over one vector sums it."""
     i = (u[..., 0] * n_prime).astype(np.intp)
     s = uniform(u[..., 1], -1.2, 1.2)
     v = 0.3 * uniform(u[..., 2:2 + 2 * n_prime], -1.0, 1.0)
@@ -158,8 +140,9 @@ def timelike_normals(u: np.ndarray, n_prime: int, fault: float = 0.0) -> np.ndar
 
 
 def totally_real_pairs(u: np.ndarray, n_prime: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 2n') pairs x, y from candidate slots u (B, K, 2m), m >= n', as `random_totally_real_pair`
-    builds one: per candidate the n' x 2 coefficient block; the first nondegenerate one wins."""
+    """(B, 2n') totally real pairs x, y from candidate slots u (B, K, 2m), m >= n': per candidate an
+    n' x 2 coefficient block over the "real" half-basis, where every J-pairing vanishes and the
+    metric is +1, so the block decides nondegeneracy; the first nondegenerate one wins."""
     c = uniform(u[..., :2 * n_prime], -1.0, 1.0).reshape(*u.shape[:2], n_prime, 2)
     a, b = np.moveaxis(c, -1, 0)
     xx, xy, yy = (np.einsum("...i,...i->...", p, q) for p, q in ((a, a), (a, b), (b, b)))  # the Gram block
@@ -215,17 +198,7 @@ def random_nu_pair(gen: np.random.Generator) -> tuple[float, float]:
 def random_totally_real_pair(
     gen: np.random.Generator, n_prime: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A random totally real plane of the standard flat ambient model.
-
-    Drawn from the span of the "real" half-basis, where every J-pairing
-    vanishes identically and the metric is +1, so the rejection test, which
-    keeps the plane nondegenerate, needs only the n' x 2 coefficient block.
-    """
-    while True:
-        coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
-        (xx, xy), (_, yy) = coeffs.T @ coeffs
-        if abs(yy * xx - xy**2) > 0.05:
-            break
-    x, y = np.zeros((2, 2 * n_prime))
-    x[:n_prime], y[:n_prime] = coeffs.T
-    return x, y
+    """A random totally real plane of the standard flat ambient model: the `totally_real_pairs`
+    pair of one row of PAIR_CANDIDATES candidates."""
+    x, y = totally_real_pairs(gen.random((1, PAIR_CANDIDATES, 2 * n_prime)), n_prime)
+    return x[0], y[0]

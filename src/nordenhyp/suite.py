@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from collections import namedtuple
 from typing import Callable, Iterable
 
@@ -571,6 +572,11 @@ def _drive(name: str, seed: int, trials: int, n_values: Iterable[int], fault: fl
 BATTERIES: dict[str, Callable[..., list[Check]]] = {name: functools.partial(_drive, name) for name in TABLE}
 
 
+def _integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_suite(
     seed: int,
     trials: int,
@@ -580,15 +586,15 @@ def run_suite(
     tol: Tolerance = DEFAULT_TOL,
 ) -> ValidationReport:
     """Run every battery from one seed; identical inputs give identical reports."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not math.isfinite(fault):
-        raise ValueError(f"fault must be finite, got {fault!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(fault, bool) or not isinstance(fault, numbers.Real) or not math.isfinite(fault):
+        raise ValueError(f"fault must be a finite number, got {fault!r}")
     n_values = tuple(n_values)
-    if not n_values or min(n_values) < 1 or max(n_values) > MAX_N:
-        raise ValueError(f"n values must lie in 1..{MAX_N}, got {n_values}")
+    if not n_values or not all(_integer(n) and 1 <= n <= MAX_N for n in n_values):
+        raise ValueError(f"n_values must be integers in 1..{MAX_N}, got {n_values}")
     if cor32_reading is not None and cor32_reading not in COR32_READINGS:
         raise ValueError(f"cor32_reading must be one of {COR32_READINGS}, got {cor32_reading!r}")
     checks: list[Check] = []

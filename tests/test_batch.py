@@ -770,14 +770,17 @@ def _reference_normals(seed, trials, n_values, fault):
     return drawn
 
 
-def _reference_totally_real_pair(gen, n_prime):
+def _reference_pair(candidates, n_prime):
+    """The first candidate (a list of slots, the first 2n' an n' x 2 coefficient block) whose plane
+    passes the nondegeneracy test on the full ambient metric."""
     g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
-    while True:
-        coeffs = gen.uniform(-1.0, 1.0, size=(n_prime, 2))
+    for slots in candidates:
+        coeffs = [-1.0 + 2.0 * u for u in slots[:2 * n_prime]]
         x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
-        x[:n_prime], y[:n_prime] = coeffs[:, 0], coeffs[:, 1]
+        x[:n_prime], y[:n_prime] = coeffs[0::2], coeffs[1::2]
         if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
             return x, y
+    raise AssertionError("no nondegenerate candidate")
 
 
 def _reference_sections(seed, trials, n_values, fault):
@@ -789,27 +792,20 @@ def _reference_sections(seed, trials, n_values, fault):
     rows = _generator("model_curvature", seed).random((len(sizes), m + PAIR_CANDIDATES * m)).tolist()
     drawn = []
     for n_prime, row in zip(sizes, rows):
-        g = np.diag(np.concatenate([np.ones(n_prime), -np.ones(n_prime)]))
-        for k in range(PAIR_CANDIDATES):
-            coeffs = [-1.0 + 2.0 * u for u in row[m + k * m:m + k * m + 2 * n_prime]]
-            x, y = np.zeros(2 * n_prime), np.zeros(2 * n_prime)
-            x[:n_prime], y[:n_prime] = coeffs[0::2], coeffs[1::2]
-            if abs((y @ g @ y) * (x @ g @ x) - (x @ g @ y) ** 2) > 0.05:
-                break
-        else:
-            raise AssertionError("no nondegenerate candidate")
+        x, y = _reference_pair([row[m + k * m:m + (k + 1) * m] for k in range(PAIR_CANDIDATES)], n_prime)
         drawn.append((n_prime, x, y, np.array([-1.0 + 2.0 * u for u in row[:2 * n_prime]])))
     return drawn
 
 
 @pytest.mark.parametrize("n_prime", [2, 3, 4])
 def test_totally_real_pair_matches_the_full_metric_test(n_prime):
-    """The rejection test on the coefficient block accepts the pairs the full-vector test did."""
+    """A per-call pair reads one row of PAIR_CANDIDATES candidates of 2n' slots, and the rejection test
+    on the coefficient block accepts the candidate the full-vector test does."""
     for seed in range(200):
         got, want = rng(seed), rng(seed)
         for _ in range(5):
             x, y = random_totally_real_pair(got, n_prime)
-            want_x, want_y = _reference_totally_real_pair(want, n_prime)
+            want_x, want_y = _reference_pair(want.random((PAIR_CANDIDATES, 2 * n_prime)).tolist(), n_prime)
             np.testing.assert_array_equal(x, want_x)
             np.testing.assert_array_equal(y, want_y)
         assert got.bit_generator.state == want.bit_generator.state

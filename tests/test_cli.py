@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -260,12 +261,54 @@ def test_run_suite_rejects_unknown_reading_before_any_battery(monkeypatch):
             suite.run_suite(seed=1, trials=2, fault=fault)
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"n_values": (1.5,)}, "n_values"),
+        ({"n_values": (True,)}, "n_values"),
+        ({"n_values": "12"}, "n_values"),
+        ({"fault": "x"}, "fault"),
+        ({"fault": True}, "fault"),
+    ],
+    ids=["trials-float", "trials-bool", "n-values-float", "n-values-bool", "n-values-str", "fault-str", "fault-bool"],
+)
+def test_run_suite_rejects_mistyped_fields_before_any_battery(monkeypatch, fields, field):
+    from nordenhyp import suite
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a battery")
+
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        suite.run_suite(**{"seed": 1, "trials": 2, **fields})
+
+
+def test_run_suite_accepts_numpy_numbers(monkeypatch):
+    from nordenhyp import suite
+
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, lambda *a, **k: []))
+    report = suite.run_suite(np.int64(1), np.int32(2), (np.int64(1), np.uint8(2)), fault=np.float32(1e-3))
+    assert report.checks == ()
+
+
 def test_suite_seed_flag_below_zero_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("started the suite"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"kind": "suite", "trials": 1}))
     assert cli.main([str(path), "--json", "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
+
+
+def test_induce_degenerate_tangent_metric_exit_2(tmp_path, capsys):
+    scenario = {"kind": "induce", "ambient": {"n_prime": 2}, "N": [math.sinh(12), 0.0, math.cosh(12), 0.0]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([str(path), "--json", "--rel-tol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: induced metric is degenerate on the tangent space\n"
 
 
 def test_stdin_scenario(tmp_path, capsys, monkeypatch):

@@ -26,6 +26,7 @@ from nordenhyp.contact_norden import (
 )
 from nordenhyp.errors import (
     DegenerateSection,
+    DegenerateTangentMetric,
     NonFiniteInput,
     NotConstructive,
     NotTimelike,
@@ -47,7 +48,7 @@ from nordenhyp.hypersurface import (
     special_sectional,
     validate_F6_shape,
 )
-from nordenhyp.multilinear import substitute_endo_first_two, substitute_endo_last_two
+from nordenhyp.multilinear import Tolerance, substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import (
     draw_normal,
     random_contact_point,
@@ -82,6 +83,15 @@ class TestInduce:
         bad = TimelikeNormalFrame(ambient=frame.ambient, N=1.1 * frame.N)
         with pytest.raises(NotTimelike):
             induce(bad)
+
+    def test_nearly_null_normal(self):
+        """N = (sinh 12, 0, cosh 12, 0) is unit only to ~1e-7 and nearly null: a loose relative
+        tolerance lets it through the unit check, and its tangent space is then degenerate."""
+        frame = TimelikeNormalFrame(ComplexNordenPoint.standard(2), np.array([math.sinh(12), 0, math.cosh(12), 0]))
+        with pytest.raises(DegenerateTangentMetric):
+            induce(frame, Tolerance(1e-10, 1e-3))
+        with pytest.raises(NotTimelike):
+            induce(frame)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_normal_rejected(self, gen, bad):

@@ -93,16 +93,6 @@ class TestMultilinearForm:
         b = MultilinearForm(gen.uniform(-1, 1, size=(3, 3)))
         assert np.allclose((a + b).entries, a.entries + b.entries)
         assert np.allclose((a - b).entries, a.entries - b.entries)
-        assert np.allclose((2.5 * a).entries, 2.5 * a.entries)
-        assert np.allclose((-a).entries, -a.entries)
-
-    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_factor_rejected(self, c):
-        a = MultilinearForm(np.ones((3, 3)))
-        with pytest.raises(NonFiniteInput):
-            a * c
-        with pytest.raises(NonFiniteInput):
-            c * a
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_evaluate_matches_loop_contraction(self, gen, rank):
@@ -125,6 +115,9 @@ class TestTolerance:
         assert not tol.ok(1e-6)
         assert tol.ok(1e-4, scale=1e6)
         assert not tol.ok(1e-2, scale=1e6)
+        assert not tol.ok(np.nan)
+        np.testing.assert_array_equal(tol.ok(np.array([1e-10, -1e-6, np.nan]), np.array([1.0, 1e6, 1.0])),
+                                      [True, True, False])
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
