@@ -2,23 +2,20 @@
 metrics on time-like hypersurfaces, with numeric verification batteries."""
 
 from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance
-from .complex_norden import AmbientModel, ComplexNordenPoint
+from .complex_norden import ComplexNordenPoint
 from .contact_norden import ContactNordenPoint, OneForms
 from .hypersurface import HyperScalars, InducedStructure, TimelikeNormalFrame
-from .main_class import MainClassData, NuPair, SolverBranch
+from .main_class import SolverBranch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientModel",
     "ComplexNordenPoint",
     "ContactNordenPoint",
     "DEFAULT_TOL",
     "HyperScalars",
     "InducedStructure",
-    "MainClassData",
     "MultilinearForm",
-    "NuPair",
     "OneForms",
     "SolverBranch",
     "TimelikeNormalFrame",

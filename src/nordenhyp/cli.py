@@ -26,8 +26,6 @@ from .errors import DegenerateFlat, GeometryError
 from .hypersurface import HyperScalars, TimelikeNormalFrame, induce, pi_relations_residual, shape_from_class
 from .main_class import (
     COR32_READINGS,
-    MainClassData,
-    NuPair,
     SolverBranch,
     nu_from_scalars,
     solve_theta,
@@ -221,14 +219,14 @@ def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
     t, nu, nut = _reals(payload, "t", "nu", "nu_tilde")
     branch = SolverBranch(_as_int(payload.get("epsilon", 1), "epsilon"))
     try:
-        th, ths = solve_theta(NuPair(nu, nut), t, branch, n, args.tol)
+        th, ths = solve_theta(nu, nut, t, branch, n, args.tol)
     except DegenerateFlat as exc:
         resolution = getattr(exc, "resolution", None)
         if resolution is None:
             return family_report({"solvable": math.inf}), {"error": str(exc)}
         th, ths = resolution
     scalars = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
-    back = nu_from_scalars(MainClassData(point=ContactNordenPoint.standard(n), scalars=scalars))
+    back = nu_from_scalars(ContactNordenPoint.standard(n), scalars)
     return family_report(roundtrip_checks(back, nu, nut)), {"theta_xi": th, "theta_star_xi": ths}
 
 

@@ -140,15 +140,6 @@ class ComplexNordenPoint:
         return ComplexNordenPoint(self.n_prime, S.T @ self.g @ S, S_inv @ self.J @ S)
 
 
-@dataclass(frozen=True)
-class AmbientModel:
-    """Constant totally real sectional curvatures attached to a point."""
-
-    point: ComplexNordenPoint
-    nu_prime: float
-    nu_tilde_prime: float
-
-
 def validate_complex_norden(point: ComplexNordenPoint, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Axiom residuals: J^2 = -Id, anti-compatibility, symmetry, signature."""
     d = point.dim
@@ -186,10 +177,9 @@ def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
     return point.pi_prime_combination(np.eye(3)[i - 1])
 
 
-def model_curvature(model: AmbientModel) -> MultilinearForm:
-    """Curvature of the constant totally-real-curvature model."""
-    nu, nut = model.nu_prime, model.nu_tilde_prime
-    return model.point.pi_prime_combination((nu, -nu, nut))
+def model_curvature(point: ComplexNordenPoint, nu: float, nu_tilde: float) -> MultilinearForm:
+    """Curvature of the model whose totally real sections have the constant curvatures nu and nu~."""
+    return point.pi_prime_combination((nu, -nu, nu_tilde))
 
 
 def associated_curvature(R: MultilinearForm, J: np.ndarray) -> MultilinearForm:

@@ -450,10 +450,10 @@ def special_sectional(
 
 
 def canonical_K_from_R(
-    point: ContactNordenPoint, R: MultilinearForm, A: np.ndarray, t: float
+    point: ContactNordenPoint, R: MultilinearForm, A: np.ndarray, scalars: HyperScalars
 ) -> MultilinearForm:
-    """Canonical curvature assembled from R, A and the angle t."""
-    cos_t, sin_t = per_entry(np.cos(t), 1), per_entry(np.sin(t), 1)
+    """Canonical curvature assembled from R, A and the angle t of the scalars."""
+    cos_t, sin_t = per_entry(scalars.cos_t, 1), per_entry(scalars.sin_t, 1)
     phi = point.phi
     mix = sin_t * (sin_t * PI_KAEHLER - cos_t * PI_TWISTED)
     return substitute_endo_last_two(R, phi @ phi) + _pi_sum(point, (P1, A, phi), (mix, A, None))

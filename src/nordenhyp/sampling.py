@@ -6,8 +6,9 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-The per-call samplers (`draw_point`, the `random_*` builders) draw one
-instance per call, for tests and the benchmark.  The suite reads each
+The per-call samplers (`draw_point`, `draw_normal`, `random_contact_point`,
+`random_timelike_frame`, `random_hyper_scalars`, `random_main_class_data`)
+draw one instance per call, for tests and the benchmark.  The suite reads each
 trial from one row of uniform doubles (`suite._Row`): a value in
 [low, high) is `uniform(u, low, high)`, the map `Generator.uniform`
 applies, and an index below k (the fault entry, a normal's plane) is
@@ -15,9 +16,9 @@ floor(u k); a row's size is not drawn, as each suite loop takes its sizes
 in turn.  Each rejection test is written once, in a row form that takes a
 fixed number of candidate slots per row and keeps the first acceptable one
 (`timelike_normals`, `totally_real_pairs`, `solver_angles`; `draw_normal`
-and `random_totally_real_pair` are one-row calls); the counts are set from
-the measured rejection rates so that a row with none is rarer than 1e-15,
-and such a row raises `NoAcceptableCandidate` instead of drawing again.
+is a one-row call); the counts are set from the measured rejection rates
+so that a row with none is rarer than 1e-15, and such a row raises
+`NoAcceptableCandidate` instead of drawing again.
 
 A contact point is drawn (`PointDraw`) apart from being built
 (`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
@@ -33,7 +34,6 @@ from .complex_norden import ComplexNordenPoint
 from .contact_norden import ContactNordenPoint
 from .errors import NoAcceptableCandidate
 from .hypersurface import HyperScalars, TimelikeNormalFrame
-from .main_class import MainClassData
 from .multilinear import dot, per_entry
 
 
@@ -59,11 +59,6 @@ def _first_accepted(ok: np.ndarray, what: str) -> np.ndarray:
     if not ok[np.arange(len(ok)), k].all():
         raise NoAcceptableCandidate(f"no acceptable {what} among {ok.shape[1]} candidates")
     return k
-
-
-def random_congruence(gen: np.random.Generator, d: int, scale: float = 0.3) -> np.ndarray:
-    """Well-conditioned random basis change: identity plus a small perturbation."""
-    return np.eye(d) + scale * gen.uniform(-1.0, 1.0, size=(d, d))
 
 
 # The draws behind one random contact point: the raw congruence block U of
@@ -92,20 +87,6 @@ def random_contact_point(
 ) -> ContactNordenPoint:
     """Congruence-randomized standard contact point; fault perturbs phi."""
     return contact_point(n, draw_point(gen, n, fault), fault)
-
-
-def random_complex_point(
-    gen: np.random.Generator, n_prime: int, fault: float = 0.0
-) -> ComplexNordenPoint:
-    point = ComplexNordenPoint.standard(n_prime).congruence(
-        random_congruence(gen, 2 * n_prime)
-    )
-    if fault:
-        J = point.J.copy()
-        i, j = gen.integers(0, point.dim, size=2)
-        J[i, j] += fault
-        point = ComplexNordenPoint(point.n_prime, point.g, J)
-    return point
 
 
 def draw_normal(gen: np.random.Generator, n_prime: int, fault: float = 0.0) -> np.ndarray:
@@ -185,20 +166,7 @@ def random_hyper_scalars(
 
 def random_main_class_data(
     gen: np.random.Generator, n: int, fault: float = 0.0, derivative_free: bool = False
-) -> MainClassData:
+) -> tuple[ContactNordenPoint, HyperScalars]:
+    """A main-class input (point, scalars): a random contact point, then its scalars."""
     point = random_contact_point(gen, n, fault=fault)
-    scalars = random_hyper_scalars(gen, point, derivative_free=derivative_free)
-    return MainClassData(point=point, scalars=scalars)
-
-
-def random_nu_pair(gen: np.random.Generator) -> tuple[float, float]:
-    return tuple(gen.uniform(-2.0, 2.0, size=2).tolist())
-
-
-def random_totally_real_pair(
-    gen: np.random.Generator, n_prime: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random totally real plane of the standard flat ambient model: the `totally_real_pairs`
-    pair of one row of PAIR_CANDIDATES candidates."""
-    x, y = totally_real_pairs(gen.random((1, PAIR_CANDIDATES, 2 * n_prime)), n_prime)
-    return x[0], y[0]
+    return point, random_hyper_scalars(gen, point, derivative_free=derivative_free)

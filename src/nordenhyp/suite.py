@@ -49,7 +49,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .complex_norden import (
-    AmbientModel,
     ComplexNordenPoint,
     associated_curvature,
     model_curvature,
@@ -87,8 +86,6 @@ from .main_class import (
     COR32_READINGS,
     K_F45_0,
     K_cor32,
-    MainClassData,
-    NuPair,
     SolverBranch,
     Theorem31Result,
     curvature_F45,
@@ -218,7 +215,7 @@ def canonical_checks(p, A, sc: HyperScalars, nu, nut) -> tuple[float, float, dic
     """The canonical curvature's closed-form tau and tau~, and checks: both routes
     to it agree, it is Kaehlerian, and its contraction meets the closed forms."""
     R = gauss_induced_R(p, A, sc, nu, nut)
-    K1 = canonical_K_from_R(p, R, A, sc.t)
+    K1 = canonical_K_from_R(p, R, A, sc)
     K2, tau_K, tau_K_t = canonical_K_model(p, A, sc, nu, nut)
     return tau_K, tau_K_t, {
         "routes_agree": (K1 - K2).max_norm / (1.0 + K2.max_norm),
@@ -236,9 +233,9 @@ def section_checks(R: MultilinearForm, p, x, k_xi, k_phi_holomorphic, tol: Toler
     }
 
 
-def roundtrip_checks(back: NuPair, nu, nut) -> dict:
-    """The nu pair the solved angles force vs the one solved for."""
-    return {"roundtrip_nu": _rel(back.nu, nu), "roundtrip_nu_twisted": _rel(back.nu_tilde, nut)}
+def roundtrip_checks(back: tuple, nu, nut) -> dict:
+    """The nu pair (nu, nu~) the solved angles force vs the one solved for."""
+    return {"roundtrip_nu": _rel(back[0], nu), "roundtrip_nu_twisted": _rel(back[1], nut)}
 
 
 def theorem31_checks(p, res: Theorem31Result, th, ths) -> dict:
@@ -372,7 +369,7 @@ def _model(run, group, tol):
     amb, x, y, v = run
     nu, nut = 3.0, -1.0
     out = {"ambient_axioms": validate_complex_norden(amb, tol).max_residual}
-    R = model_curvature(AmbientModel(point=amb, nu_prime=nu, nu_tilde_prime=nut))
+    R = model_curvature(amb, nu, nut)
     Rt = associated_curvature(R, amb.J)
     out["totally_real_k"] = sectional_curvature_prime(R, amb.g, x, y, tol) - nu
     out["totally_real_k_assoc"] = sectional_curvature_prime(Rt, amb.g, x, y, tol) - nut
@@ -421,12 +418,11 @@ def _canonical(run, group, tol):
 
 def _main_class(run, group, tol):
     p, sc, (nu, nut), _ = run
-    d = MainClassData(point=p, scalars=sc)
-    A = shape_F45(d)
+    A = shape_F45(p, sc, tol)
     c, s = sc.cos_t, sc.sin_t
     traces = {"trace_A": trace_endo(A) - (-sc.dt_xi / (2 * c) - sc.theta_xi * c - sc.theta_star_xi * s),
               "trace_A_phi": trace_compose(A, p.phi) - (sc.theta_xi * s - sc.theta_star_xi * c)}
-    cur = curvature_F45(d, NuPair(nu, nut))
+    cur = curvature_F45(p, sc, nu, nut)
     Rg = gauss_induced_R(p, A, sc, nu, nut)
     return {**traces, "R_routes_agree": (cur.R - Rg).max_norm / (1.0 + Rg.max_norm),
             **scalar_checks(scalar_curvatures(cur.R, p), cur.scalars.tau, cur.scalars.tau_tilde)}
@@ -434,30 +430,28 @@ def _main_class(run, group, tol):
 
 def _connection(run, group, tol):
     p, sc, _, _ = run
-    d = MainClassData(point=p, scalars=sc)
-    return {"difference_tensor": canonical_difference(main_class_form(d), p, tol) - canonical_difference_F45(d)}
+    return {"difference_tensor": canonical_difference(main_class_form(p, sc), p, tol) - canonical_difference_F45(p, sc)}
 
 
 def _solver(run, group, tol):
     p, entries, x = run
-    th, ths = np.array([solve_theta(NuPair(a, b), t, SolverBranch(e), p.n, tol) for e, a, b, t in entries]).T
+    th, ths = np.array([solve_theta(a, b, t, SolverBranch(e), p.n, tol) for e, a, b, t in entries]).T
     _, nu, nut, t = np.array(entries).T
     res = theorem31(p, th, ths, t=t, tol=tol)
-    return {**roundtrip_checks(res.nupair, nu, nut), **theorem31_checks(p, res, th, ths),
+    return {**roundtrip_checks((res.nu, res.nu_tilde), nu, nut), **theorem31_checks(p, res, th, ths),
             **section_checks(res.R, p, x, res.k_xi(x), res.k_phi_holomorphic, tol)}
 
 
 def _readings(run, group, tol):
     p, sc, _, _ = run
-    d = MainClassData(point=p, scalars=sc)
-    nupair = nu_from_scalars(d)
-    K_ref = K_F45_0(d, curvature_F45(d, nupair).R)
+    nu, nut = nu_from_scalars(p, sc)
+    K_ref = K_F45_0(p, sc, curvature_F45(p, sc, nu, nut).R)
     scale = 1.0 + K_ref.max_norm
-    out = {f"reading_{r}": (K_cor32(d, nupair, reading=r) - K_ref).max_norm / scale for r in COR32_READINGS}
+    out = {f"reading_{r}": (K_cor32(p, sc, nu, nut, reading=r) - K_ref).max_norm / scale for r in COR32_READINGS}
     # the reading comparison is a pure coefficient identity, so it
     # survives a perturbed structure; this one does not
     try:
-        out["kaehlerian"] = kaehler_residual(K_ref, d.point)
+        out["kaehlerian"] = kaehler_residual(K_ref, p)
     except EXPECTED:
         out["kaehlerian"] = math.inf
     return out
@@ -592,8 +586,8 @@ def run_suite(
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if isinstance(fault, bool) or not isinstance(fault, numbers.Real) or not math.isfinite(fault):
         raise ValueError(f"fault must be a finite number, got {fault!r}")
-    n_values = tuple(n_values)
-    if not n_values or not all(_integer(n) and 1 <= n <= MAX_N for n in n_values):
+    if not (isinstance(n_values, Iterable) and (n_values := tuple(n_values))
+            and all(_integer(n) and 1 <= n <= MAX_N for n in n_values)):
         raise ValueError(f"n_values must be integers in 1..{MAX_N}, got {n_values}")
     if cor32_reading is not None and cor32_reading not in COR32_READINGS:
         raise ValueError(f"cor32_reading must be one of {COR32_READINGS}, got {cor32_reading!r}")

@@ -7,7 +7,7 @@ A failing criterion reports the worst offending quantity.
 import numpy as np
 import pytest
 
-from nordenhyp.complex_norden import AmbientModel, model_curvature, associated_curvature, sectional_curvature_prime
+from nordenhyp.complex_norden import model_curvature, associated_curvature, sectional_curvature_prime
 from nordenhyp.contact_norden import (
     ContactNordenPoint,
     ContactSectionKind,
@@ -33,8 +33,6 @@ from nordenhyp.hypersurface import (
     special_sectional,
 )
 from nordenhyp.main_class import (
-    MainClassData,
-    NuPair,
     SolverBranch,
     K_F45_0,
     K_cor32,
@@ -50,12 +48,12 @@ from nordenhyp.sampling import (
     random_contact_point,
     random_hyper_scalars,
     random_main_class_data,
-    random_nu_pair,
     random_timelike_frame,
-    random_totally_real_pair,
     rng,
 )
 from nordenhyp.suite import run_suite
+
+from samplers import random_nu_pair, random_totally_real_pair
 
 SEED = 74250
 
@@ -150,8 +148,7 @@ def test_criterion_03_model_curvature(capsys):
 
     for n_prime in (2, 3, 4):
         point = ComplexNordenPoint.standard(n_prime)
-        model = AmbientModel(point=point, nu_prime=3.0, nu_tilde_prime=-1.0)
-        R = model_curvature(model)
+        R = model_curvature(point, 3.0, -1.0)
         Rt = associated_curvature(R, point.J)
         for i in range(40):
             x, y = random_totally_real_pair(gen, n_prime)
@@ -260,7 +257,7 @@ def test_criterion_06_canonical_curvature(capsys):
             nu, nut = random_nu_pair(gen)
             A = shape_from_class(p, tag, sc)
             R = gauss_induced_R(p, A, sc, nu, nut)
-            K1 = canonical_K_from_R(p, R, A, sc.t)
+            K1 = canonical_K_from_R(p, R, A, sc)
             K2, tau_K, tau_K_t = canonical_K_model(p, A, sc, nu, nut)
             scale = 1.0 + K2.max_norm
             if (K1 - K2).max_norm / scale > 1e-8:
@@ -278,19 +275,18 @@ def test_criterion_07_main_class_routes(capsys):
     failures = []
     for i in range(100):
         n = 1 + i % 3
-        data = random_main_class_data(gen, n)
+        p, sc = random_main_class_data(gen, n)
         nu, nut = random_nu_pair(gen)
-        A = shape_F45(data)
-        R_gauss = gauss_induced_R(data.point, A, data.scalars, nu, nut)
-        got = curvature_F45(data, NuPair(nu, nut))
+        A = shape_F45(p, sc)
+        R_gauss = gauss_induced_R(p, A, sc, nu, nut)
+        got = curvature_F45(p, sc, nu, nut)
         if (got.R - R_gauss).max_norm / (1.0 + R_gauss.max_norm) > 1e-8:
             failures.append(("tensor", i))
-        sc = data.scalars
         tr_A_want = -sc.dt_xi / (2 * sc.cos_t) - sc.theta_xi * sc.cos_t - sc.theta_star_xi * sc.sin_t
         tr_Aphi_want = sc.theta_xi * sc.sin_t - sc.theta_star_xi * sc.cos_t
         if abs(np.trace(A) - tr_A_want) > 1e-10 * (1 + abs(tr_A_want)):
             failures.append(("trace", i))
-        if abs(np.trace(A @ data.point.phi) - tr_Aphi_want) > 1e-10 * (1 + abs(tr_Aphi_want)):
+        if abs(np.trace(A @ p.phi) - tr_Aphi_want) > 1e-10 * (1 + abs(tr_Aphi_want)):
             failures.append(("twisted_trace", i))
     verdict(capsys, 7, "main-class curvature closed form equals the generic route; shape traces exact", failures)
 
@@ -300,9 +296,9 @@ def test_criterion_08_canonical_connection(capsys):
     failures = []
     for n in (1, 2, 3):
         for i in range(20):
-            data = random_main_class_data(gen, n)
-            T_explicit = canonical_difference_F45(data)
-            T_generic = canonical_difference(main_class_form(data), data.point)
+            p, sc = random_main_class_data(gen, n)
+            T_explicit = canonical_difference_F45(p, sc)
+            T_generic = canonical_difference(main_class_form(p, sc), p)
             if np.max(np.abs(T_explicit - T_generic)) > 1e-10:
                 failures.append((n, i, float(np.max(np.abs(T_explicit - T_generic)))))
     verdict(capsys, 8, "canonical-connection difference tensor matches its explicit display", failures)
@@ -325,19 +321,18 @@ def test_criterion_09_solver_and_flat_regime(capsys):
             continue
         done += 1
         for eps in (1, -1):
-            th, ths = solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n)
+            th, ths = solve_theta(nu, nut, t, SolverBranch(eps), n)
             p = ContactNordenPoint.standard(n)
             sc = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
-            data = MainClassData(point=p, scalars=sc)
-            back = nu_from_scalars(data)
-            if rel(back.nu, nu) > 1e-8 or rel(back.nu_tilde, nut) > 1e-8:
+            back_nu, back_nut = nu_from_scalars(p, sc)
+            if rel(back_nu, nu) > 1e-8 or rel(back_nut, nut) > 1e-8:
                 failures.append(("roundtrip", done, eps))
                 continue
             res = theorem31(p, th, ths, t=t)
             scale = 1.0 + max(abs(th), abs(ths)) ** 2
             if res.K_residual > 1e-8 * scale:
                 failures.append(("flat_K", done, eps))
-            A = shape_F45(data)
+            A = shape_F45(p, sc)
             R_oracle = gauss_induced_R(p, A, sc, nu, nut)
             if (res.R - R_oracle).max_norm / (1.0 + R_oracle.max_norm) > 1e-8:
                 failures.append(("R", done, eps))
@@ -362,7 +357,7 @@ def test_criterion_09_solver_and_flat_regime(capsys):
                     failures.append(("k_tr", done, eps))
 
     # hand anchors
-    th, ths = solve_theta(NuPair(1.0, 0.0), 0.0, SolverBranch(1), 1)
+    th, ths = solve_theta(1.0, 0.0, 0.0, SolverBranch(1), 1)
     if abs(th - 2.0) > 1e-10 or abs(ths) > 1e-10:
         failures.append(("anchor1_theta", th, ths))
     res1 = theorem31(ContactNordenPoint.standard(1), 2.0, 0.0)
@@ -370,7 +365,7 @@ def test_criterion_09_solver_and_flat_regime(capsys):
         failures.append(("anchor1_tau", res1.tau))
     if abs(res1.k_phi_holomorphic + 1.0) > 1e-10:
         failures.append(("anchor1_k_hol", res1.k_phi_holomorphic))
-    th, ths = solve_theta(NuPair(0.0, 2.0), 0.0, SolverBranch(1), 1)
+    th, ths = solve_theta(0.0, 2.0, 0.0, SolverBranch(1), 1)
     if abs(th - 2.0) > 1e-10 or abs(ths - 2.0) > 1e-10:
         failures.append(("anchor2_theta", th, ths))
     p = ContactNordenPoint.standard(1)
@@ -392,12 +387,12 @@ def test_criterion_10_reading_resolution(capsys):
     matched = {"literal": True, "squared": True}
     for i in range(50):
         n = 1 + i % 3
-        data = random_main_class_data(gen, n)
-        nupair = nu_from_scalars(data)
-        want = K_F45_0(data, curvature_F45(data, nupair).R)
+        p, sc = random_main_class_data(gen, n)
+        nu, nut = nu_from_scalars(p, sc)
+        want = K_F45_0(p, sc, curvature_F45(p, sc, nu, nut).R)
         scale = 1.0 + want.max_norm
         for reading in ("literal", "squared"):
-            if (K_cor32(data, nupair, reading) - want).max_norm / scale > 1e-8:
+            if (K_cor32(p, sc, nu, nut, reading) - want).max_norm / scale > 1e-8:
                 matched[reading] = False
     winners = [r for r, ok in matched.items() if ok]
     if len(winners) != 1:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from nordenhyp import suite
-from nordenhyp.complex_norden import AmbientModel, ComplexNordenPoint, model_curvature, sectional_curvature_prime
+from nordenhyp.complex_norden import ComplexNordenPoint, model_curvature, sectional_curvature_prime
 from nordenhyp.contact_norden import (
     CONSTRUCTIVE_TAGS,
     F4_F5,
@@ -49,8 +49,6 @@ from nordenhyp.hypersurface import (
 from nordenhyp.main_class import (
     K_F45_0,
     K_cor32,
-    MainClassData,
-    NuPair,
     SolverBranch,
     canonical_difference_F45,
     curvature_F45,
@@ -80,13 +78,13 @@ from nordenhyp.sampling import (
     hyper_scalars,
     random_contact_point,
     random_hyper_scalars,
-    random_nu_pair,
-    random_totally_real_pair,
     rng,
     solver_angles,
     timelike_normals,
     totally_real_pairs,
 )
+
+from samplers import random_nu_pair, random_totally_real_pair
 
 SIZES = [(n, B) for n in (1, 2, 3, 4) for B in (1, 3, 7)]
 
@@ -101,10 +99,6 @@ class Inputs:
     x: np.ndarray
     y: np.ndarray
     c: np.ndarray  # a coefficient vector over pi_1..pi_5
-
-    @property
-    def data(self) -> MainClassData:
-        return MainClassData(point=self.p, scalars=self.sc)
 
     @property
     def R(self) -> MultilinearForm:
@@ -151,7 +145,7 @@ CASES = {
     "pi rows": lambda i: tuple(pi(k, i.p) for k in range(1, 6)),
     **{f"shape_from_class {tag}": (lambda i, tag=tag: shape_from_class(i.p, tag, i.sc)) for tag in CONSTRUCTIVE_TAGS},
     "gauss_induced_R": lambda i: i.R,
-    "canonical_K_from_R": lambda i: canonical_K_from_R(i.p, i.R, i.A, i.sc.t),
+    "canonical_K_from_R": lambda i: canonical_K_from_R(i.p, i.R, i.A, i.sc),
     "canonical_K_model": lambda i: canonical_K_model(i.p, i.A, i.sc, i.nu, i.nut),
     "scalar_curvatures": lambda i: scalar_curvatures(i.R, i.p),
     "closed_form_scalars": lambda i: closed_form_scalars(i.A, i.sc, i.nu, i.nut, i.p),
@@ -168,15 +162,15 @@ CASES = {
     "special_sectional phi": lambda i: special_sectional(
         i.p, i.A, i.sc, i.nu, i.nut, ContactSectionKind.PHI_HOLOMORPHIC, i.x
     ),
-    "main_class_form": lambda i: main_class_form(i.data),
-    "nabla_xi_from_F": lambda i: nabla_xi_from_F(main_class_form(i.data), i.p),
-    "canonical_difference": lambda i: canonical_difference(main_class_form(i.data), i.p),
-    "canonical_difference_F45": lambda i: canonical_difference_F45(i.data),
-    "shape_F45": lambda i: shape_F45(i.data),
-    "curvature_F45": lambda i: curvature_F45(i.data, NuPair(i.nu, i.nut)),
-    "K_F45_0": lambda i: K_F45_0(i.data, curvature_F45(i.data, NuPair(i.nu, i.nut)).R),
-    "K_cor32": lambda i: tuple(K_cor32(i.data, NuPair(i.nu, i.nut), reading=r) for r in ("literal", "squared")),
-    "nu_from_scalars": lambda i: nu_from_scalars(i.data),
+    "main_class_form": lambda i: main_class_form(i.p, i.sc),
+    "nabla_xi_from_F": lambda i: nabla_xi_from_F(main_class_form(i.p, i.sc), i.p),
+    "canonical_difference": lambda i: canonical_difference(main_class_form(i.p, i.sc), i.p),
+    "canonical_difference_F45": lambda i: canonical_difference_F45(i.p, i.sc),
+    "shape_F45": lambda i: shape_F45(i.p, i.sc),
+    "curvature_F45": lambda i: curvature_F45(i.p, i.sc, i.nu, i.nut),
+    "K_F45_0": lambda i: K_F45_0(i.p, i.sc, curvature_F45(i.p, i.sc, i.nu, i.nut).R),
+    "K_cor32": lambda i: tuple(K_cor32(i.p, i.sc, i.nu, i.nut, reading=r) for r in ("literal", "squared")),
+    "nu_from_scalars": lambda i: nu_from_scalars(i.p, i.sc),
 }
 
 
@@ -600,7 +594,7 @@ def test_group_with_one_faulted_entry_raises():
     with pytest.raises(InconsistentStructure):
         shape_from_class(p, F4_F5, batched.sc)
     with pytest.raises(InconsistentStructure):
-        canonical_difference(main_class_form(MainClassData(p, batched.sc)), p)
+        canonical_difference(main_class_form(p, batched.sc), p)
 
 
 @pytest.mark.parametrize(
@@ -723,7 +717,7 @@ def test_sectional_curvature_prime_unbatched_form(n_prime):
     """One unbatched form and metric against (B, d) section vectors."""
     gen = rng(500 + n_prime)
     amb = ComplexNordenPoint.standard(n_prime)
-    R = model_curvature(AmbientModel(point=amb, nu_prime=3.0, nu_tilde_prime=-1.0))
+    R = model_curvature(amb, 3.0, -1.0)
     for B in (1, 3, 7):
         x, y = gen.uniform(-1.0, 1.0, size=(2, B, amb.dim))
         _assert_close(sectional_curvature_prime(R, amb.g, x, y), [sectional_curvature_prime(R, amb.g, *v) for v in zip(x, y)])
@@ -966,7 +960,7 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
             for f in ("g", "phi", "xi", "eta"):
                 np.testing.assert_array_equal(getattr(p, f)[j], getattr(point, f))
                 np.testing.assert_array_equal(getattr(p_sec, f)[j], getattr(point, f))
-            assert (th[j], ths[j], kw["t"][j]) == (*solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n), t)
+            assert (th[j], ths[j], kw["t"][j]) == (*solve_theta(nu, nut, t, SolverBranch(eps), n), t)
             np.testing.assert_array_equal(x[j], x_plus if eps == 1 else x_minus)
 
 
@@ -1026,7 +1020,11 @@ def test_chunked_groups_give_the_same_report(monkeypatch):
 def test_run_suite_applies_its_tolerance():
     """The tolerance reaches the layers' input checks: at 1e-30 they reject the suite's own data."""
     assert suite.run_suite(7, 5).passed
-    assert not suite.run_suite(7, 5, tol=Tolerance(1e-30, 1e-30)).passed
+    report = suite.run_suite(7, 5, tol=Tolerance(1e-30, 1e-30))
+    assert not report.passed
+    main_class = [c for c in report.checks if c.name.startswith("main_class.")]
+    assert len(main_class) == len(suite.TABLE["main_class"].names)
+    assert not any(c.passed for c in main_class)
 
 
 def _report(report) -> tuple:
@@ -1047,8 +1045,8 @@ def test_nan_reading_residual_is_infinite(monkeypatch):
     """A NaN in a reading's curvature is an infinite residual, as everywhere else in the suite."""
     real = suite.K_cor32
 
-    def nan_squared(d, nupair, reading="squared"):
-        K = real(d, nupair, reading=reading)
+    def nan_squared(p, sc, nu, nut, reading="squared"):
+        K = real(p, sc, nu, nut, reading=reading)
         if reading != "squared":
             return K
         entries = np.array(K.entries)

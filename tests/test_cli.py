@@ -269,10 +269,12 @@ def test_run_suite_rejects_unknown_reading_before_any_battery(monkeypatch):
         ({"n_values": (1.5,)}, "n_values"),
         ({"n_values": (True,)}, "n_values"),
         ({"n_values": "12"}, "n_values"),
+        ({"n_values": 5}, "n_values"),
         ({"fault": "x"}, "fault"),
         ({"fault": True}, "fault"),
     ],
-    ids=["trials-float", "trials-bool", "n-values-float", "n-values-bool", "n-values-str", "fault-str", "fault-bool"],
+    ids=["trials-float", "trials-bool", "n-values-float", "n-values-bool", "n-values-str", "n-values-int",
+         "fault-str", "fault-bool"],
 )
 def test_run_suite_rejects_mistyped_fields_before_any_battery(monkeypatch, fields, field):
     from nordenhyp import suite
@@ -488,7 +490,8 @@ def test_classify_nonfinite_vector_names_field(tmp_path, capsys, point, field, b
 
 def _random_hyper_scenario(gen, kind, tag, n, ambient):
     """A curvature or canonical scenario on a congruence-randomized point or ambient."""
-    from nordenhyp.sampling import random_congruence, random_contact_point, random_timelike_frame
+    from nordenhyp.sampling import random_contact_point, random_timelike_frame
+    from samplers import random_congruence
 
     keys = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
     scalars = {k: float(gen.uniform(-2, 2)) for k in keys}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nordenhyp.complex_norden import (
-    AmbientModel,
     ComplexNordenPoint,
     SectionKind,
     associated_curvature,
@@ -18,7 +17,8 @@ from nordenhyp.complex_norden import (
 from nordenhyp.contact_norden import is_curvature_like
 from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors, NonFiniteInput
 from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
-from nordenhyp.sampling import random_complex_point, random_totally_real_pair
+
+from samplers import random_complex_point, random_totally_real_pair
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
@@ -112,8 +112,7 @@ def test_nonfinite_field_rejected(field):
 class TestModelCurvature:
     def setup_method(self):
         self.p = ComplexNordenPoint.standard(3)
-        self.model = AmbientModel(point=self.p, nu_prime=3.0, nu_tilde_prime=-1.0)
-        self.R = model_curvature(self.model)
+        self.R = model_curvature(self.p, 3.0, -1.0)
         self.Rt = associated_curvature(self.R, self.p.J)
 
     def test_totally_real_sections(self, gen):

@@ -26,7 +26,9 @@ from nordenhyp.contact_norden import (
 )
 from nordenhyp.errors import BadIndex, DependentVectors, NonFiniteInput, NotConstructive
 from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
-from nordenhyp.sampling import random_contact_point, random_congruence
+from nordenhyp.sampling import random_contact_point
+
+from samplers import random_congruence
 
 
 def params_for(point, theta_xi=0.0, theta_star_xi=0.0, Omega=None):

@@ -18,8 +18,6 @@ from nordenhyp.hypersurface import (
     shape_from_class,
 )
 from nordenhyp.main_class import (
-    MainClassData,
-    NuPair,
     SolverBranch,
     K_F45_0,
     K_cor32,
@@ -33,50 +31,47 @@ from nordenhyp.main_class import (
     solve_theta,
     theorem31,
 )
-from nordenhyp.sampling import (
-    random_contact_point,
-    random_main_class_data,
-    random_nu_pair,
-)
+from nordenhyp.sampling import random_main_class_data
+
+from samplers import random_nu_pair
 
 
 class TestShapeAndForm:
     def test_shape_matches_generic_route(self, gen):
-        data = random_main_class_data(gen, 2)
-        A = shape_F45(data)
-        assert np.allclose(A, shape_from_class(data.point, F4_F5, data.scalars))
+        p, sc = random_main_class_data(gen, 2)
+        A = shape_F45(p, sc)
+        assert np.allclose(A, shape_from_class(p, F4_F5, sc))
 
     def test_faulted_phi_raises_typed_error(self, gen):
-        data = random_main_class_data(gen, 2)
-        p = data.point
+        p, sc = random_main_class_data(gen, 2)
         phi = p.phi.copy()
         phi[0, 0] += 1e-3
         faulted = ContactNordenPoint(p.n, p.g, phi, p.xi, p.eta)
         with pytest.raises(InconsistentStructure):
-            shape_F45(MainClassData(point=faulted, scalars=data.scalars))
+            shape_F45(faulted, sc)
 
     def test_form_in_class(self, gen):
-        data = random_main_class_data(gen, 2)
-        F = main_class_form(data)
-        assert class_residual(F, data.point, F4_F5) < 1e-10
+        p, sc = random_main_class_data(gen, 2)
+        F = main_class_form(p, sc)
+        assert class_residual(F, p, F4_F5) < 1e-10
 
     def test_canonical_difference_matches_generic(self, gen):
-        data = random_main_class_data(gen, 2)
-        T = canonical_difference_F45(data)
-        T_generic = canonical_difference(main_class_form(data), data.point)
+        p, sc = random_main_class_data(gen, 2)
+        T = canonical_difference_F45(p, sc)
+        T_generic = canonical_difference(main_class_form(p, sc), p)
         assert np.allclose(T, T_generic, atol=1e-10)
 
 
 class TestCurvatureF45:
     def test_matches_gauss_route(self, gen):
         for n in (1, 2, 3):
-            data = random_main_class_data(gen, n)
+            p, sc = random_main_class_data(gen, n)
             nu, nut = random_nu_pair(gen)
-            A = shape_F45(data)
-            R_gauss = gauss_induced_R(data.point, A, data.scalars, nu, nut)
-            got = curvature_F45(data, NuPair(nu, nut))
+            A = shape_F45(p, sc)
+            R_gauss = gauss_induced_R(p, A, sc, nu, nut)
+            got = curvature_F45(p, sc, nu, nut)
             assert (got.R - R_gauss).max_norm < 1e-9 * (1 + R_gauss.max_norm)
-            contracted = scalar_curvatures(R_gauss, data.point)
+            contracted = scalar_curvatures(R_gauss, p)
             assert got.scalars.tau == pytest.approx(contracted.tau, abs=1e-8)
             assert got.scalars.tau_tilde == pytest.approx(contracted.tau_tilde, abs=1e-8)
 
@@ -86,9 +81,8 @@ class TestCurvatureF45:
             t=0.3, dt_xi=0.7, theta_xi=1.1, theta_star_xi=-0.4,
             xi_theta_xi=0.2, xi_theta_star_xi=-0.9,
         )
-        data = MainClassData(point=p, scalars=sc)
         nu, nut = 1.3, -0.6
-        got = curvature_F45(data, NuPair(nu, nut))
+        got = curvature_F45(p, sc, nu, nut)
         x = np.array([1.0, 0.2, 0.1, -0.3, 0.0])
         px = p.phi @ x
         k_hol = sectional_curvature(got.R, p, px, p.phi @ px)
@@ -101,56 +95,54 @@ class TestCurvatureF45:
 class TestCanonicalRoutes:
     def test_K_F45_0_matches_generic(self, gen):
         # closed-1-forms regime: the two K routes and the Kaehler property
-        data = random_main_class_data(gen, 2)
-        nupair = nu_from_scalars(data)
-        A = shape_F45(data)
-        R = gauss_induced_R(data.point, A, data.scalars, nupair.nu, nupair.nu_tilde)
-        K_generic = canonical_K_from_R(data.point, R, A, data.scalars.t)
-        K_closed = K_F45_0(data, R)
+        p, sc = random_main_class_data(gen, 2)
+        nu, nut = nu_from_scalars(p, sc)
+        A = shape_F45(p, sc)
+        R = gauss_induced_R(p, A, sc, nu, nut)
+        K_generic = canonical_K_from_R(p, R, A, sc)
+        K_closed = K_F45_0(p, sc, R)
         assert (K_closed - K_generic).max_norm < 1e-9 * (1 + K_generic.max_norm)
-        assert kaehler_residual(K_closed, data.point) < 1e-9
+        assert kaehler_residual(K_closed, p) < 1e-9
 
     def test_K_cor32_readings(self, gen):
-        data = random_main_class_data(gen, 2)
-        nupair = nu_from_scalars(data)
-        R = curvature_F45(data, nupair).R
-        want = K_F45_0(data, R)
-        K_sq = K_cor32(data, nupair, reading="squared")
+        p, sc = random_main_class_data(gen, 2)
+        nu, nut = nu_from_scalars(p, sc)
+        R = curvature_F45(p, sc, nu, nut).R
+        want = K_F45_0(p, sc, R)
+        K_sq = K_cor32(p, sc, nu, nut, reading="squared")
         assert (K_sq - want).max_norm < 1e-9 * (1 + want.max_norm)
-        K_lit = K_cor32(data, nupair, reading="literal")
-        if abs(data.scalars.theta_star_xi * (1 - data.scalars.theta_star_xi)) > 0.05:
+        K_lit = K_cor32(p, sc, nu, nut, reading="literal")
+        if abs(sc.theta_star_xi * (1 - sc.theta_star_xi)) > 0.05:
             assert (K_lit - want).max_norm > 1e-4
 
     def test_invalid_reading(self, gen):
-        data = random_main_class_data(gen, 1)
+        p, sc = random_main_class_data(gen, 1)
         with pytest.raises(ValueError):
-            K_cor32(data, NuPair(1.0, 0.0), reading="both")
+            K_cor32(p, sc, 1.0, 0.0, reading="both")
 
 
 class TestNuRelations:
     def test_curvature_determined_by_scalars(self, gen):
         # with the forced nu-pair, R depends only on the scalar data
-        data = random_main_class_data(gen, 2)
-        nupair = nu_from_scalars(data)
-        R_closed = curvature_F45(data, nupair).R
-        R_lm = R_lambda_mu(data)
+        p, sc = random_main_class_data(gen, 2)
+        R_closed = curvature_F45(p, sc, *nu_from_scalars(p, sc)).R
+        R_lm = R_lambda_mu(p, sc)
         assert (R_closed - R_lm).max_norm < 1e-9 * (1 + R_lm.max_norm)
 
     def test_lambda_mu_vanish_without_derivatives(self, gen):
-        data = random_main_class_data(gen, 2, derivative_free=True)
-        lm = lambda_mu(data)
-        assert abs(lm.lam) < 1e-12
-        assert abs(lm.mu) < 1e-12
+        lam, mu = lambda_mu(*random_main_class_data(gen, 2, derivative_free=True))
+        assert abs(lam) < 1e-12
+        assert abs(mu) < 1e-12
 
 
 class TestSolveTheta:
     def test_anchor_nu_one(self):
-        th, ths = solve_theta(NuPair(1.0, 0.0), 0.0, SolverBranch(+1), 1)
+        th, ths = solve_theta(1.0, 0.0, 0.0, SolverBranch(+1), 1)
         assert th == pytest.approx(2.0)
         assert ths == pytest.approx(0.0)
 
     def test_anchor_nut_two(self):
-        th, ths = solve_theta(NuPair(0.0, 2.0), 0.0, SolverBranch(+1), 1)
+        th, ths = solve_theta(0.0, 2.0, 0.0, SolverBranch(+1), 1)
         assert th == pytest.approx(2.0)
         assert ths == pytest.approx(2.0)
 
@@ -161,18 +153,17 @@ class TestSolveTheta:
             t = float(gen.uniform(-1.0, 1.0))
             nu, nut = random_nu_pair(gen)
             try:
-                th, ths = solve_theta(NuPair(nu, nut), t, SolverBranch(eps), n)
+                th, ths = solve_theta(nu, nut, t, SolverBranch(eps), n)
             except DegenerateFlat:
                 continue
             sc = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
-            data = MainClassData(point=ContactNordenPoint.standard(n), scalars=sc)
-            back = nu_from_scalars(data)
-            assert back.nu == pytest.approx(nu, abs=1e-9)
-            assert back.nu_tilde == pytest.approx(nut, abs=1e-9)
+            back_nu, back_nut = nu_from_scalars(ContactNordenPoint.standard(n), sc)
+            assert back_nu == pytest.approx(nu, abs=1e-9)
+            assert back_nut == pytest.approx(nut, abs=1e-9)
 
     def test_flat_input_carries_resolution(self):
         with pytest.raises(DegenerateFlat) as exc:
-            solve_theta(NuPair(0.0, 0.0), 0.0, SolverBranch(+1), 1)
+            solve_theta(0.0, 0.0, 0.0, SolverBranch(+1), 1)
         assert exc.value.resolution == (0.0, 0.0)
 
     def test_bad_branch(self):

@@ -16,8 +16,6 @@ ALLOWED = {
     "rng", "random_timelike_frame", "random_main_class_data", "pi_prime",
     # checks that the shape-to-class map and the Gauss identities are still to be run on
     "class_residual", "F_from_A", "validate_F6_shape", "gauss_identities_residual", "R_lambda_mu",
-    # test-input samplers, to move under tests/ with the other per-call samplers
-    "random_complex_point", "random_nu_pair", "random_totally_real_pair",
 }
 
 
