@@ -25,7 +25,6 @@ from .contact_norden import CONSTRUCTIVE_TAGS, ContactNordenPoint, classify_sect
 from .errors import DegenerateFlat, GeometryError
 from .hypersurface import HyperScalars, TimelikeNormalFrame, induce, pi_relations_residual, shape_from_class
 from .main_class import (
-    COR32_READINGS,
     SolverBranch,
     nu_from_scalars,
     solve_theta,
@@ -256,10 +255,7 @@ def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     key = "--n" if args.n else "n_values entry"
     n_values = [_as_int(v, key, minimum=1, maximum=MAX_N) for v in n_values]  # the suite's own cap
     fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
-    reading = args.cor32_reading or payload.get("cor32_reading")
-    if reading is not None and reading not in COR32_READINGS:
-        raise SchemaError(f"cor32_reading must be null or one of {COR32_READINGS}, got {reading!r}")
-    report = run_suite(seed=seed, trials=trials, n_values=n_values, fault=fault, cor32_reading=reading, tol=args.tol)
+    report = run_suite(seed=seed, trials=trials, n_values=n_values, fault=fault, tol=args.tol)
     return report, {"seed": seed, "trials": trials, "n_values": n_values}
 
 
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="perturb one structure tensor per dataset (negative control)",
     )
-    parser.add_argument("--cor32-reading", choices=COR32_READINGS, default=None)
     parser.add_argument("-v", "--verbose", action="store_true", help="human text to stderr")
     return parser
 

@@ -29,8 +29,6 @@ from .multilinear import (
     DEFAULT_TOL, MultilinearForm, Tolerance, any_entry, apply, bilinear, per_entry, transpose,
 )
 
-COR32_READINGS = ("literal", "squared")
-
 # Every curvature below is a combination of pi_1..pi_5, written as a
 # coefficient vector in the shape of its display and built in one product
 # by `ContactNordenPoint.pi_combination`.  For a batch the scalars are
@@ -163,18 +161,14 @@ def K_F45_0(point: ContactNordenPoint, scalars: HyperScalars, R: MultilinearForm
     return R + point.pi_combination(coef)
 
 
-def K_cor32(
-    point: ContactNordenPoint, scalars: HyperScalars, nu: float, nu_tilde: float, reading: str = "squared"
-) -> MultilinearForm:
+def K_cor32(point: ContactNordenPoint, scalars: HyperScalars, nu: float, nu_tilde: float) -> MultilinearForm:
     """Canonical curvature through the fully expanded coefficient display.
 
     The source display's first coefficient is dimensionally off: it reads a
     bare theta*(xi) term where every sibling display carries its square.
-    Both readings are exposed; the cross-route comparison against
-    K_F45_0(curvature_F45(...)) singles out "squared" as the consistent one.
+    The square is the reading used here; the cross-route comparison against
+    K_F45_0(curvature_F45(...)) singles it out as the consistent one.
     """
-    if reading not in COR32_READINGS:
-        raise ValueError(f"reading must be one of {COR32_READINGS}")
     n = point.n
     nu, nu_tilde, c, s, tan_t, th, ths, dt, xth, xths = (
         per_entry(v, 1)
@@ -185,8 +179,7 @@ def K_cor32(
     twist = th * s - ths * c
     four_n2 = 4 * n**2
 
-    first = ths / four_n2 if reading == "literal" else ths**2 / four_n2
-    coef = (nu + first) * (P1 - P2)
+    coef = (nu + ths**2 / four_n2) * (P1 - P2)
     coef += (nu_tilde - th * ths / four_n2) * P3
     coef -= (
         nu_tilde * tan_t
@@ -316,7 +309,7 @@ def theorem31(
     th, ths = theta_xi, theta_star_xi
     scalars = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
     nu, nu_tilde = nu_from_scalars(point, scalars)
-    K = K_cor32(point, scalars, nu, nu_tilde, reading="squared")
+    K = K_cor32(point, scalars, nu, nu_tilde)
     four_n2 = 4 * n**2
     th1, ths1 = per_entry(th, 1), per_entry(ths, 1)
     R = point.pi_combination(

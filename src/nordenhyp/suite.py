@@ -7,11 +7,11 @@ one structure tensor per dataset, and every battery must then fail a check.
 A geometry error raised mid-check is an infinite residual under every name
 of the guard group that raised; any other exception is a bug and propagates.
 
-The batteries are data: `TABLE` gives each its check names, stream key,
+The batteries are data: `TABLE` gives each its check names, stream key and
 loops (`Loop`: row layout, batch builder, guard groups and the evaluation
-of a built run for one group) and an optional finishing step, and one
-driver (`_drive`) runs any of them.  Loop l of a battery reads its own
-keyed stream, PCG64([seed, key, l]) (`_stream`).
+of a built run for one group), and one driver (`_drive`) runs any of them.
+Loop l of a battery reads its own keyed stream, PCG64([seed, key, l])
+(`_stream`).
 
 A trial is one row of uniform doubles (`_Row`): the fields the battery
 reads, each sized for the largest n, a smaller n using a prefix.  A loop
@@ -83,7 +83,6 @@ from .hypersurface import (
     special_sectional,
 )
 from .main_class import (
-    COR32_READINGS,
     K_F45_0,
     K_cor32,
     SolverBranch,
@@ -129,14 +128,13 @@ THRESHOLD = {
     # closed forms and round trips
     **dict.fromkeys(("tau", "tau_twisted", "xi_section", "phi_holomorphic", "totally_real", "routes_agree",
                      "R_routes_agree", "roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature",
-                     "reading_literal", "reading_squared"), 1e-8),
+                     "reading_squared"), 1e-8),
     # symmetries and axioms, and the model's totally real sections
     **dict.fromkeys(("axioms", "pullback_identities", "ambient_axioms", "curvature_symmetries", "kaehlerian",
                      "totally_real_k", "totally_real_k_assoc"), 1e-9),
     # exact identities
     **dict.fromkeys(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5", "holomorphic_k", "trace_A", "trace_A_phi",
                      "difference_tensor"), 1e-10),
-    "exactly_one_reading_matches": 0.5,  # residual 0 or 1
     "solvable": 1.0,  # residual infinite when the solver has no stable branch
 }
 
@@ -152,9 +150,8 @@ def family_report(residuals: dict) -> ValidationReport:
 
 
 class _Worst:
-    """The worst residual seen under each check name a battery declares (a name derived after the
-    last run is added undeclared).  A residual may be one number or an array, one per batch entry;
-    NaN counts as infinity."""
+    """The worst residual seen under each check name a battery declares.  A residual may be one
+    number or an array, one per batch entry; NaN counts as infinity."""
 
     def __init__(self, battery: str, names: Iterable[str]):
         self.battery = battery
@@ -447,23 +444,14 @@ def _readings(run, group, tol):
     nu, nut = nu_from_scalars(p, sc)
     K_ref = K_F45_0(p, sc, curvature_F45(p, sc, nu, nut).R)
     scale = 1.0 + K_ref.max_norm
-    out = {f"reading_{r}": (K_cor32(p, sc, nu, nut, reading=r) - K_ref).max_norm / scale for r in COR32_READINGS}
-    # the reading comparison is a pure coefficient identity, so it
+    out = {"reading_squared": (K_cor32(p, sc, nu, nut) - K_ref).max_norm / scale}
+    # the display comparison is a pure coefficient identity, so it
     # survives a perturbed structure; this one does not
     try:
         out["kaehlerian"] = kaehler_residual(K_ref, p)
     except EXPECTED:
         out["kaehlerian"] = math.inf
     return out
-
-
-def _one_reading(w: _Worst, reading: str | None) -> None:
-    """Whether exactly one reading matches; then only the squared reading and the one asked for stay."""
-    matching = [r for r in COR32_READINGS if w.residuals[f"reading_{r}"] <= THRESHOLD[f"reading_{r}"]]
-    w.add("exactly_one_reading_matches", 0.0 if len(matching) == 1 else 1.0)
-    for r in COR32_READINGS:
-        if r not in ("squared", reading):
-            del w.residuals[f"reading_{r}"]
 
 
 # --- the table and its driver
@@ -475,9 +463,8 @@ def _one_reading(w: _Worst, reading: str | None) -> None:
 Loop = namedtuple("Loop", "layout evaluate groups build", defaults=(("",), _contact))
 
 # A battery: its declared check names, its stream key (the sum of the ord() of its name's
-# characters), its loops, loop l on the stream PCG64([seed, key, l]), and a step finish(w, reading)
-# on the residuals at the end.
-Battery = namedtuple("Battery", "names key loops finish", defaults=(None,))
+# characters) and its loops, loop l on the stream PCG64([seed, key, l]).
+Battery = namedtuple("Battery", "names key loops")
 
 
 TABLE: dict[str, Battery] = {
@@ -523,12 +510,10 @@ TABLE: dict[str, Battery] = {
                               ("radicand", (RADICAND_CANDIDATES, 3))),
               _solver, build=_solver_run),),
     ),
-    # exactly one coefficient reading of the expanded canonical curvature is consistent with the
-    # compositional route; the report records which
-    "expanded_coefficients": Battery(
-        ("kaehlerian", *(f"reading_{r}" for r in COR32_READINGS)), 2202,
-        (Loop(lambda ns: _Row(ns, *_point(ns), T, SCALARS), _readings),), finish=_one_reading,
-    ),
+    # the expanded canonical curvature, theta*(xi) squared in its first coefficient, vs the
+    # compositional route, and the latter is Kaehlerian
+    "expanded_coefficients": Battery(("kaehlerian", "reading_squared"), 2202, (Loop(
+        lambda ns: _Row(ns, *_point(ns), T, SCALARS), _readings),)),
 }
 
 
@@ -542,10 +527,9 @@ def _stream(seed: int, key: int, l: int, row: _Row, trials: int):
 
 
 def _drive(name: str, seed: int, trials: int, n_values: Iterable[int], fault: float = 0.0,
-           reading: str | None = None, tol: Tolerance = DEFAULT_TOL) -> list[Check]:
+           tol: Tolerance = DEFAULT_TOL) -> list[Check]:
     """Runs the battery TABLE[name]: each block of each loop's stream is built as one run and each
-    undecided group evaluated under its guard, until all the loop's groups are decided; then the
-    finishing step."""
+    undecided group evaluated under its guard, until all the loop's groups are decided."""
     battery, n_values = TABLE[name], tuple(n_values)
     w = _Worst(name, battery.names)
     for l, loop in enumerate(battery.loops):
@@ -558,8 +542,6 @@ def _drive(name: str, seed: int, trials: int, n_values: Iterable[int], fault: fl
                         w.update(loop.evaluate(run, group, tol))
             if all(w.decided(group) for group in loop.groups):
                 break
-    if battery.finish:
-        battery.finish(w, reading)
     return w.checks()
 
 
@@ -576,7 +558,6 @@ def run_suite(
     trials: int,
     n_values: Iterable[int] = (1, 2, 3),
     fault: float = 0.0,
-    cor32_reading: str | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ValidationReport:
     """Run every battery from one seed; identical inputs give identical reports."""
@@ -589,9 +570,7 @@ def run_suite(
     if not (isinstance(n_values, Iterable) and (n_values := tuple(n_values))
             and all(_integer(n) and 1 <= n <= MAX_N for n in n_values)):
         raise ValueError(f"n_values must be integers in 1..{MAX_N}, got {n_values}")
-    if cor32_reading is not None and cor32_reading not in COR32_READINGS:
-        raise ValueError(f"cor32_reading must be one of {COR32_READINGS}, got {cor32_reading!r}")
     checks: list[Check] = []
     for battery in BATTERIES.values():
-        checks.extend(battery(seed, trials, n_values, fault=fault, reading=cor32_reading, tol=tol))
+        checks.extend(battery(seed, trials, n_values, fault=fault, tol=tol))
     return ValidationReport(tuple(checks))

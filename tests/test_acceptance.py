@@ -13,6 +13,7 @@ from nordenhyp.contact_norden import (
     ContactSectionKind,
     F11,
     F4_F5,
+    PI_UNITS,
     canonical_difference,
     kaehler_residual,
     pi,
@@ -382,6 +383,9 @@ def test_criterion_09_solver_and_flat_regime(capsys):
 
 
 def test_criterion_10_reading_resolution(capsys):
+    # the library keeps the squared reading of the Corollary 3.2 display; the
+    # literal one, a bare theta*(xi) in the (pi1 - pi2) coefficient, is built
+    # here from it as the witness that the source's display is off
     gen = rng(SEED + 10)
     failures = []
     matched = {"literal": True, "squared": True}
@@ -391,8 +395,11 @@ def test_criterion_10_reading_resolution(capsys):
         nu, nut = nu_from_scalars(p, sc)
         want = K_F45_0(p, sc, curvature_F45(p, sc, nu, nut).R)
         scale = 1.0 + want.max_norm
-        for reading in ("literal", "squared"):
-            if (K_cor32(p, sc, nu, nut, reading) - want).max_norm / scale > 1e-8:
+        ths = sc.theta_star_xi
+        squared = K_cor32(p, sc, nu, nut)
+        literal = squared + p.pi_combination(((ths - ths**2) / (4 * n**2)) * (PI_UNITS[0] - PI_UNITS[1]))
+        for reading, K in (("literal", literal), ("squared", squared)):
+            if (K - want).max_norm / scale > 1e-8:
                 matched[reading] = False
     winners = [r for r, ok in matched.items() if ok]
     if len(winners) != 1:

@@ -169,7 +169,7 @@ CASES = {
     "shape_F45": lambda i: shape_F45(i.p, i.sc),
     "curvature_F45": lambda i: curvature_F45(i.p, i.sc, i.nu, i.nut),
     "K_F45_0": lambda i: K_F45_0(i.p, i.sc, curvature_F45(i.p, i.sc, i.nu, i.nut).R),
-    "K_cor32": lambda i: tuple(K_cor32(i.p, i.sc, i.nu, i.nut, reading=r) for r in ("literal", "squared")),
+    "K_cor32": lambda i: K_cor32(i.p, i.sc, i.nu, i.nut),
     "nu_from_scalars": lambda i: nu_from_scalars(i.p, i.sc),
 }
 
@@ -1034,21 +1034,18 @@ def _report(report) -> tuple:
 @pytest.mark.parametrize("seed", [1, 7, 123])
 def test_stopping_decided_batteries_leaves_every_report_unchanged(monkeypatch, seed):
     """With `decided` never true every battery evaluates every trial, and the reports are the same."""
-    configs = [(trials, fault, reading) for trials in (1, 20, 150) for fault in (0.0, 1e-3, 1e-6)
-               for reading in (None, "literal")]
-    stopped = [_report(suite.run_suite(seed, t, fault=f, cor32_reading=r)) for t, f, r in configs]
+    configs = [(trials, fault) for trials in (1, 20, 150) for fault in (0.0, 1e-3, 1e-6)]
+    stopped = [_report(suite.run_suite(seed, t, fault=f)) for t, f in configs]
     monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
-    assert [_report(suite.run_suite(seed, t, fault=f, cor32_reading=r)) for t, f, r in configs] == stopped
+    assert [_report(suite.run_suite(seed, t, fault=f)) for t, f in configs] == stopped
 
 
 def test_nan_reading_residual_is_infinite(monkeypatch):
-    """A NaN in a reading's curvature is an infinite residual, as everywhere else in the suite."""
+    """A NaN in the expanded display's curvature is an infinite residual, as everywhere else in the suite."""
     real = suite.K_cor32
 
-    def nan_squared(p, sc, nu, nut, reading="squared"):
-        K = real(p, sc, nu, nut, reading=reading)
-        if reading != "squared":
-            return K
+    def nan_squared(p, sc, nu, nut):
+        K = real(p, sc, nu, nut)
         entries = np.array(K.entries)
         entries.flat[0] = np.nan
         return MultilinearForm._trusted(entries, K.batch)

@@ -1,9 +1,8 @@
 """The check catalogue: the suite batteries and the CLI kinds report under one threshold table.
 
-Every check of a seeded suite run (clean, faulted, and with the literal
-coefficient reading) and of each CLI kind built from the check families
-carries the threshold `THRESHOLD` gives the last part of its name, and
-every table entry is used by one of those reports.
+Every check of a seeded suite run (clean and faulted) and of each CLI kind
+built from the check families carries the threshold `THRESHOLD` gives the
+last part of its name, and every table entry is used by one of those reports.
 """
 import json
 
@@ -36,7 +35,7 @@ def _cli_checks(tmp_path, capsys, scenario) -> list[dict]:
 
 @pytest.fixture(scope="module")
 def suite_checks() -> list[dict]:
-    reports = [run_suite(7, 5), run_suite(7, 5, fault=1e-3), run_suite(7, 1, cor32_reading="literal")]
+    reports = [run_suite(7, 5), run_suite(7, 5, fault=1e-3)]
     return [c for r in reports for c in r.to_dict()["checks"]]
 
 

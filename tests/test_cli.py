@@ -213,14 +213,11 @@ def test_run_suite_rejects_sizes_outside_one_to_three():
 @pytest.mark.parametrize(
     "fields, field",
     [
-        ({"cor32_reading": []}, "cor32_reading"),
-        ({"cor32_reading": "bogus"}, "cor32_reading"),
-        ({"cor32_reading": 3}, "cor32_reading"),
         ({"n_values": []}, "n_values"),
         ({"n_values": 0}, "n_values"),
         ({"seed": -1}, "seed"),
     ],
-    ids=["reading-list", "reading-unknown", "reading-number", "n-values-empty", "n-values-zero", "seed-negative"],
+    ids=["n-values-empty", "n-values-zero", "seed-negative"],
 )
 def test_suite_fields_exit_2_before_running(tmp_path, capsys, monkeypatch, fields, field):
     """A bad suite field is named in the error and the suite never starts."""
@@ -237,22 +234,14 @@ def test_suite_fields_exit_2_before_running(tmp_path, capsys, monkeypatch, field
     assert captured.err.startswith(f"error: {field} must be")
 
 
-def test_suite_reading_null_is_the_default(tmp_path, capsys):
-    base = {"kind": "suite", "trials": 1, "n_values": [1]}
-    assert run(tmp_path, capsys, {**base, "cor32_reading": None}) == run(tmp_path, capsys, base)
-
-
-def test_run_suite_rejects_unknown_reading_before_any_battery(monkeypatch):
+def test_run_suite_rejects_a_bad_seed_or_fault_before_any_battery(monkeypatch):
     from nordenhyp import suite
 
     def refuse(*args, **kwargs):
         raise AssertionError("ran a battery")
 
     monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
-    for reading in ("bogus", []):
-        with pytest.raises(ValueError, match="cor32_reading"):
-            suite.run_suite(seed=1, trials=1, cor32_reading=reading)
-    # and a seed that is not a non-negative integer, or a fault that is not finite
+    # a seed that is not a non-negative integer, or a fault that is not finite
     for seed in (-1, -1100, 1.0, True):
         with pytest.raises(ValueError, match="seed"):
             suite.run_suite(seed=seed, trials=2)

@@ -4,6 +4,7 @@ import pytest
 from nordenhyp.contact_norden import (
     ContactNordenPoint,
     F4_F5,
+    PI_UNITS,
     canonical_difference,
     class_residual,
     kaehler_residual,
@@ -109,16 +110,13 @@ class TestCanonicalRoutes:
         nu, nut = nu_from_scalars(p, sc)
         R = curvature_F45(p, sc, nu, nut).R
         want = K_F45_0(p, sc, R)
-        K_sq = K_cor32(p, sc, nu, nut, reading="squared")
+        K_sq = K_cor32(p, sc, nu, nut)
         assert (K_sq - want).max_norm < 1e-9 * (1 + want.max_norm)
-        K_lit = K_cor32(p, sc, nu, nut, reading="literal")
-        if abs(sc.theta_star_xi * (1 - sc.theta_star_xi)) > 0.05:
+        # the source's literal reading: a bare theta*(xi) in place of its square
+        ths = sc.theta_star_xi
+        K_lit = K_sq + p.pi_combination(((ths - ths**2) / (4 * p.n**2)) * (PI_UNITS[0] - PI_UNITS[1]))
+        if abs(ths * (1 - ths)) > 0.05:
             assert (K_lit - want).max_norm > 1e-4
-
-    def test_invalid_reading(self, gen):
-        p, sc = random_main_class_data(gen, 1)
-        with pytest.raises(ValueError):
-            K_cor32(p, sc, 1.0, 0.0, reading="both")
 
 
 class TestNuRelations:
