@@ -52,6 +52,14 @@ def _need(payload: dict, *keys):
     return [payload[k] for k in keys]
 
 
+def _known(payload: dict, fields, where: str) -> dict:
+    """payload itself, once it holds no key outside fields; a misspelt field would read its default."""
+    unknown = sorted(set(payload) - set(fields))
+    if unknown:
+        raise SchemaError(f"unknown fields in {where}: {', '.join(unknown)}; accepted: {', '.join(sorted(fields))}")
+    return payload
+
+
 def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """An integer field; booleans, floats and null are schema errors."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -110,6 +118,9 @@ def _size(payload: dict, key: str) -> int:
     return _as_int(value, key, minimum=1, maximum=MAX_SIZE[key])
 
 
+_CONTACT_FIELDS = ("n", "g", "phi", "xi", "eta")
+
+
 def _contact_point(payload: dict) -> ContactNordenPoint:
     n = _size(payload, "n")
     if "g" not in payload:
@@ -124,6 +135,9 @@ def _contact_point(payload: dict) -> ContactNordenPoint:
     )
 
 
+_COMPLEX_FIELDS = ("n_prime", "g", "J")
+
+
 def _complex_point(payload: dict) -> ComplexNordenPoint:
     n_prime = _size(payload, "n_prime")
     if "g" not in payload:
@@ -132,19 +146,26 @@ def _complex_point(payload: dict) -> ComplexNordenPoint:
     return ComplexNordenPoint(n_prime, _as_array(g, "g", 2), _as_array(J, "J", 2))
 
 
+_FRAME_FIELDS = ("ambient", "N")
+
+
+def _ambient(value) -> dict:
+    """The ambient field of an embedding: a JSON object of complex-point fields."""
+    return _known(_as_object(value, "ambient"), _COMPLEX_FIELDS, "ambient")
+
+
 def _normal_frame(payload: dict) -> TimelikeNormalFrame:
     """The ambient point and the time-like normal N of an embedding."""
     ambient, N = _need(payload, "ambient", "N")
-    return TimelikeNormalFrame(
-        ambient=_complex_point(_as_object(ambient, "ambient")), N=_as_array(N, "N", 1)
-    )
+    return TimelikeNormalFrame(ambient=_complex_point(_ambient(ambient)), N=_as_array(N, "N", 1))
 
 
 _SCALAR_KEYS = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
+_SCALAR_FIELDS = ("t", *_SCALAR_KEYS, "Omega")
 
 
 def _scalars(payload, t: float | None = None) -> HyperScalars:
-    payload = _as_object(payload, "scalars")
+    payload = _known(_as_object(payload, "scalars"), _SCALAR_FIELDS, "scalars")
     if t is None:
         if "t" not in payload:
             raise SchemaError("scalars need a t value")
@@ -158,6 +179,9 @@ def _scalars(payload, t: float | None = None) -> HyperScalars:
     if Omega is not None:
         Omega = _as_array(Omega, "Omega", 1)
     return HyperScalars(t=t, Omega=Omega, **values)
+
+
+_HYPER_FIELDS = ("class", "nu", "nu_tilde", "scalars")
 
 
 def _hyper_inputs(payload: dict, tol: Tolerance):
@@ -185,7 +209,7 @@ def _run_validate(payload: dict, args) -> tuple[ValidationReport, dict]:
 def _run_induce(payload: dict, args) -> tuple[ValidationReport, dict]:
     # the pullback check builds the ambient pi' family, of dimension d' = 2 n_prime <= MAX_DIM
     ambient, _ = _need(payload, "ambient", "N")
-    n_prime = _size(_as_object(ambient, "ambient"), "n_prime")
+    n_prime = _size(_ambient(ambient), "n_prime")
     _as_int(n_prime, "ambient n_prime", minimum=1, maximum=MAX_DIM // 2)
     structure = induce(_normal_frame(payload), args.tol)
     checks = (*validate_contact_axioms(structure.point, args.tol).checks,
@@ -244,17 +268,13 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 
 def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
-    seed = (_as_int(args.seed, "--seed", minimum=0) if args.seed is not None
-            else _as_int(payload.get("seed", 0), "seed", minimum=0))
-    trials = args.trials if args.trials is not None else _as_int(payload.get("trials", 20), "trials")
-    n_values = args.n or payload.get("n_values")
-    if n_values is None:
-        n_values = [1, 2, 3]
+    seed = _as_int(payload.get("seed", 0), "seed", minimum=0)
+    trials = _as_int(payload.get("trials", 20), "trials")
+    n_values = payload.get("n_values", [1, 2, 3])
     if not isinstance(n_values, list) or not n_values:
         raise SchemaError(f"n_values must be a non-empty list, got {n_values!r}")
-    key = "--n" if args.n else "n_values entry"
-    n_values = [_as_int(v, key, minimum=1, maximum=MAX_N) for v in n_values]  # the suite's own cap
-    fault = args.fault_inject if args.fault_inject is not None else _as_real(payload.get("fault", 0.0), "fault")
+    n_values = [_as_int(v, "n_values entry", minimum=1, maximum=MAX_N) for v in n_values]  # the suite's own cap
+    fault = _as_real(payload.get("fault", 0.0), "fault")
     report = run_suite(seed=seed, trials=trials, n_values=n_values, fault=fault, tol=args.tol)
     return report, {"seed": seed, "trials": trials, "n_values": n_values}
 
@@ -268,6 +288,18 @@ _HANDLERS = {
     "solve": _run_solve,
     "theorem31": _run_theorem31,
     "suite": _run_suite,
+}
+
+# the top-level fields each kind reads besides kind: the union of its readers' fields
+_FIELDS = {
+    "validate": {*_CONTACT_FIELDS, *_COMPLEX_FIELDS},
+    "induce": {*_FRAME_FIELDS},
+    "classify": {*_CONTACT_FIELDS, *_COMPLEX_FIELDS, "x", "y"},
+    "curvature": {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS},
+    "canonical": {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS},
+    "solve": {"n", "t", "nu", "nu_tilde", "epsilon"},
+    "theorem31": {"n", "t", "theta_xi", "theta_star_xi"},
+    "suite": {"seed", "trials", "n_values", "fault"},
 }
 
 
@@ -292,23 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         "on time-like hypersurfaces.",
     )
     parser.add_argument("scenario", help="path to a JSON scenario, or - for stdin")
-    parser.add_argument("--seed", type=int, default=None, help="suite RNG seed (PCG64)")
-    parser.add_argument("--trials", type=int, default=None, help="suite datasets per battery")
-    parser.add_argument(
-        "--n", type=int, action="append", default=None, help="contact size n; repeatable"
-    )
     parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOL.abs_tol)
     parser.add_argument("--rel-tol", type=float, default=DEFAULT_TOL.rel_tol)
     parser.add_argument(
         "--json", action="store_true", help="compact single-line JSON instead of indented"
-    )
-    parser.add_argument(
-        "--fault-inject",
-        type=float,
-        nargs="?",
-        const=1e-3,
-        default=None,
-        help="perturb one structure tensor per dataset (negative control)",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="human text to stderr")
     return parser
@@ -328,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         kind = scenario.get("kind")
         if not isinstance(kind, str) or kind not in _HANDLERS:
             raise SchemaError(f"kind must be one of {sorted(_HANDLERS)}, got {kind!r}")
+        _known(scenario, {"kind", *_FIELDS[kind]}, f"a {kind} scenario")
         report, results = _HANDLERS[kind](scenario, args)
     except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,18 +102,18 @@ def test_theorem31_scenario(tmp_path, capsys):
 
 
 def test_suite_deterministic(tmp_path, capsys):
-    scenario = {"kind": "suite", "trials": 3}
-    code, doc1 = run(tmp_path, capsys, scenario, "--seed", "7")
+    scenario = {"kind": "suite", "trials": 3, "seed": 7}
+    code, doc1 = run(tmp_path, capsys, scenario)
     assert code == 0
-    _, doc2 = run(tmp_path, capsys, scenario, "--seed", "7")
+    _, doc2 = run(tmp_path, capsys, scenario)
     assert doc1 == doc2
-    _, doc3 = run(tmp_path, capsys, scenario, "--seed", "8")
+    _, doc3 = run(tmp_path, capsys, {**scenario, "seed": 8})
     assert doc3 != doc1
 
 
 def test_suite_fault_injection_fails(tmp_path, capsys):
-    scenario = {"kind": "suite", "trials": 2}
-    code, doc = run(tmp_path, capsys, scenario, "--seed", "3", "--fault-inject")
+    scenario = {"kind": "suite", "trials": 2, "seed": 3, "fault": 1e-3}
+    code, doc = run(tmp_path, capsys, scenario)
     assert code == 1
     assert doc["passed"] is False
 
@@ -129,29 +129,27 @@ def test_bad_tolerance_exit_2(tmp_path, capsys, flag, value):
     assert captured.err.startswith("error:")
 
 
-# (scenario, extra flags, the field the error names); every size is past the largest that fits
+# (scenario, the field the error names); every size is past the largest that fits
 # MAX_DIM: n = 4 (d = 9), and n_prime = 5, the ambient of n = 4
 OVERSIZE_CASES = [
-    ({"kind": "validate", "n": 5}, [], "n"),
-    ({"kind": "validate", "n_prime": 6}, [], "n_prime"),
-    ({"kind": "classify", "n": 5, "x": [1.0] + [0.0] * 10, "y": [0.0, 1.0] + [0.0] * 9}, [], "n"),
-    ({"kind": "theorem31", "n": 100000, "theta_xi": 1.0, "theta_star_xi": 0.5}, [], "n"),
-    ({"kind": "solve", "n": 100000, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0}, [], "n"),
-    ({"kind": "curvature", "n": 100000, "nu": 1.0, "nu_tilde": 0.0, "scalars": {"t": 0.1}}, [], "n"),
-    ({"kind": "induce", "ambient": {"n_prime": 100000}, "N": [0.0, 1.0]}, [], "n_prime"),
+    ({"kind": "validate", "n": 5}, "n"),
+    ({"kind": "validate", "n_prime": 6}, "n_prime"),
+    ({"kind": "classify", "n": 5, "x": [1.0] + [0.0] * 10, "y": [0.0, 1.0] + [0.0] * 9}, "n"),
+    ({"kind": "theorem31", "n": 100000, "theta_xi": 1.0, "theta_star_xi": 0.5}, "n"),
+    ({"kind": "solve", "n": 100000, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0}, "n"),
+    ({"kind": "curvature", "n": 100000, "nu": 1.0, "nu_tilde": 0.0, "scalars": {"t": 0.1}}, "n"),
+    ({"kind": "induce", "ambient": {"n_prime": 100000}, "N": [0.0, 1.0]}, "n_prime"),
     # induce's pullback check builds the ambient pi' family, so its n_prime stops at MAX_DIM // 2
-    ({"kind": "induce", "ambient": {"n_prime": 5}, "N": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, [], "ambient n_prime"),
-    ({"kind": "suite", "trials": 1, "n_values": [1, 100000]}, [], "n_values entry"),
-    ({"kind": "suite", "trials": 1}, ["--n", "1", "--n", "100000"], "--n"),
+    ({"kind": "induce", "ambient": {"n_prime": 5}, "N": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, "ambient n_prime"),
+    ({"kind": "suite", "trials": 1, "n_values": [1, 100000]}, "n_values entry"),
     # the suite stops at n = 3: two batteries build the pi' family of the ambient n' = n + 1
-    ({"kind": "suite", "trials": 1, "n_values": [4]}, [], "n_values entry"),
-    ({"kind": "suite", "trials": 1}, ["--n", "4"], "--n"),
+    ({"kind": "suite", "trials": 1, "n_values": [4]}, "n_values entry"),
 ]
-OVERSIZE_IDS = [f"{c[0]['kind']}-{c[2]}" for c in OVERSIZE_CASES[:-2]] + ["suite-n_values entry-4", "suite---n-4"]
+OVERSIZE_IDS = [f"{c[0]['kind']}-{c[1]}" for c in OVERSIZE_CASES[:-1]] + ["suite-n_values entry-4"]
 
 
-@pytest.mark.parametrize("scenario, flags, field", OVERSIZE_CASES, ids=OVERSIZE_IDS)
-def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario, flags, field):
+@pytest.mark.parametrize("scenario, field", OVERSIZE_CASES, ids=OVERSIZE_IDS)
+def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario, field):
     """Sizes past MAX_DIM are rejected at the boundary: no point is built and the suite never starts."""
     from nordenhyp.complex_norden import ComplexNordenPoint
     from nordenhyp.contact_norden import ContactNordenPoint
@@ -165,7 +163,7 @@ def test_oversize_exit_2_before_building(tmp_path, capsys, monkeypatch, scenario
     monkeypatch.setattr(cli, "run_suite", refuse)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    assert cli.main([str(path), "--json", *flags]) == 2
+    assert cli.main([str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     bound = MAX_N if scenario["kind"] == "suite" else cli.MAX_SIZE.get(field, 4)
@@ -284,12 +282,44 @@ def test_run_suite_accepts_numpy_numbers(monkeypatch):
     assert report.checks == ()
 
 
-def test_suite_seed_flag_below_zero_exits_2(tmp_path, capsys, monkeypatch):
+_POINT = {"n": 1, "nu": 1.0, "nu_tilde": 0.0}
+_FRAME = {"nu": 1.0, "nu_tilde": 0.0, "N": [0.0, 0.0, 1.0, 0.0]}
+
+# id -> (scenario, extra flags, the names the error gives): a field that no reader of the kind takes,
+# at the top level or inside scalars or ambient, and each suite flag that the payload replaced
+UNKNOWN_CASES = {
+    "validate": ({"kind": "validate", "n": 1, "N": [0.0, 1.0]}, [], ["N"]),
+    "induce": ({"kind": "induce", "ambient": {"n_prime": 2}, "N": [0.0, 0.0, 1.0, 0.0], "n": 1}, [], ["n"]),
+    "classify": ({"kind": "classify", "n": 1, "x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}, [], ["z"]),
+    "curvature": ({"kind": "curvature", **_POINT, "scalars": {"t": 0.1}, "theta_xi": 2.0}, [], ["theta_xi"]),
+    "canonical": ({"kind": "canonical", **_POINT, "scalars": {"t": 0.1}, "clas": "F4"}, [], ["clas"]),
+    "solve": ({"kind": "solve", "n": 1, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0, "branch": -1}, [], ["branch"]),
+    "theorem31": ({"kind": "theorem31", "n": 1, "theta_xi": 1.0, "theta_star_xi": 0.5, "theta": 2.0}, [], ["theta"]),
+    "suite": ({"kind": "suite", "trials": 1, "n_values": [1], "cor32_reading": "literal", "bogus_key": 3}, [],
+              ["bogus_key", "cor32_reading"]),
+    "curvature-scalars": ({"kind": "curvature", **_POINT, "scalars": {"t": 0.1, "theta": 2.0}}, [], ["theta"]),
+    "canonical-scalars": ({"kind": "canonical", **_POINT, "scalars": {"t": 0.1, "omega": [0, 0, 1]}}, [], ["omega"]),
+    "induce-ambient": ({"kind": "induce", "ambient": {"n_prime": 2, "n": 1}, "N": _FRAME["N"]}, [], ["n"]),
+    "curvature-ambient": ({"kind": "curvature", **_FRAME, "ambient": {"n_prime": 2, "phi": 1}}, [], ["phi"]),
+    **{f"flag{flag[0]}": ({"kind": "validate", "n": 1}, flag, [flag[0]])
+       for flag in (["--seed", "7"], ["--trials", "5"], ["--n", "1"], ["--fault-inject"])},
+}
+
+
+@pytest.mark.parametrize("scenario, flags, names", UNKNOWN_CASES.values(), ids=UNKNOWN_CASES)
+def test_unknown_field_or_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, scenario, flags, names):
     monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("started the suite"))
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
-    assert cli.main([str(path), "--json", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
+    path.write_text(json.dumps(scenario))
+    try:
+        code = cli.main([str(path), "--json", *flags])
+    except SystemExit as exc:  # argparse exits on an argument it does not know
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert "error: " in error and all(name in error for name in names)
 
 
 def test_induce_degenerate_tangent_metric_exit_2(tmp_path, capsys):
@@ -521,9 +551,9 @@ def _reject_constant(name):
 
 def test_faulted_suite_output_is_strict_json(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
+    path.write_text(json.dumps({"kind": "suite", "trials": 1, "fault": 1e-3}))
     for flags in (["--json"], []):
-        assert cli.main([str(path), *flags, "--fault-inject"]) == 1
+        assert cli.main([str(path), *flags]) == 1
         doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         nulls = [c for c in doc["checks"] if c["residual"] is None]
         assert nulls
@@ -552,8 +582,12 @@ def test_nonfinite_values_encode_as_null(tmp_path, capsys, monkeypatch):
 def test_parser_is_shared_without_leaking_state(tmp_path, capsys, monkeypatch):
     assert cli._parser() is cli._parser()
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"kind": "suite", "trials": 1}))
-    argvs = ([str(path), "--json", "--n", "1", "--n", "2", "--seed", "3"], [str(path), "--json"])
+    path.write_text(json.dumps({"kind": "suite", "trials": 1, "n_values": [1]}))
+    # the suite fails only when both tolerances are far below rounding, so a flag that leaked into
+    # the next call, which tightens only the other one, would fail that call too
+    tight = "1e-30"
+    argvs = ([str(path), "--json", "--abs-tol", tight, "--rel-tol", tight], [str(path), "--json", "--abs-tol", tight],
+             [str(path), "--json", "--rel-tol", tight])
 
     def outputs():
         return [(cli.main(argv), capsys.readouterr().out) for argv in argvs]
@@ -561,5 +595,4 @@ def test_parser_is_shared_without_leaking_state(tmp_path, capsys, monkeypatch):
     shared = outputs()
     monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
     assert shared == outputs()
-    assert json.loads(shared[0][1])["results"] == {"n_values": [1, 2], "seed": 3, "trials": 1}
-    assert json.loads(shared[1][1])["results"] == {"n_values": [1, 2, 3], "seed": 0, "trials": 1}
+    assert [code for code, _ in shared] == [1, 0, 0]
