@@ -1,6 +1,6 @@
 """Even-dimensional ambient structures: an anti-compatible complex structure J
-over an indefinite metric, the pi'-tensor family, the constant-curvature
-model and its sectional curvatures.
+over an indefinite metric, the pi'-tensor family and the constant-curvature
+model.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadIndex, DegenerateSection, DependentVectors, GeometryError
+from .errors import BadIndex, DependentVectors, GeometryError
 from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
@@ -133,12 +133,6 @@ class ComplexNordenPoint:
             J[i, n_prime + i] = -1.0
         return cls(n_prime, g, J)
 
-    def congruence(self, S: np.ndarray) -> "ComplexNordenPoint":
-        """Re-express the structure in the basis whose vectors are the columns of S."""
-        S = np.asarray(S, dtype=float)
-        S_inv = np.linalg.inv(S)
-        return ComplexNordenPoint(self.n_prime, S.T @ self.g @ S, S_inv @ self.J @ S)
-
 
 def validate_complex_norden(point: ComplexNordenPoint, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Axiom residuals: J^2 = -Id, anti-compatibility, symmetry, signature."""
@@ -185,21 +179,6 @@ def model_curvature(point: ComplexNordenPoint, nu: float, nu_tilde: float) -> Mu
 def associated_curvature(R: MultilinearForm, J: np.ndarray) -> MultilinearForm:
     """R~(x, y, z, u) = R(x, y, z, Ju)."""
     return twist_last(R, J)
-
-
-def sectional_curvature_prime(
-    R: MultilinearForm, g: np.ndarray, x, y, tol: Tolerance = DEFAULT_TOL
-) -> float | np.ndarray:
-    """R(x, y, y, x) normalized by the plane's metric area factor.
-
-    Batched R, g, x and y give one value per entry; any degenerate entry raises.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    denom = area_factor(g, x, y, y, x)
-    if any_entry(np.abs(denom) <= tol.abs_tol):
-        raise DegenerateSection(f"area factor {denom!r} within tolerance of zero")
-    return R.evaluate(x, y, y, x) / denom
 
 
 def classify_section_prime(

@@ -17,9 +17,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .complex_norden import section_tests, sectional_curvature_prime
+from .complex_norden import section_tests
 from .errors import (
     BadIndex,
+    DegenerateSection,
     GeometryError,
     InconsistentStructure,
     NotConstructive,
@@ -28,7 +29,9 @@ from .multilinear import (
     DEFAULT_TOL,
     MultilinearForm,
     Tolerance,
+    any_entry,
     apply,
+    area_factor,
     dot,
     generator_factors,
     invert_metric,
@@ -150,12 +153,8 @@ class ContactNordenPoint:
         eta[-1] = 1.0
         return cls(n, g, phi, xi, eta)
 
-    def congruence(self, S: np.ndarray) -> "ContactNordenPoint":
-        """Re-express the structure in the basis given by the columns of S; a (B, d, d) stack gives a batch."""
-        return ContactNordenPoint(self.n, *self.congruent_fields(S))
-
     def congruent_fields(self, S: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The fields (g, phi, xi, eta) of `congruence(S)`, as new writable arrays."""
+        """The fields (g, phi, xi, eta) in the basis of S's columns, as new writable arrays; S may be (B, d, d)."""
         S = np.asarray(S, dtype=float)
         S_inv, S_T = np.linalg.inv(S), transpose(S)
         return S_T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S_T @ self.eta
@@ -308,11 +307,18 @@ def kaehler_residual(L: MultilinearForm, point: ContactNordenPoint) -> float:
     return (L + substitute_endo_last_two(L, point.phi)).max_norm
 
 
-def sectional_curvature(
-    L: MultilinearForm, point: ContactNordenPoint, x, y, tol: Tolerance = DEFAULT_TOL
-) -> float | np.ndarray:
-    """L(x, y, y, x) normalized by the plane's metric area factor; see `sectional_curvature_prime`."""
-    return sectional_curvature_prime(L, point.g, x, y, tol)
+def sectional_curvature(L: MultilinearForm, point, x, y, tol: Tolerance = DEFAULT_TOL) -> float | np.ndarray:
+    """L(x, y, y, x) normalized by the plane's metric area factor.
+
+    Only `point.g` is read, so a contact point and a Kaehler-Norden ambient point serve alike.
+    Batched L, point, x and y give one value per entry; any degenerate entry raises.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    denom = area_factor(point.g, x, y, y, x)
+    if any_entry(np.abs(denom) <= tol.abs_tol):
+        raise DegenerateSection(f"area factor {denom!r} within tolerance of zero")
+    return L.evaluate(x, y, y, x) / denom
 
 
 def classify_section(

@@ -81,9 +81,6 @@ class TimelikeNormalFrame:
         require_finite(N, "N")
         object.__setattr__(self, "N", N)
 
-    def normal_square(self) -> float | np.ndarray:
-        return bilinear(self.ambient.g, self.N, self.N)
-
 
 @dataclass(frozen=True)
 class InducedStructure:
@@ -167,7 +164,7 @@ def induce(frame: TimelikeNormalFrame, tol: Tolerance = DEFAULT_TOL) -> InducedS
     """
     amb = frame.ambient
     G, J, N = amb.g, amb.J, frame.N
-    nsq = frame.normal_square()
+    nsq = bilinear(G, N, N)
     if not tol.ok(nsq + 1.0).all():
         raise NotTimelike(f"g'(N, N) = {nsq}, expected -1")
     JN = apply(J, N)

@@ -52,7 +52,6 @@ from .complex_norden import (
     ComplexNordenPoint,
     associated_curvature,
     model_curvature,
-    sectional_curvature_prime,
     validate_complex_norden,
 )
 from .contact_norden import (
@@ -368,12 +367,12 @@ def _model(run, group, tol):
     out = {"ambient_axioms": validate_complex_norden(amb, tol).max_residual}
     R = model_curvature(amb, nu, nut)
     Rt = associated_curvature(R, amb.J)
-    out["totally_real_k"] = sectional_curvature_prime(R, amb.g, x, y, tol) - nu
-    out["totally_real_k_assoc"] = sectional_curvature_prime(Rt, amb.g, x, y, tol) - nut
+    out["totally_real_k"] = sectional_curvature(R, amb, x, y, tol) - nu
+    out["totally_real_k_assoc"] = sectional_curvature(Rt, amb, x, y, tol) - nut
     # planes too close to degenerate are skipped before the call, so none can raise
     v = v[np.abs(bilinear(amb.g, v, v) ** 2 + bilinear(amb.gJ, v, v) ** 2) >= 0.05]
     if len(v):
-        out["holomorphic_k"] = sectional_curvature_prime(R, amb.g, v, apply(amb.J, v), tol)
+        out["holomorphic_k"] = sectional_curvature(R, amb, v, apply(amb.J, v), tol)
     return out
 
 

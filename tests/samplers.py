@@ -13,12 +13,15 @@ def random_congruence(gen: np.random.Generator, d: int, scale: float = 0.3) -> n
     return np.eye(d) + scale * gen.uniform(-1.0, 1.0, size=(d, d))
 
 
+def congruent_ambient(point: ComplexNordenPoint, S: np.ndarray) -> ComplexNordenPoint:
+    """The ambient structure re-expressed in the basis whose vectors are the columns of S."""
+    return ComplexNordenPoint(point.n_prime, S.T @ point.g @ S, np.linalg.inv(S) @ point.J @ S)
+
+
 def random_complex_point(
     gen: np.random.Generator, n_prime: int, fault: float = 0.0
 ) -> ComplexNordenPoint:
-    point = ComplexNordenPoint.standard(n_prime).congruence(
-        random_congruence(gen, 2 * n_prime)
-    )
+    point = congruent_ambient(ComplexNordenPoint.standard(n_prime), random_congruence(gen, 2 * n_prime))
     if fault:
         J = point.J.copy()
         i, j = gen.integers(0, point.dim, size=2)

@@ -7,7 +7,7 @@ A failing criterion reports the worst offending quantity.
 import numpy as np
 import pytest
 
-from nordenhyp.complex_norden import model_curvature, associated_curvature, sectional_curvature_prime
+from nordenhyp.complex_norden import model_curvature, associated_curvature
 from nordenhyp.contact_norden import (
     ContactNordenPoint,
     ContactSectionKind,
@@ -153,15 +153,15 @@ def test_criterion_03_model_curvature(capsys):
         Rt = associated_curvature(R, point.J)
         for i in range(40):
             x, y = random_totally_real_pair(gen, n_prime)
-            k = sectional_curvature_prime(R, point.g, x, y)
-            kt = sectional_curvature_prime(Rt, point.g, x, y)
+            k = sectional_curvature(R, point, x, y)
+            kt = sectional_curvature(Rt, point, x, y)
             if abs(k - 3.0) > 1e-9 or abs(kt + 1.0) > 1e-9:
                 failures.append(("totally_real", n_prime, i, k, kt))
         hits = 0
         while hits < 40:
             v = gen.uniform(-1, 1, size=point.dim)
             try:
-                k = sectional_curvature_prime(R, point.g, v, point.J @ v)
+                k = sectional_curvature(R, point, v, point.J @ v)
             except DegenerateSection:
                 continue
             hits += 1

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from nordenhyp import suite
-from nordenhyp.complex_norden import ComplexNordenPoint, model_curvature, sectional_curvature_prime
+from nordenhyp.complex_norden import ComplexNordenPoint, model_curvature
 from nordenhyp.contact_norden import (
     CONSTRUCTIVE_TAGS,
     F4_F5,
@@ -629,7 +629,7 @@ def test_decided_needs_infinity_under_every_name_of_its_prefix():
 
 
 @pytest.mark.parametrize(
-    "layer", ["shape_from_class", "kaehler_residual", "induce", "sectional_curvature_prime", "canonical_difference"]
+    "layer", ["shape_from_class", "kaehler_residual", "induce", "sectional_curvature", "canonical_difference"]
 )
 def test_unexpected_exception_propagates_out_of_run_suite(monkeypatch, layer):
     """Only geometry errors become infinite residuals; a bug in a layer is raised, not reported."""
@@ -714,13 +714,13 @@ def test_theorem31_batch(n):
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
 def test_sectional_curvature_prime_unbatched_form(n_prime):
-    """One unbatched form and metric against (B, d) section vectors."""
+    """The ambient's (primed) sectional curvature: one unbatched form and point against (B, d) section vectors."""
     gen = rng(500 + n_prime)
     amb = ComplexNordenPoint.standard(n_prime)
     R = model_curvature(amb, 3.0, -1.0)
     for B in (1, 3, 7):
         x, y = gen.uniform(-1.0, 1.0, size=(2, B, amb.dim))
-        _assert_close(sectional_curvature_prime(R, amb.g, x, y), [sectional_curvature_prime(R, amb.g, *v) for v in zip(x, y)])
+        _assert_close(sectional_curvature(R, amb, x, y), [sectional_curvature(R, amb, *v) for v in zip(x, y)])
 
 
 def test_hyper_scalars_broadcast_float_fields():
@@ -1033,8 +1033,22 @@ def _report(report) -> tuple:
 
 @pytest.mark.parametrize("seed", [1, 7, 123])
 def test_stopping_decided_batteries_leaves_every_report_unchanged(monkeypatch, seed):
-    """With `decided` never true every battery evaluates every trial, and the reports are the same."""
-    configs = [(trials, fault) for trials in (1, 20, 150) for fault in (0.0, 1e-3, 1e-6)]
+    """With `decided` never true every battery evaluates every trial, and the reports are the same.
+
+    A clean run whose `decided` never answers true already takes that path, so it is proved by
+    recording the answers of the real `decided`; each faulted run is compared with its unstopped run.
+    """
+    real, answers = suite._Worst.decided, []
+
+    def recorded(self, prefix=""):
+        answers.append(real(self, prefix))
+        return answers[-1]
+
+    monkeypatch.setattr(suite._Worst, "decided", recorded)
+    for trials in (1, 20, 150):
+        suite.run_suite(seed, trials)
+    assert answers and not any(answers)
+    configs = [(trials, fault) for trials in (1, 20, 150) for fault in (1e-3, 1e-6)]
     stopped = [_report(suite.run_suite(seed, t, fault=f)) for t, f in configs]
     monkeypatch.setattr(suite._Worst, "decided", lambda self, prefix="": False)
     assert [_report(suite.run_suite(seed, t, fault=f)) for t, f in configs] == stopped

@@ -510,7 +510,7 @@ def test_classify_nonfinite_vector_names_field(tmp_path, capsys, point, field, b
 def _random_hyper_scenario(gen, kind, tag, n, ambient):
     """A curvature or canonical scenario on a congruence-randomized point or ambient."""
     from nordenhyp.sampling import random_contact_point, random_timelike_frame
-    from samplers import random_congruence
+    from samplers import congruent_ambient, random_congruence
 
     keys = ("dt_xi", "theta_xi", "theta_star_xi", "xi_theta_xi", "xi_theta_star_xi")
     scalars = {k: float(gen.uniform(-2, 2)) for k in keys}
@@ -521,7 +521,7 @@ def _random_hyper_scenario(gen, kind, tag, n, ambient):
     if ambient:
         frame = random_timelike_frame(gen, n + 1)
         S = random_congruence(gen, 2 * n + 2)
-        amb = frame.ambient.congruence(S)
+        amb = congruent_ambient(frame.ambient, S)
         scenario["ambient"] = {"n_prime": n + 1, "g": amb.g.tolist(), "J": amb.J.tolist()}
         scenario["N"] = np.linalg.solve(S, frame.N).tolist()
     else:

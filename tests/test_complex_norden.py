@@ -11,10 +11,9 @@ from nordenhyp.complex_norden import (
     classify_section_prime,
     model_curvature,
     pi_prime,
-    sectional_curvature_prime,
     validate_complex_norden,
 )
-from nordenhyp.contact_norden import is_curvature_like
+from nordenhyp.contact_norden import is_curvature_like, sectional_curvature
 from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors, NonFiniteInput
 from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
 
@@ -118,15 +117,15 @@ class TestModelCurvature:
     def test_totally_real_sections(self, gen):
         for _ in range(25):
             x, y = random_totally_real_pair(gen, 3)
-            assert sectional_curvature_prime(self.R, self.p.g, x, y) == pytest.approx(3.0)
-            assert sectional_curvature_prime(self.Rt, self.p.g, x, y) == pytest.approx(-1.0)
+            assert sectional_curvature(self.R, self.p, x, y) == pytest.approx(3.0)
+            assert sectional_curvature(self.Rt, self.p, x, y) == pytest.approx(-1.0)
 
     def test_holomorphic_sections_flat(self, gen):
         hits = 0
         for _ in range(25):
             v = gen.uniform(-1, 1, size=self.p.dim)
             try:
-                k = sectional_curvature_prime(self.R, self.p.g, v, self.p.J @ v)
+                k = sectional_curvature(self.R, self.p, v, self.p.J @ v)
             except DegenerateSection:
                 continue
             hits += 1
@@ -139,7 +138,7 @@ class TestModelCurvature:
         y = np.zeros(6)
         y[1] = 1.0  # orthogonal to x, so the area factor vanishes
         with pytest.raises(DegenerateSection):
-            sectional_curvature_prime(self.R, self.p.g, x, y)
+            sectional_curvature(self.R, self.p, x, y)
 
 
 class TestClassify:

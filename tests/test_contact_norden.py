@@ -293,7 +293,7 @@ def test_canonical_difference_congruence_equivariant(gen):
     T = canonical_difference(F, p)
 
     S = random_congruence(gen, p.dim)
-    q = p.congruence(S)
+    q = ContactNordenPoint(p.n, *p.congruent_fields(S))
     Fq = np.einsum("abc,ai,bj,ck->ijk", F.entries, S, S, S)
     Tq = canonical_difference(type(F)(Fq), q)
     S_inv = np.linalg.inv(S)
