@@ -244,10 +244,7 @@ def _run_solve(payload: dict, args) -> tuple[ValidationReport, dict]:
     try:
         th, ths = solve_theta(nu, nut, t, branch, n, args.tol)
     except DegenerateFlat as exc:
-        resolution = getattr(exc, "resolution", None)
-        if resolution is None:
-            return family_report({"solvable": math.inf}), {"error": str(exc)}
-        th, ths = resolution
+        return family_report({"solvable": math.inf}), {"error": str(exc)}
     scalars = HyperScalars(t=t, theta_xi=th, theta_star_xi=ths)
     back = nu_from_scalars(ContactNordenPoint.standard(n), scalars)
     return family_report(roundtrip_checks(back, nu, nut)), {"theta_xi": th, "theta_star_xi": ths}
@@ -279,27 +276,16 @@ def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     return report, {"seed": seed, "trials": trials, "n_values": n_values}
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "induce": _run_induce,
-    "classify": _run_classify,
-    "curvature": _run_curvature,
-    "canonical": _run_canonical,
-    "solve": _run_solve,
-    "theorem31": _run_theorem31,
-    "suite": _run_suite,
-}
-
-# the top-level fields each kind reads besides kind: the union of its readers' fields
-_FIELDS = {
-    "validate": {*_CONTACT_FIELDS, *_COMPLEX_FIELDS},
-    "induce": {*_FRAME_FIELDS},
-    "classify": {*_CONTACT_FIELDS, *_COMPLEX_FIELDS, "x", "y"},
-    "curvature": {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS},
-    "canonical": {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS},
-    "solve": {"n", "t", "nu", "nu_tilde", "epsilon"},
-    "theorem31": {"n", "t", "theta_xi", "theta_star_xi"},
-    "suite": {"seed", "trials", "n_values", "fault"},
+# each kind's handler and the top-level fields it reads besides kind: the union of its readers' fields
+_KINDS = {
+    "validate": (_run_validate, {*_CONTACT_FIELDS, *_COMPLEX_FIELDS}),
+    "induce": (_run_induce, {*_FRAME_FIELDS}),
+    "classify": (_run_classify, {*_CONTACT_FIELDS, *_COMPLEX_FIELDS, "x", "y"}),
+    "curvature": (_run_curvature, {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS}),
+    "canonical": (_run_canonical, {*_HYPER_FIELDS, *_FRAME_FIELDS, *_CONTACT_FIELDS}),
+    "solve": (_run_solve, {"n", "t", "nu", "nu_tilde", "epsilon"}),
+    "theorem31": (_run_theorem31, {"n", "t", "theta_xi", "theta_star_xi"}),
+    "suite": (_run_suite, {"seed", "trials", "n_values", "fault"}),
 }
 
 
@@ -345,10 +331,11 @@ def main(argv: list[str] | None = None) -> int:
         args.tol = Tolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
         scenario = _load_scenario(args.scenario)
         kind = scenario.get("kind")
-        if not isinstance(kind, str) or kind not in _HANDLERS:
-            raise SchemaError(f"kind must be one of {sorted(_HANDLERS)}, got {kind!r}")
-        _known(scenario, {"kind", *_FIELDS[kind]}, f"a {kind} scenario")
-        report, results = _HANDLERS[kind](scenario, args)
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise SchemaError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
+        handler, fields = _KINDS[kind]
+        _known(scenario, {"kind", *fields}, f"a {kind} scenario")
+        report, results = handler(scenario, args)
     except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

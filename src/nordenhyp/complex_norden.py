@@ -1,6 +1,7 @@
 """Even-dimensional ambient structures: an anti-compatible complex structure J
 over an indefinite metric, the pi'-tensor family and the constant-curvature
-model.
+model, with the section tests and the axiom report that the odd-dimensional
+contact structures share.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .multilinear import (
     rows,
     signature,
     transpose,
-    twist_last,
 )
 from .report import Check, ValidationReport
 
@@ -59,6 +59,19 @@ def section_tests(g, E, gE, x, y, tol: Tolerance, spans=()) -> list:
         in_span(apply(E, x), apply(E, y)),
         np.abs(pairings(gE, x, y, x, y)).max(axis=(-2, -1)) <= tol.abs_tol * scale * scale,
     ]
+
+
+def axiom_report(residuals: dict, g, counts: tuple, name: str, tol: Tolerance) -> ValidationReport:
+    """Both validators' report: each residual array's largest entry against tol.abs_tol, in order,
+    then the signature check `name`, 1 unless every entry of g has the (positive, negative) counts."""
+    checks = [Check(k, float(np.max(np.abs(r))), tol.abs_tol) for k, r in residuals.items()]
+    try:
+        p, q = signature(g, tol)
+        sig_res = 0.0 if np.all(p == counts[0]) and np.all(q == counts[1]) else 1.0
+    except (GeometryError, np.linalg.LinAlgError):
+        sig_res = 1.0
+    checks.append(Check(name, sig_res, 0.5))
+    return ValidationReport(tuple(checks))
 
 
 class SectionKind(enum.Enum):
@@ -104,13 +117,14 @@ class ComplexNordenPoint:
 
     @cached_property
     def gJ(self) -> np.ndarray:
-        """Matrix of g(x, Jy); symmetric for a valid point."""
-        return read_only(self.g @ self.J)
+        """The twin metric g~'(x, y) = g(x, Jy), symmetrized; g J is symmetric for a valid point."""
+        m = self.g @ self.J
+        return read_only(0.5 * (m + transpose(m)))
 
     @cached_property
     def pi_prime_factors(self) -> np.ndarray:
         """The h_i and the k_i of pi'_i = h_i o k_i, as one read-only (2, 3, d, d) array."""
-        g, gJ = self.g, associated_metric_prime(self)
+        g, gJ = self.g, self.gJ
         return generator_factors((g, gJ, g), (g, gJ, gJ), (0.5, 0.5, -1.0))
 
     def pi_prime_combination(self, c) -> MultilinearForm:
@@ -136,26 +150,13 @@ class ComplexNordenPoint:
 
 def validate_complex_norden(point: ComplexNordenPoint, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Axiom residuals: J^2 = -Id, anti-compatibility, symmetry, signature."""
-    d = point.dim
     g, J = point.g, point.J
-    checks = [
-        Check("J_squared", float(np.max(np.abs(J @ J + np.eye(d)))), tol.abs_tol),
-        Check("norden_compatibility", float(np.max(np.abs(J.T @ g @ J + g))), tol.abs_tol),
-        Check("metric_symmetric", float(np.max(np.abs(g - g.T))), tol.abs_tol),
-    ]
-    try:
-        p, q = signature(g, tol)
-        sig_res = 0.0 if (p, q) == (point.n_prime, point.n_prime) else 1.0
-    except (GeometryError, np.linalg.LinAlgError):
-        sig_res = 1.0
-    checks.append(Check("signature_neutral", sig_res, 0.5))
-    return ValidationReport(tuple(checks))
-
-
-def associated_metric_prime(point: ComplexNordenPoint) -> np.ndarray:
-    """The twin metric g~'(x, y) = g'(x, Jy)."""
-    m = point.gJ
-    return 0.5 * (m + m.T)
+    residuals = {
+        "J_squared": J @ J + np.eye(point.dim),
+        "norden_compatibility": J.T @ g @ J + g,
+        "metric_symmetric": g - g.T,
+    }
+    return axiom_report(residuals, g, (point.n_prime, point.n_prime), "signature_neutral", tol)
 
 
 def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
@@ -174,11 +175,6 @@ def pi_prime(i: int, point: ComplexNordenPoint) -> MultilinearForm:
 def model_curvature(point: ComplexNordenPoint, nu: float, nu_tilde: float) -> MultilinearForm:
     """Curvature of the model whose totally real sections have the constant curvatures nu and nu~."""
     return point.pi_prime_combination((nu, -nu, nu_tilde))
-
-
-def associated_curvature(R: MultilinearForm, J: np.ndarray) -> MultilinearForm:
-    """R~(x, y, z, u) = R(x, y, z, Ju)."""
-    return twist_last(R, J)
 
 
 def classify_section_prime(

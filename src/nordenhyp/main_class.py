@@ -270,8 +270,7 @@ def solve_theta(
     The radicand nu cos t - nu~ sin t + sqrt(nu^2 + nu~^2) is nonnegative;
     near-degenerate values are rejected rather than producing huge
     theta*(xi), since its formula divides by the radicand's square root.
-    The exactly-flat input carries the trivial resolution (0, 0) on the
-    raised error.
+    The exactly-flat input has the trivial resolution (0, 0).
     """
     cos_t = math.cos(t)
     if cos_t <= 0:
@@ -279,9 +278,7 @@ def solve_theta(
     radicand = nu * cos_t - nu_tilde * math.sin(t) + math.hypot(nu, nu_tilde)
     if radicand <= 100 * tol.abs_tol:
         if abs(nu) <= tol.abs_tol and abs(nu_tilde) <= tol.abs_tol:
-            err = DegenerateFlat("flat ambient: trivial resolution theta = theta* = 0")
-            err.resolution = (0.0, 0.0)
-            raise err
+            return 0.0, 0.0
         raise DegenerateFlat(f"radicand {radicand:.3e} too small for a stable branch")
     eps = branch.epsilon
     theta = 2 * eps * n * math.sqrt(radicand / (2 * cos_t))

@@ -7,7 +7,7 @@ A failing criterion reports the worst offending quantity.
 import numpy as np
 import pytest
 
-from nordenhyp.complex_norden import model_curvature, associated_curvature
+from nordenhyp.complex_norden import model_curvature
 from nordenhyp.contact_norden import (
     ContactNordenPoint,
     ContactSectionKind,
@@ -45,6 +45,7 @@ from nordenhyp.main_class import (
     solve_theta,
     theorem31,
 )
+from nordenhyp.multilinear import twist_last
 from nordenhyp.sampling import (
     random_contact_point,
     random_hyper_scalars,
@@ -150,7 +151,7 @@ def test_criterion_03_model_curvature(capsys):
     for n_prime in (2, 3, 4):
         point = ComplexNordenPoint.standard(n_prime)
         R = model_curvature(point, 3.0, -1.0)
-        Rt = associated_curvature(R, point.J)
+        Rt = twist_last(R, point.J)
         for i in range(40):
             x, y = random_totally_real_pair(gen, n_prime)
             k = sectional_curvature(R, point, x, y)

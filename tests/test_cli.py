@@ -568,7 +568,7 @@ def test_nonfinite_values_encode_as_null(tmp_path, capsys, monkeypatch):
         checks = (Check("nan", float("nan"), 1.0), Check("inf", float("inf"), 1.0), Check("ok", 0.5, 1.0))
         return ValidationReport(checks), {"a": float("-inf"), "b": 2.0, "c": "text"}
 
-    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    monkeypatch.setitem(cli._KINDS, "validate", (handler, cli._KINDS["validate"][1]))
     code, doc = run(tmp_path, capsys, {"kind": "validate"})
     assert code == 1
     assert doc["results"] == {"a": None, "b": 2.0, "c": "text"}

@@ -6,8 +6,6 @@ import pytest
 from nordenhyp.complex_norden import (
     ComplexNordenPoint,
     SectionKind,
-    associated_curvature,
-    associated_metric_prime,
     classify_section_prime,
     model_curvature,
     pi_prime,
@@ -15,7 +13,7 @@ from nordenhyp.complex_norden import (
 )
 from nordenhyp.contact_norden import is_curvature_like, sectional_curvature
 from nordenhyp.errors import BadIndex, DegenerateSection, DependentVectors, NonFiniteInput
-from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two
+from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two, substitute_endo_last_two, twist_last
 
 from samplers import random_complex_point, random_totally_real_pair
 
@@ -25,6 +23,16 @@ def test_standard_point_valid(n_prime):
     rep = validate_complex_norden(ComplexNordenPoint.standard(n_prime))
     assert rep.passed, rep.render_text()
     assert ComplexNordenPoint.standard(n_prime) is ComplexNordenPoint.standard(n_prime)
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3, 4])
+def test_standard_point_explicit(n_prime):
+    """g = diag(1^n', -1^n'), J e_i = e_{n'+i} and J e_{n'+i} = -e_i, exactly."""
+    p, I = ComplexNordenPoint.standard(n_prime), np.eye(n_prime)
+    J = np.zeros((2 * n_prime, 2 * n_prime))
+    J[n_prime:, :n_prime], J[:n_prime, n_prime:] = I, -I
+    assert np.array_equal(p.g, np.diag([1.0] * n_prime + [-1.0] * n_prime))
+    assert np.array_equal(p.J, J)
 
 
 def test_congruence_preserves_axioms(gen):
@@ -42,7 +50,7 @@ def test_perturbed_J_fails(gen):
 
 def test_associated_metric_symmetric(gen):
     p = random_complex_point(gen, 3)
-    m = associated_metric_prime(p)
+    m = p.gJ
     assert np.allclose(m, m.T)
     x, y = (gen.uniform(-1, 1, size=p.dim) for _ in range(2))
     assert x @ m @ y == pytest.approx(float(x @ p.g @ (p.J @ y)))
@@ -62,7 +70,7 @@ def test_pi_prime_curvature_like(gen):
 def loop_pi_prime_combination(point, c):
     """c_1 pi'_1 + c_2 pi'_2 + c_3 pi'_3, entry by entry from the defining formulas."""
     d = point.dim
-    g, gJ = point.g.tolist(), associated_metric_prime(point).tolist()
+    g, gJ = point.g.tolist(), point.gJ.tolist()
     out = np.zeros((d, d, d, d))
     for i, j, k, l in itertools.product(range(d), repeat=4):
         def wedge(h, q):  # h(y, z) q(x, u) - h(x, z) q(y, u)
@@ -112,7 +120,7 @@ class TestModelCurvature:
     def setup_method(self):
         self.p = ComplexNordenPoint.standard(3)
         self.R = model_curvature(self.p, 3.0, -1.0)
-        self.Rt = associated_curvature(self.R, self.p.J)
+        self.Rt = twist_last(self.R, self.p.J)
 
     def test_totally_real_sections(self, gen):
         for _ in range(25):

@@ -42,10 +42,23 @@ def params_for(point, theta_xi=0.0, theta_star_xi=0.0, Omega=None):
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_standard_point_valid(n):
     rep = validate_contact_axioms(ContactNordenPoint.standard(n))
     assert rep.passed, rep.render_text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_standard_point_explicit(n):
+    """g = diag(1^n, -1^n, 1), phi e_i = e_{n+i}, phi e_{n+i} = -e_i, phi xi = 0 and xi = eta = e_{2n+1},
+    exactly: the ambient model of size n plus the xi direction."""
+    p, I, d = ContactNordenPoint.standard(n), np.eye(n), 2 * n + 1
+    phi = np.zeros((d, d))
+    phi[n:2 * n, :n], phi[:n, n:2 * n] = I, -I
+    assert np.array_equal(p.g, np.diag([1.0] * n + [-1.0] * n + [1.0]))
+    assert np.array_equal(p.phi, phi)
+    assert np.array_equal(p.xi, np.eye(d)[-1])
+    assert np.array_equal(p.eta, np.eye(d)[-1])
 
 
 def test_congruence_preserves_axioms(gen):

@@ -159,10 +159,11 @@ class TestSolveTheta:
             assert back_nu == pytest.approx(nu, abs=1e-9)
             assert back_nut == pytest.approx(nut, abs=1e-9)
 
-    def test_flat_input_carries_resolution(self):
-        with pytest.raises(DegenerateFlat) as exc:
-            solve_theta(0.0, 0.0, 0.0, SolverBranch(+1), 1)
-        assert exc.value.resolution == (0.0, 0.0)
+    def test_flat_input_returns_trivial_resolution(self):
+        assert solve_theta(0.0, 0.0, 0.0, SolverBranch(+1), 1) == (0.0, 0.0)
+        # nearly flat, the radicand 1e-9 nonzero: no stable branch
+        with pytest.raises(DegenerateFlat):
+            solve_theta(0.0, 1e-9, 0.0, SolverBranch(+1), 1)
 
     def test_bad_branch(self):
         with pytest.raises(ValueError):
