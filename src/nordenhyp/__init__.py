@@ -3,7 +3,7 @@ metrics on time-like hypersurfaces, with numeric verification batteries."""
 
 from .multilinear import DEFAULT_TOL, MultilinearForm, Tolerance
 from .complex_norden import ComplexNordenPoint
-from .contact_norden import ContactNordenPoint, OneForms
+from .contact_norden import ContactNordenPoint
 from .hypersurface import HyperScalars, InducedStructure, TimelikeNormalFrame
 from .main_class import SolverBranch
 
@@ -16,7 +16,6 @@ __all__ = [
     "HyperScalars",
     "InducedStructure",
     "MultilinearForm",
-    "OneForms",
     "SolverBranch",
     "TimelikeNormalFrame",
     "Tolerance",

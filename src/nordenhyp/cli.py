@@ -72,10 +72,16 @@ def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = N
 
 
 def _as_real(value, key: str) -> float:
-    """A finite number field; booleans, null and NaN or infinities are schema errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A finite number field; booleans, null, NaN, infinities and integers past the double range are schema errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:
+        raise SchemaError(f"{key} must be a finite number, got an integer past the double range") from None
+    if not math.isfinite(real):
+        raise SchemaError(f"{key} must be a finite number, got {value!r}")
+    return real
 
 
 def _as_object(value, key: str) -> dict:
@@ -91,7 +97,7 @@ def _as_array(value, key: str, ndim: int) -> np.ndarray:
         raise SchemaError(f"{key} must be an array, got {value!r}")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{key} must be a numeric array: {exc}") from None
     if arr.ndim != ndim:
         raise SchemaError(f"{key} must be an array of rank {ndim}, got shape {arr.shape}")
@@ -296,7 +302,7 @@ def _load_scenario(path: str) -> dict:
         else:
             with open(path) as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
@@ -335,7 +341,10 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
         handler, fields = _KINDS[kind]
         _known(scenario, {"kind", *fields}, f"a {kind} scenario")
-        report, results = handler(scenario, args)
+        try:
+            report, results = handler(scenario, args)
+        except OverflowError as exc:  # finite inputs whose arithmetic leaves the double range
+            raise SchemaError(f"{kind} inputs too large, the arithmetic left the double range: {exc}") from None
     except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

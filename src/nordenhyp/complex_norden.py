@@ -25,6 +25,7 @@ from .multilinear import (
     pairings,
     read_only,
     require_finite,
+    require_length,
     rows,
     signature,
     transpose,
@@ -41,8 +42,9 @@ def section_tests(g, E, gE, x, y, tol: Tolerance, spans=()) -> list:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    require_finite(x, "x")
-    require_finite(y, "y")
+    for v, name in ((x, "x"), (y, "y")):
+        require_finite(v, name)
+        require_length(v, g.shape[-1], name)
     basis = transpose(rows(x, y))
     u, s, _ = np.linalg.svd(basis, full_matrices=False)
     if any_entry(s[..., -1] <= 1e-12):  # rank < 2, as matrix_rank(basis, tol=1e-12)

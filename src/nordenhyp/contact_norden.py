@@ -148,17 +148,6 @@ class ContactNordenPoint:
         return S_T @ self.g @ S, S_inv @ self.phi @ S, S_inv @ self.xi, S_T @ self.eta
 
 
-@dataclass(frozen=True)
-class OneForms:
-    """The 1-forms associated with F, plus their values on xi."""
-
-    theta: np.ndarray
-    theta_star: np.ndarray
-    omega: np.ndarray
-    theta_xi: float
-    theta_star_xi: float
-
-
 def validate_contact_axioms(point: ContactNordenPoint, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Residual per structure axiom, including the four derived identities.
 
@@ -196,25 +185,25 @@ def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
     return point.pi_combination(PI_UNITS[i - 1])
 
 
-def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> OneForms:
-    """theta, theta*, omega contracted out of a rank-3 structure tensor."""
+def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> tuple[float, float, np.ndarray]:
+    """(theta(xi), theta*(xi), omega) contracted out of a rank-3 structure tensor."""
     if F.rank != 3:
         raise BadIndex(f"F must have rank 3, got {F.rank}")
     g_inv = point.g_inv
     theta = np.einsum("ij,ijk->k", g_inv, F.entries)
     theta_star = np.einsum("ij,iak,aj->k", g_inv, F.entries, point.phi)
     omega = np.einsum("abk,a,b->k", F.entries, point.xi, point.xi)
-    return OneForms(
-        theta=theta,
-        theta_star=theta_star,
-        omega=omega,
-        theta_xi=float(theta @ point.xi),
-        theta_star_xi=float(theta_star @ point.xi),
-    )
+    return float(theta @ point.xi), float(theta_star @ point.xi), omega
 
 
-def class_form(tag: str, point: ContactNordenPoint, params: OneForms) -> MultilinearForm:
-    """The closed-form structure tensor of a constructive class."""
+def class_form(
+    tag: str, point: ContactNordenPoint, theta_xi: float, theta_star_xi: float, omega: np.ndarray | None = None
+) -> MultilinearForm:
+    """The closed-form structure tensor of a constructive class.
+
+    theta(xi) and theta*(xi) fix F4, F5 and F4 + F5; the covector omega fixes F11 and is read
+    for it alone, where None stands for the zero covector.
+    """
     if tag == F6:
         raise NotConstructive("F6 is a condition set, not a closed form")
     if tag not in CONSTRUCTIVE_TAGS:
@@ -228,11 +217,11 @@ def class_form(tag: str, point: ContactNordenPoint, params: OneForms) -> Multili
 
     if tag in (F4, F4_F5):
         # g(phi x, phi y) as a matrix
-        ent += per_entry(-params.theta_xi / (2 * point.n), 3) * sym(transpose(point.phi) @ point.g @ point.phi)
+        ent += per_entry(-theta_xi / (2 * point.n), 3) * sym(transpose(point.phi) @ point.g @ point.phi)
     if tag in (F5, F4_F5):
-        ent += per_entry(-params.theta_star_xi / (2 * point.n), 3) * sym(point.g_phi)
-    if tag == F11:
-        ent += sym(eta[..., :, None] * np.asarray(params.omega, dtype=float)[..., None, :])
+        ent += per_entry(-theta_star_xi / (2 * point.n), 3) * sym(point.g_phi)
+    if tag == F11 and omega is not None:
+        ent += sym(eta[..., :, None] * np.asarray(omega, dtype=float)[..., None, :])
     return MultilinearForm(ent, len(point.batch))
 
 
@@ -246,16 +235,15 @@ def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> f
     """
     if tag == F6:
         return _f6_residual(F, point)
-    params = one_forms(F, point)
-    return (F - class_form(tag, point, params)).max_norm
+    return (F - class_form(tag, point, *one_forms(F, point))).max_norm
 
 
 def _f6_residual(F: MultilinearForm, point: ContactNordenPoint) -> float:
-    params = one_forms(F, point)
+    theta_xi, theta_star_xi, _ = one_forms(F, point)
     ent = F.entries
     eta, xi, phi = point.eta, point.xi, point.phi
     F_xy_xi = np.einsum("ijk,k->ij", ent, xi)
-    res = [abs(params.theta_xi), abs(params.theta_star_xi)]
+    res = [abs(theta_xi), abs(theta_star_xi)]
     res.append(float(np.max(np.abs(F_xy_xi - F_xy_xi.T))))
     res.append(float(np.max(np.abs(np.einsum("ab,ai,bj->ij", F_xy_xi, phi, phi) + F_xy_xi))))
     F_x_xi_z = np.einsum("iak,a->ik", ent, xi)

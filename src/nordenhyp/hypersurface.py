@@ -52,6 +52,7 @@ from .multilinear import (
     matrix_max,
     per_entry,
     require_finite,
+    require_length,
     ricci_contract,
     scalar_contract,
     substitute_endo_first_two,
@@ -79,6 +80,7 @@ class TimelikeNormalFrame:
     def __post_init__(self):
         N = np.asarray(self.N, dtype=float)
         require_finite(N, "N")
+        require_length(N, self.ambient.dim, "N")
         object.__setattr__(self, "N", N)
 
 
@@ -230,6 +232,7 @@ def pi_relations_residual(structure: InducedStructure) -> float | np.ndarray:
 
 def _omega_part(point: ContactNordenPoint, scalars: HyperScalars) -> np.ndarray:
     Omega = scalars.Omega if scalars.Omega is not None else np.zeros(point.dim)
+    require_length(Omega, point.dim, "Omega")
     # only the ker-eta component of Omega enters the class form
     return Omega - per_entry(dot(point.eta, Omega), 1) * point.xi
 

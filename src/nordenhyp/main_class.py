@@ -20,7 +20,6 @@ from .contact_norden import (
     PI_TWISTED,
     PI_UNITS,
     ContactNordenPoint,
-    OneForms,
     class_form,
 )
 from .errors import DegenerateFlat, DegenerateSection
@@ -137,15 +136,7 @@ def canonical_difference_F45(point: ContactNordenPoint, scalars: HyperScalars) -
 
 def main_class_form(point: ContactNordenPoint, scalars: HyperScalars) -> MultilinearForm:
     """The rank-3 structure tensor of the main class for these scalars."""
-    th, ths = scalars.theta_xi, scalars.theta_star_xi
-    params = OneForms(
-        theta=per_entry(th, 1) * point.eta,
-        theta_star=per_entry(ths, 1) * point.eta,
-        omega=np.zeros_like(point.eta),
-        theta_xi=th,
-        theta_star_xi=ths,
-    )
-    return class_form(F4_F5, point, params)
+    return class_form(F4_F5, point, scalars.theta_xi, scalars.theta_star_xi)
 
 
 def K_F45_0(point: ContactNordenPoint, scalars: HyperScalars, R: MultilinearForm) -> MultilinearForm:

@@ -136,6 +136,12 @@ def require_finite(a, name: str) -> None:
         raise NonFiniteInput(f"{name} must be finite")
 
 
+def require_length(v: np.ndarray, d: int, name: str) -> None:
+    """Raise DimensionMismatch unless v is a vector, or a stack of vectors, of length d."""
+    if v.shape[-1:] != (d,):
+        raise DimensionMismatch(f"{name} must have length {d}, got shape {v.shape}")
+
+
 def read_only(a) -> np.ndarray:
     """A float copy of a that refuses writes."""
     arr = np.array(a, dtype=float)

@@ -507,6 +507,67 @@ def test_classify_nonfinite_vector_names_field(tmp_path, capsys, point, field, b
     assert captured.err == f"error: {field} must be finite\n"
 
 
+def _exit_2_one_line(tmp_path, capsys, text: str) -> str:
+    """Run the CLI on raw scenario text; assert exit 2, no report and one error line, and return that line."""
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert cli.main([str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+# an integer literal past the double range, in a number field and in array fields
+HUGE = 10**400
+HUGE_CASES = {
+    "solve-nu": ({"kind": "solve", "n": 1, "t": 0.1, "nu": HUGE, "nu_tilde": 0}, "nu"),
+    "classify-x": ({"kind": "classify", "n": 1, "x": [HUGE, 0, 0], "y": [0, 0, 1]}, "x"),
+    "validate-g": ({**_base_scenario("validate"), "g": [[HUGE, 0, 0], [0, -1, 0], [0, 0, 1]]}, "g"),
+}
+
+
+@pytest.mark.parametrize("scenario, field", HUGE_CASES.values(), ids=HUGE_CASES)
+def test_integer_past_double_range_exit_2_naming_field(tmp_path, capsys, scenario, field):
+    assert _exit_2_one_line(tmp_path, capsys, json.dumps(scenario)).startswith(f"error: {field} must be ")
+
+
+@pytest.mark.parametrize("n, angle", [(2, 1e160), (1, 1e200)])
+def test_theorem31_overflowing_angles_exit_2(tmp_path, capsys, n, angle):
+    """Finite angles whose squares leave the double range are bad input, not a crash."""
+    scenario = {"kind": "theorem31", "n": n, "theta_xi": angle, "theta_star_xi": angle, "t": 0.1}
+    assert "theorem31" in _exit_2_one_line(tmp_path, capsys, json.dumps(scenario))
+
+
+def test_deeply_nested_payload_is_a_parse_error(tmp_path, capsys):
+    # json.dumps cannot build this text, so it is written raw
+    assert "recursion" in _exit_2_one_line(tmp_path, capsys, "[" * 5000 + "]" * 5000)
+
+
+# (scenario, field, expected length): vectors of the wrong length for the point or ambient they meet
+LENGTH_CASES = {
+    "curvature-Omega": (
+        {"kind": "curvature", "n": 2, "class": "F11", "nu": 1.0, "nu_tilde": 0.0, "scalars": {"t": 0.1, "Omega": [1, 0]}},
+        "Omega", 5,
+    ),
+    "classify-x": ({"kind": "classify", "n": 1, "x": [1, 0], "y": [0, 0, 1]}, "x", 3),
+    "classify-y": ({"kind": "classify", "n": 1, "x": [1, 0, 0], "y": [0, 1]}, "y", 3),
+    "classify-both": ({"kind": "classify", "n": 1, "x": [1, 0], "y": [0, 1]}, "x", 3),
+    "classify-complex-x": ({"kind": "classify", "n_prime": 2, "x": [1, 0, 0], "y": [0, 1, 0, 0]}, "x", 4),
+    "induce-N": ({"kind": "induce", "ambient": {"n_prime": 3}, "N": [0.75, 0, 0, 1.25, 0]}, "N", 6),
+    "curvature-ambient-N": (
+        {"kind": "curvature", "ambient": {"n_prime": 3}, "N": [0.75, 0, 0, 1.25, 0], "nu": 1.0, "nu_tilde": 0.0},
+        "N", 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario, field, d", LENGTH_CASES.values(), ids=LENGTH_CASES)
+def test_vector_of_wrong_length_exit_2_naming_field(tmp_path, capsys, scenario, field, d):
+    err = _exit_2_one_line(tmp_path, capsys, json.dumps(scenario))
+    assert err.startswith(f"error: {field} must have length {d}, got shape ")
+
+
 def _random_hyper_scenario(gen, kind, tag, n, ambient):
     """A curvature or canonical scenario on a congruence-randomized point or ambient."""
     from nordenhyp.sampling import random_contact_point, random_timelike_frame

@@ -26,7 +26,9 @@ FIELDS = (
 KINDS = ("validate", "induce", "classify", "curvature", "canonical", "solve", "theorem31")
 
 scalars = st.one_of(
-    st.integers(-2, 6), st.floats(-3.0, 3.0), st.floats(), st.booleans(), st.none(), st.sampled_from(["", "1", "F0"])
+    st.integers(-2, 6), st.floats(-3.0, 3.0), st.floats(), st.booleans(), st.none(), st.sampled_from(["", "1", "F0"]),
+    # integers past the double range, which float() cannot convert
+    st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024)),
 )
 vectors = st.lists(st.one_of(st.floats(-2.0, 2.0), st.integers(-1, 1), scalars), max_size=10)
 values = st.one_of(

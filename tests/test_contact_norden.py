@@ -13,7 +13,6 @@ from nordenhyp.contact_norden import (
     F6,
     F11,
     F4_F5,
-    OneForms,
     canonical_difference,
     class_form,
     class_residual,
@@ -29,17 +28,6 @@ from nordenhyp.multilinear import kulkarni_nomizu_sum, substitute_endo_first_two
 from nordenhyp.sampling import random_contact_point
 
 from samplers import random_congruence
-
-
-def params_for(point, theta_xi=0.0, theta_star_xi=0.0, Omega=None):
-    om = np.zeros(point.dim) if Omega is None else point.g @ Omega
-    return OneForms(
-        theta=theta_xi * point.eta,
-        theta_star=theta_star_xi * point.eta,
-        omega=om,
-        theta_xi=theta_xi,
-        theta_star_xi=theta_star_xi,
-    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -214,52 +202,51 @@ class TestClassForms:
     def test_f6_not_constructive(self, gen):
         p = random_contact_point(gen, 1)
         with pytest.raises(NotConstructive):
-            class_form(F6, p, params_for(p))
+            class_form(F6, p, 0.0, 0.0)
 
     def test_unknown_tag(self, gen):
         with pytest.raises(BadIndex):
-            class_form("F7", random_contact_point(gen, 1), None)
+            class_form("F7", random_contact_point(gen, 1), 0.0, 0.0)
 
     @pytest.mark.parametrize("tag", [F4, F5, F11, F4_F5])
     def test_round_trip_and_residual(self, gen, tag):
         p = random_contact_point(gen, 2)
         Omega = gen.uniform(-1, 1, size=p.dim)
         Omega -= float(p.eta @ Omega) * p.xi
-        params = params_for(p, theta_xi=1.3, theta_star_xi=-0.8, Omega=Omega)
-        F = class_form(tag, p, params)
+        F = class_form(tag, p, 1.3, -0.8, p.g @ Omega)
         assert np.max(np.abs(F.entries - F.entries.transpose(0, 2, 1))) < 1e-12  # symmetric in the last two slots
         assert class_residual(F, p, tag) < 1e-10
-        of = one_forms(F, p)
+        theta_xi, theta_star_xi, _ = one_forms(F, p)
         if tag in (F4, F4_F5):
-            assert of.theta_xi == pytest.approx(1.3)
+            assert theta_xi == pytest.approx(1.3)
         if tag in (F5, F4_F5):
-            assert of.theta_star_xi == pytest.approx(-0.8)
+            assert theta_star_xi == pytest.approx(-0.8)
 
     def test_pure_f5_one_forms(self, gen):
         # a pure second-family form shows no first-family trace
         p = random_contact_point(gen, 2)
-        F = class_form(F5, p, params_for(p, theta_star_xi=2.5))
-        of = one_forms(F, p)
-        assert abs(of.theta_xi) < 1e-10
-        assert of.theta_star_xi == pytest.approx(2.5)
+        F = class_form(F5, p, 0.0, 2.5)
+        theta_xi, theta_star_xi, _ = one_forms(F, p)
+        assert abs(theta_xi) < 1e-10
+        assert theta_star_xi == pytest.approx(2.5)
 
     def test_cross_class_residual_nonzero(self, gen):
         p = random_contact_point(gen, 2)
-        F = class_form(F4, p, params_for(p, theta_xi=2.0))
+        F = class_form(F4, p, 2.0, 0.0)
         assert class_residual(F, p, F11) > 1e-3
 
     def test_f0_is_zero_form(self, gen):
         p = random_contact_point(gen, 2)
-        F = class_form(F0, p, params_for(p, theta_xi=9.9, theta_star_xi=9.9))
+        F = class_form(F0, p, 9.9, 9.9)
         assert F.max_norm == 0.0
 
     def test_f6_residual_on_members(self, gen):
         # the zero tensor satisfies all four conditions
         p = random_contact_point(gen, 2)
-        zero = class_form(F0, p, params_for(p))
+        zero = class_form(F0, p, 0.0, 0.0)
         assert class_residual(zero, p, F6) < 1e-12
         # a pure F4 tensor with nonzero trace violates them
-        F = class_form(F4, p, params_for(p, theta_xi=2.0))
+        F = class_form(F4, p, 2.0, 0.0)
         assert class_residual(F, p, F6) > 1e-3
 
     def test_all_tags_cover_closed_forms(self):
@@ -293,7 +280,7 @@ class TestSections:
 
 def test_canonical_difference_vanishes_for_zero_form(gen):
     p = random_contact_point(gen, 2)
-    zero = class_form(F0, p, params_for(p))
+    zero = class_form(F0, p, 0.0, 0.0)
     T = canonical_difference(zero, p)
     assert np.max(np.abs(T)) < 1e-12
 
@@ -301,8 +288,7 @@ def test_canonical_difference_vanishes_for_zero_form(gen):
 def test_canonical_difference_congruence_equivariant(gen):
     # T transforms as a (1,2)-tensor under a change of basis
     p = ContactNordenPoint.standard(2)
-    params = params_for(p, theta_xi=1.1, theta_star_xi=0.6)
-    F = class_form(F4_F5, p, params)
+    F = class_form(F4_F5, p, 1.1, 0.6)
     T = canonical_difference(F, p)
 
     S = random_congruence(gen, p.dim)
