@@ -33,16 +33,13 @@ from .main_class import (
 from .multilinear import DEFAULT_TOL, MAX_DIM, Tolerance
 from .report import ValidationReport, finite_or_none
 from .suite import (
-    MAX_N, canonical_checks, check, curvature_checks, family_report, roundtrip_checks, run_suite, theorem31_checks,
+    MAX_N, MAX_TRIALS, canonical_checks, check, curvature_checks, family_report, roundtrip_checks, run_suite,
+    theorem31_checks,
 )
 
 
-class ParseError(Exception):
-    pass
-
-
 class SchemaError(Exception):
-    pass
+    """Input the CLI cannot read as a scenario: unparsable JSON, or a field of the wrong kind."""
 
 
 def _need(payload: dict, *keys):
@@ -272,7 +269,7 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
 
 def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     seed = _as_int(payload.get("seed", 0), "seed", minimum=0)
-    trials = _as_int(payload.get("trials", 20), "trials")
+    trials = _as_int(payload.get("trials", 20), "trials", minimum=1, maximum=MAX_TRIALS)
     n_values = payload.get("n_values", [1, 2, 3])
     if not isinstance(n_values, list) or not n_values:
         raise SchemaError(f"n_values must be a non-empty list, got {n_values!r}")
@@ -303,7 +300,7 @@ def _load_scenario(path: str) -> dict:
             with open(path) as fh:
                 doc = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(str(exc)) from exc
+        raise SchemaError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
     return doc
@@ -345,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             report, results = handler(scenario, args)
         except OverflowError as exc:  # finite inputs whose arithmetic leaves the double range
             raise SchemaError(f"{kind} inputs too large, the arithmetic left the double range: {exc}") from None
-    except (ParseError, SchemaError, GeometryError, KeyError, ValueError) as exc:
+    except (SchemaError, GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = {k: finite_or_none(v) for k, v in results.items()}

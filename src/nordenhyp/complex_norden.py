@@ -20,7 +20,6 @@ from .multilinear import (
     apply,
     area_factor,
     generator_factors,
-    invert_metric,
     kulkarni_nomizu_sum,
     pairings,
     read_only,
@@ -91,7 +90,7 @@ class ComplexNordenPoint:
     neutral signature (n_prime, n_prime).
 
     g and J are stored as read-only float copies, so the values cached on
-    the point (g_inv, gJ, the pi' factors) cannot go stale.  Non-finite
+    the point (gJ, the pi' factors) cannot go stale.  Non-finite
     entries are rejected here, once.
     """
 
@@ -112,10 +111,6 @@ class ComplexNordenPoint:
     @property
     def dim(self) -> int:
         return 2 * self.n_prime
-
-    @cached_property
-    def g_inv(self) -> np.ndarray:
-        return read_only(invert_metric(self.g))
 
     @cached_property
     def gJ(self) -> np.ndarray:

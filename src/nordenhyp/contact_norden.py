@@ -233,13 +233,9 @@ def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> f
     "contract, rebuild, subtract" is the right fit rather than a
     least-squares solve.  F6 is validated against its four conditions.
     """
-    if tag == F6:
-        return _f6_residual(F, point)
-    return (F - class_form(tag, point, *one_forms(F, point))).max_norm
-
-
-def _f6_residual(F: MultilinearForm, point: ContactNordenPoint) -> float:
-    theta_xi, theta_star_xi, _ = one_forms(F, point)
+    theta_xi, theta_star_xi, omega = one_forms(F, point)
+    if tag != F6:
+        return (F - class_form(tag, point, theta_xi, theta_star_xi, omega)).max_norm
     ent = F.entries
     eta, xi, phi = point.eta, point.xi, point.phi
     F_xy_xi = np.einsum("ijk,k->ij", ent, xi)

@@ -28,7 +28,6 @@ from .contact_norden import (
     F11,
     F4_F5,
     classify_section,
-    pi,
 )
 from .errors import (
     BadIndex,
@@ -230,13 +229,6 @@ def pi_relations_residual(structure: InducedStructure) -> float | np.ndarray:
     return np.maximum.reduce(res)
 
 
-def _omega_part(point: ContactNordenPoint, scalars: HyperScalars) -> np.ndarray:
-    Omega = scalars.Omega if scalars.Omega is not None else np.zeros(point.dim)
-    require_length(Omega, point.dim, "Omega")
-    # only the ker-eta component of Omega enters the class form
-    return Omega - per_entry(dot(point.eta, Omega), 1) * point.xi
-
-
 def shape_from_class(
     point: ContactNordenPoint,
     tag: str,
@@ -265,7 +257,10 @@ def shape_from_class(
     if tag in (F5, F4_F5):
         A += (per_entry(scalars.theta_star_xi, 2) / two_n) * (cos_t * phi + sin_t * phi2)
     if tag == F11:
-        Omega = _omega_part(point, scalars)
+        Omega = scalars.Omega if scalars.Omega is not None else np.zeros(point.dim)
+        require_length(Omega, point.dim, "Omega")
+        # only the ker-eta component of Omega enters the class form
+        Omega = Omega - per_entry(dot(point.eta, Omega), 1) * point.xi
         omega_cov = apply(point.g, Omega)
         A -= cos_t * (outer(Omega, point.eta) + outer(point.xi, omega_cov))
         A -= sin_t * (outer(apply(phi, Omega), point.eta) + outer(point.xi, apply(transpose(phi), omega_cov)))
@@ -345,22 +340,19 @@ def gauss_identities_residual(
     scalars: HyperScalars,
     nu: float,
     nu_tilde: float,
-) -> float:
-    """Residual of the two companion curvature identities of the construction."""
-    tan_t = scalars.tan_t
-    model = point.pi_combination(nu * (P4 - tan_t * P5) - nu_tilde * (P5 + tan_t * P4))
-
-    lhs = substitute_endo_last_two(R, point.phi)
-    rhs = model - R - substitute_endo_first_two(point.pi_combination(P1 + P2), A)
-    res1 = (lhs - rhs).max_norm
-
-    def raise_xi(form: MultilinearForm) -> np.ndarray:
-        w = np.einsum("ijal,a->ijl", form.entries, point.xi)
-        return np.einsum("ml,ijl->ijm", point.g_inv, w)
-
-    rhs2 = raise_xi(model - substitute_endo_first_two(pi(1, point), A))
-    res2 = float(np.max(np.abs(raise_xi(R) - rhs2)))
-    return max(res1, res2)
+) -> float | np.ndarray:
+    """Residual of the two companion curvature identities of the construction, for the model term M:
+    R(x, y, phi z, phi u) = M - R - (pi_1 + pi_2)(Ax, Ay, z, u) and, raised in its free slot,
+    R(x, y, xi, .) = (M - pi_1(Ax, Ay, ., .))(x, y, xi, .); one residual per entry of a batch."""
+    nu, nu_tilde, tan_t = (per_entry(v, 1) for v in (nu, nu_tilde, scalars.tan_t))
+    # M, pi_1 + pi_2 and pi_1 in one build, then A in the first two slots of all three
+    c = np.broadcast_arrays(nu * (P4 - tan_t * P5) - nu_tilde * (P5 + tan_t * P4), P1 + P2, P1)
+    forms = point.pi_combination(np.stack(c))
+    model, (_, sub12, sub1) = forms.entries[0], substitute_endo_first_two(forms, A).entries
+    res1 = np.abs(substitute_endo_last_two(R, point.phi).entries - model + R.entries + sub12)
+    w = np.einsum("...ijal,...a->...ijl", R.entries - model + sub1, point.xi)
+    res2 = np.abs(np.einsum("...ml,...ijl->...ijm", point.g_inv, w))
+    return np.maximum(res1.max(axis=(-4, -3, -2, -1)), res2.max(axis=(-3, -2, -1)))
 
 
 def scalar_curvatures(R: MultilinearForm, point: ContactNordenPoint) -> ScalarCurvatures:

@@ -20,7 +20,6 @@ from .contact_norden import (
     PI_TWISTED,
     PI_UNITS,
     ContactNordenPoint,
-    class_form,
 )
 from .errors import DegenerateFlat, DegenerateSection
 from .hypersurface import HyperScalars, ScalarCurvatures, shape_from_class
@@ -134,11 +133,6 @@ def canonical_difference_F45(point: ContactNordenPoint, scalars: HyperScalars) -
     return T
 
 
-def main_class_form(point: ContactNordenPoint, scalars: HyperScalars) -> MultilinearForm:
-    """The rank-3 structure tensor of the main class for these scalars."""
-    return class_form(F4_F5, point, scalars.theta_xi, scalars.theta_star_xi)
-
-
 def K_F45_0(point: ContactNordenPoint, scalars: HyperScalars, R: MultilinearForm) -> MultilinearForm:
     """Canonical curvature of the closed-1-forms regime, from R and the scalars."""
     n = point.n
@@ -237,12 +231,15 @@ def lambda_mu(point: ContactNordenPoint, scalars: HyperScalars) -> tuple:
 
 
 def R_lambda_mu(point: ContactNordenPoint, scalars: HyperScalars) -> MultilinearForm:
-    """Curvature in lambda/mu form; equals the curvature_F45 route."""
+    """Curvature in lambda/mu form; equals the curvature_F45 route with the nu pair of `nu_from_scalars`."""
     n = point.n
-    th, ths = scalars.theta_xi, scalars.theta_star_xi
-    lam, mu = lambda_mu(point, scalars)
+    lam, mu, th, ths, xth, xths = (
+        per_entry(v, 1)
+        for v in (*lambda_mu(point, scalars), scalars.theta_xi, scalars.theta_star_xi,
+                  scalars.xi_theta_xi, scalars.xi_theta_star_xi)
+    )
     coef = lam * PI_KAEHLER + mu * PI_TWISTED
-    coef -= (scalars.xi_theta_star_xi / (2 * n)) * P4 + (scalars.xi_theta_xi / (2 * n)) * P5
+    coef -= (xths / (2 * n)) * P4 + (xth / (2 * n)) * P5
     coef -= (ths**2 / (4 * n**2)) * P1 + (th**2 / (4 * n**2)) * (P2 - P4)
     coef += ((th * ths) / (4 * n**2)) * (P3 - P5)
     return point.pi_combination(coef)

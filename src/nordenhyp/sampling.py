@@ -6,19 +6,19 @@ by congruence from the standard models rather than rejection sampling:
 the axioms are basis-independent, so a well-conditioned change of basis
 keeps them exact.
 
-The per-call samplers (`draw_point`, `draw_normal`, `random_contact_point`,
-`random_timelike_frame`, `random_hyper_scalars`, `random_main_class_data`)
-draw one instance per call, for tests and the benchmark.  The suite reads each
-trial from one row of uniform doubles (`suite._Row`): a value in
-[low, high) is `uniform(u, low, high)`, the map `Generator.uniform`
-applies, and an index below k (the fault entry, a normal's plane) is
-floor(u k); a row's size is not drawn, as each suite loop takes its sizes
-in turn.  Each rejection test is written once, in a row form that takes a
-fixed number of candidate slots per row and keeps the first acceptable one
-(`timelike_normals`, `totally_real_pairs`, `solver_angles`; `draw_normal`
-is a one-row call); the counts are set from the measured rejection rates
-so that a row with none is rarer than 1e-15, and such a row raises
-`NoAcceptableCandidate` instead of drawing again.
+The per-call samplers (`random_contact_point`, `random_timelike_frame`,
+`random_hyper_scalars`, `random_main_class_data`) draw one instance per
+call, for tests and the benchmark.  The suite reads each trial from one
+row of uniform doubles (`suite._Row`): a value in [low, high) is
+`uniform(u, low, high)`, the map `Generator.uniform` applies, and an index
+below k (the fault entry, a normal's plane) is floor(u k); a row's size is
+not drawn, as each suite loop takes its sizes in turn.  Each rejection
+test is written once, in a row form that takes a fixed number of
+candidate slots per row and keeps the first acceptable one
+(`timelike_normals`, `totally_real_pairs`, `solver_angles`;
+`random_timelike_frame` makes a one-row call); the counts are set from
+the measured rejection rates so that a row with none is rarer than 1e-15,
+and such a row raises `NoAcceptableCandidate` instead of drawing again.
 
 A contact point is drawn (`PointDraw`) apart from being built
 (`contact_point`, `hyper_scalars`, a frame over the standard ambient), so a
@@ -66,13 +66,6 @@ def _first_accepted(ok: np.ndarray, what: str) -> np.ndarray:
 PointDraw = namedtuple("PointDraw", "U entry")
 
 
-def draw_point(gen: np.random.Generator, n: int, fault: float = 0.0) -> PointDraw:
-    """The raw block U, then (if fault) the entry."""
-    d = 2 * n + 1
-    U = gen.uniform(-1.0, 1.0, size=(d, d))
-    return PointDraw(U, gen.integers(0, d, size=2) if fault else None)
-
-
 def contact_point(n: int, draw: PointDraw, fault: float = 0.0) -> ContactNordenPoint:
     """standard(n) in the basis S = I + 0.3 draw.U, with fault added to phi at draw.entry, built once;
     a stacked draw gives a batch.  S is formed elementwise, so a stack gives each trial's S bit for bit."""
@@ -85,21 +78,20 @@ def contact_point(n: int, draw: PointDraw, fault: float = 0.0) -> ContactNordenP
 def random_contact_point(
     gen: np.random.Generator, n: int, fault: float = 0.0
 ) -> ContactNordenPoint:
-    """Congruence-randomized standard contact point; fault perturbs phi."""
-    return contact_point(n, draw_point(gen, n, fault), fault)
-
-
-def draw_normal(gen: np.random.Generator, n_prime: int, fault: float = 0.0) -> np.ndarray:
-    """A random time-like unit normal of the standard flat ambient, plus fault in every entry:
-    the `timelike_normals` normal of one row of NORMAL_CANDIDATES candidates."""
-    return timelike_normals(gen.random((1, NORMAL_CANDIDATES, 2 + 2 * n_prime)), n_prime, fault)[0]
+    """Congruence-randomized standard contact point; fault perturbs phi.  Draws the raw block U,
+    then (if fault) the entry."""
+    d = 2 * n + 1
+    U = gen.uniform(-1.0, 1.0, size=(d, d))
+    return contact_point(n, PointDraw(U, gen.integers(0, d, size=2) if fault else None), fault)
 
 
 def random_timelike_frame(
     gen: np.random.Generator, n_prime: int, fault: float = 0.0
 ) -> TimelikeNormalFrame:
-    """Standard flat ambient with a random time-like unit normal (`draw_normal`)."""
-    return TimelikeNormalFrame(ambient=ComplexNordenPoint.standard(n_prime), N=draw_normal(gen, n_prime, fault))
+    """Standard flat ambient with a random time-like unit normal, plus fault in every entry: the
+    `timelike_normals` normal of one row of NORMAL_CANDIDATES candidates."""
+    N = timelike_normals(gen.random((1, NORMAL_CANDIDATES, 2 + 2 * n_prime)), n_prime, fault)[0]
+    return TimelikeNormalFrame(ambient=ComplexNordenPoint.standard(n_prime), N=N)
 
 
 def timelike_normals(u: np.ndarray, n_prime: int, fault: float = 0.0) -> np.ndarray:

@@ -7,11 +7,11 @@ one structure tensor per dataset, and every battery must then fail a check.
 A geometry error raised mid-check is an infinite residual under every name
 of the guard group that raised; any other exception is a bug and propagates.
 
-The batteries are data: `TABLE` gives each its check names, stream key and
-loops (`Loop`: row layout, batch builder, guard groups and the evaluation
-of a built run for one group), and one driver (`_drive`) runs any of them.
-Loop l of a battery reads its own keyed stream, PCG64([seed, key, l])
-(`_stream`).
+The batteries are data: `TABLE` gives each its check names and loops
+(`Loop`: row layout, batch builder, guard groups and the evaluation of a
+built run for one group), and one driver (`_drive`) runs any of them.
+Loop l of a battery reads its own keyed stream, PCG64([seed, key, l]),
+the key computed from the battery's name (`_stream`).
 
 A trial is one row of uniform doubles (`_Row`): the fields the battery
 reads, each sized for the largest n, a smaller n using a prefix.  A loop
@@ -32,10 +32,10 @@ Each identity has one check family, shared with the CLI kinds, from one
 point's (or one batch's) inputs to `{name: residual}`: `scalar_checks`
 serves `curvature_checks` (the Gauss route), `canonical_checks` (both
 canonical routes) and `theorem31_checks` (the t-const regime);
-`section_checks` compares special sectional curvatures and
-`roundtrip_checks` the solver's nu pair.  `THRESHOLD` holds each check's
-threshold, keyed by the last part of its name; the tolerance given to
-`run_suite` reaches the layers' input checks.
+`section_checks` and `totally_real_checks` compare special sectional
+curvatures and `roundtrip_checks` the solver's nu pair.  `THRESHOLD`
+holds each check's threshold, keyed by the last part of its name; the
+tolerance given to `run_suite` reaches the layers' input checks.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ from .contact_norden import (
     PI_KAEHLER,
     PI_TWISTED,
     canonical_difference,
+    class_form,
     is_curvature_like,
     kaehler_residual,
     sectional_curvature,
@@ -69,6 +70,7 @@ from .hypersurface import (
     canonical_K_from_R,
     canonical_K_model,
     closed_form_scalars,
+    gauss_identities_residual,
     gauss_induced_R,
     induce,
     pi_relations_residual,
@@ -79,11 +81,11 @@ from .hypersurface import (
 from .main_class import (
     K_F45_0,
     K_cor32,
+    R_lambda_mu,
     SolverBranch,
     Theorem31Result,
     curvature_F45,
     canonical_difference_F45,
-    main_class_form,
     nu_from_scalars,
     shape_F45,
     solve_theta,
@@ -116,16 +118,19 @@ CHUNK = 64
 # of the ambient n' = n + 1, of dimension d' = 2n + 2 <= MAX_DIM.
 MAX_N = MAX_DIM // 2 - 1
 
+# The most trials run_suite takes: at about 1.1 ms a trial (n = 1, 2, 3), a run stays near 11 s.
+MAX_TRIALS = 10_000
+
 
 # Every check's threshold, keyed by the last part of its name.
 THRESHOLD = {
     # closed forms and round trips
     **dict.fromkeys(("tau", "tau_twisted", "xi_section", "phi_holomorphic", "totally_real", "routes_agree",
                      "R_routes_agree", "roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature",
-                     "reading_squared"), 1e-8),
+                     "reading_squared", "R_lambda_mu"), 1e-8),
     # symmetries and axioms, and the model's totally real sections
     **dict.fromkeys(("axioms", "pullback_identities", "ambient_axioms", "curvature_symmetries", "kaehlerian",
-                     "totally_real_k", "totally_real_k_assoc"), 1e-9),
+                     "totally_real_k", "totally_real_k_assoc", "gauss_identities"), 1e-9),
     # exact identities
     **dict.fromkeys(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5", "holomorphic_k", "trace_A", "trace_A_phi",
                      "difference_tensor"), 1e-10),
@@ -224,6 +229,12 @@ def section_checks(R: MultilinearForm, p, x, k_xi, k_phi_holomorphic, tol: Toler
     }
 
 
+def totally_real_checks(R: MultilinearForm, p, pair, k_totally_real, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """A closed-form sectional curvature of the plane span(pair) vs R's; none for n = 1, where the
+    plane `_real_pair` gives is phi-holomorphic, not totally real."""
+    return {"totally_real": _rel(k_totally_real, sectional_curvature(R, p, *pair, tol))} if p.n >= 2 else {}
+
+
 def roundtrip_checks(back: tuple, nu, nut) -> dict:
     """The nu pair (nu, nu~) the solved angles force vs the one solved for."""
     return {"roundtrip_nu": _rel(back[0], nu), "roundtrip_nu_twisted": _rel(back[1], nut)}
@@ -304,6 +315,12 @@ def _point_draw(row: _Row, rows: np.ndarray, n: int, fault: float) -> PointDraw:
     return PointDraw(U, (row.slots(rows, "entry") * d).astype(np.intp) if fault else None)
 
 
+def _real_pair(U: np.ndarray) -> np.ndarray:
+    """The standard point's plane {e_1, e_2} in the basis S = I + 0.3 U of `contact_point`: S^-1 e_1
+    and S^-1 e_2 as one (2, B, d) array, in ker eta and totally real for n >= 2 (at n = 1, e_2 = phi e_1)."""
+    return np.moveaxis(np.linalg.inv(np.eye(U.shape[-1]) + 0.3 * U)[..., :2], -1, 0)
+
+
 def _contact(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
     """A block of contact trials as one batch: (point, scalars, nu pair as two (B,) arrays, vectors
     as one (k, B, d) array), None for what the layout lacks."""
@@ -333,13 +350,13 @@ SOLVER_BRANCHES = (1, -1)  # the solver's sign epsilon, in the order of a trial'
 
 def _solver_run(row: _Row, n: int, rows: np.ndarray, fault: float) -> tuple:
     """Both branches of a block as one batch of twice its size, branch +1 first: the point, each
-    entry's (eps, nu, nu~, t) and its section vector."""
+    entry's (eps, nu, nu~, t), its section vector and the plane `_real_pair` of its point."""
     draw = PointDraw(*(a if a is None else np.concatenate([a] * len(SOLVER_BRANCHES))
                        for a in _point_draw(row, rows, n, fault)))
     nus = solver_angles(row.slots(rows, "radicand")).tolist()
     entries = [(eps, *trial) for eps in SOLVER_BRANCHES for trial in nus]
     xs = row.slots(rows, "x")[..., :2 * n + 1].swapaxes(0, 1)
-    return contact_point(n, draw, fault), entries, xs.reshape(len(entries), 2 * n + 1)
+    return contact_point(n, draw, fault), entries, xs.reshape(len(entries), 2 * n + 1), _real_pair(draw.U)
 
 
 # --- the evaluations: a built run and one guard group to {name: residual}
@@ -384,6 +401,8 @@ def _induced(run, group, tol):
     x = xs[TAG_GROUPS.index(group)]
     A = shape_from_class(p, group[:-1], sc, tol)
     R, _, residuals = curvature_checks(p, A, sc, nu, nut)
+    if group == TAG_GROUPS[0]:  # the identities hold for any A, and two dense d^4 comparisons cost more than R
+        residuals["gauss_identities"] = gauss_identities_residual(p, R, A, sc, nu, nut)
     k_xi = special_sectional(p, A, sc, nu, nut, ContactSectionKind.XI_SECTION, x, tol=tol)
     k_hol = special_sectional(p, A, sc, nu, nut, ContactSectionKind.PHI_HOLOMORPHIC, x, tol=tol)
     return {group + k: r for k, r in {**residuals, **section_checks(R, p, x, k_xi, k_hol, tol)}.items()}
@@ -408,40 +427,47 @@ def _canonical(run, group, tol):
 
 
 def _main_class(run, group, tol):
-    p, sc, (nu, nut), _ = run
+    p, sc, (nu, nut), pair = run
     A = shape_F45(p, sc, tol)
     c, s = sc.cos_t, sc.sin_t
     traces = {"trace_A": trace_endo(A) - (-sc.dt_xi / (2 * c) - sc.theta_xi * c - sc.theta_star_xi * s),
               "trace_A_phi": trace_compose(A, p.phi) - (sc.theta_xi * s - sc.theta_star_xi * c)}
     cur = curvature_F45(p, sc, nu, nut)
     Rg = gauss_induced_R(p, A, sc, nu, nut)
+    px = apply(p.phi, pair[0])
     return {**traces, "R_routes_agree": (cur.R - Rg).max_norm / (1.0 + Rg.max_norm),
-            **scalar_checks(scalar_curvatures(cur.R, p), cur.scalars.tau, cur.scalars.tau_tilde)}
+            **scalar_checks(scalar_curvatures(cur.R, p), cur.scalars.tau, cur.scalars.tau_tilde),
+            "phi_holomorphic": _rel(cur.k_phi_holomorphic, sectional_curvature(cur.R, p, px, apply(p.phi, px), tol)),
+            **totally_real_checks(cur.R, p, pair, cur.k_totally_real, tol)}
 
 
 def _connection(run, group, tol):
     p, sc, _, _ = run
-    return {"difference_tensor": canonical_difference(main_class_form(p, sc), p, tol) - canonical_difference_F45(p, sc)}
+    F = class_form(F4_F5, p, sc.theta_xi, sc.theta_star_xi)
+    return {"difference_tensor": canonical_difference(F, p, tol) - canonical_difference_F45(p, sc)}
 
 
 def _solver(run, group, tol):
-    p, entries, x = run
+    p, entries, x, pair = run
     th, ths = np.array([solve_theta(a, b, t, SolverBranch(e), p.n, tol) for e, a, b, t in entries]).T
     _, nu, nut, t = np.array(entries).T
     res = theorem31(p, th, ths, t=t, tol=tol)
     return {**roundtrip_checks((res.nu, res.nu_tilde), nu, nut), **theorem31_checks(p, res, th, ths),
-            **section_checks(res.R, p, x, res.k_xi(x), res.k_phi_holomorphic, tol)}
+            **section_checks(res.R, p, x, res.k_xi(x), res.k_phi_holomorphic, tol),
+            **totally_real_checks(res.R, p, pair, res.k_totally_real, tol)}
 
 
 def _readings(run, group, tol):
     p, sc, _, _ = run
     nu, nut = nu_from_scalars(p, sc)
-    K_ref = K_F45_0(p, sc, curvature_F45(p, sc, nu, nut).R)
+    R = curvature_F45(p, sc, nu, nut).R
+    K_ref = K_F45_0(p, sc, R)
     scale = 1.0 + K_ref.max_norm
-    # the display comparison is a pure coefficient identity, so it survives
+    # the display comparisons are pure coefficient identities, so they survive
     # a perturbed structure; the Kaehler residual does not
     return {"reading_squared": (K_cor32(p, sc, nu, nut) - K_ref).max_norm / scale,
-            "kaehlerian": kaehler_residual(K_ref, p)}
+            "kaehlerian": kaehler_residual(K_ref, p),
+            "R_lambda_mu": (R_lambda_mu(p, sc) - R).max_norm / (1.0 + R.max_norm)}
 
 
 # --- the table and its driver
@@ -452,65 +478,67 @@ def _readings(run, group, tol):
 # every name).
 Loop = namedtuple("Loop", "layout evaluate groups build", defaults=(("",), _contact))
 
-# A battery: its declared check names, its stream key (the sum of the ord() of its name's
-# characters) and its loops, loop l on the stream PCG64([seed, key, l]).
-Battery = namedtuple("Battery", "names key loops")
+# A battery: its declared check names and its loops, loop l reading `_stream(seed, name, l, ...)`.
+Battery = namedtuple("Battery", "names loops")
 
 
 TABLE: dict[str, Battery] = {
     # induced structures satisfy the contact axioms and the pullback identities
-    "axiom_induction": Battery(("axioms", "pullback_identities"), 1610, (Loop(
+    "axiom_induction": Battery(("axioms", "pullback_identities"), (Loop(
         lambda ns: _Row([n + 1 for n in ns], ("normal", (NORMAL_CANDIDATES, 4 + 2 * max(ns)))), _axioms,
         build=lambda row, n_prime, rows, fault: (
             n_prime, timelike_normals(row.slots(rows, "normal"), n_prime, fault))),)),
     # the two generator combinations every canonical curvature is built from
-    "kaehlerity": Battery(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"), 1074, (Loop(
+    "kaehlerity": Battery(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5"), (Loop(
         lambda ns: _Row(ns, *_point(ns), every_n=True), _kaehlerity),)),
     # constant-curvature model: section values on special planes
-    "model_curvature": Battery(("ambient_axioms", "totally_real_k", "totally_real_k_assoc", "holomorphic_k"), 1617, (
+    "model_curvature": Battery(("ambient_axioms", "totally_real_k", "totally_real_k_assoc", "holomorphic_k"), (
         Loop(lambda ns: _Row([n + 1 for n in ns], ("v", 2 * max(ns) + 2, -1.0, 1.0),
                              ("pair", (PAIR_CANDIDATES, 2 * max(ns) + 2)), every_n=True),
              _model, build=_ambient),)),
     # double contraction of the induced curvature vs the trace closed forms, on the rank-one class
-    "scalar_calibration": Battery(("tau", "tau_twisted"), 1885, (Loop(
+    "scalar_calibration": Battery(("tau", "tau_twisted"), (Loop(
         lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _calibration),)),
     # scalar and special sectional curvatures of the two closed-form classes
     "induced_curvature": Battery(
-        (*_per_tag(("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")), "totally_real"),
-        1820,
+        (*_per_tag(("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")),
+         f"{F4_F5}.gauss_identities", "totally_real"),
         (Loop(lambda ns: _Row(ns, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU, _vectors("x", ns, 2)),
               _induced, TAG_GROUPS),
          Loop(lambda ns: _Row([n for n in ns if n >= 2], T, SCALARS_NU), _totally_real, ("totally_real",))),
     ),
     # the two routes to the canonical curvature and its trace closed forms
-    "canonical_curvature": Battery(_per_tag(("routes_agree", "kaehlerian", "tau", "tau_twisted")), 2024, (Loop(
+    "canonical_curvature": Battery(_per_tag(("routes_agree", "kaehlerian", "tau", "tau_twisted")), (Loop(
         lambda ns: _Row(ns, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU), _canonical, TAG_GROUPS),)),
-    # main-class closed forms vs the generic induced-curvature route
-    "main_class": Battery(("trace_A", "trace_A_phi", "R_routes_agree", "tau", "tau_twisted"), 1050, (Loop(
-        lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _main_class),)),
+    # main-class closed forms vs the generic induced-curvature route and R's special sections
+    "main_class": Battery(
+        ("trace_A", "trace_A_phi", "R_routes_agree", "tau", "tau_twisted", "phi_holomorphic", "totally_real"),
+        (Loop(lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _main_class,
+              build=lambda row, n, rows, fault: (  # the plane `_real_pair` of each point in place of vectors
+                  *_contact(row, n, rows, fault)[:3], _real_pair(_point_draw(row, rows, n, fault).U))),),
+    ),
     # difference tensor: generic reconstruction vs the main-class display
-    "canonical_connection": Battery(("difference_tensor",), 2103, (Loop(
+    "canonical_connection": Battery(("difference_tensor",), (Loop(
         lambda ns: _Row(ns, *_point(ns), T, SCALARS, every_n=True), _connection),)),
     # round trip of the angle solver and the flat-regime closed forms
     "solver_theorem": Battery(
         ("roundtrip_nu", "roundtrip_nu_twisted", "flat_canonical_curvature", "tau", "tau_twisted", "xi_section",
-         "phi_holomorphic"),
-        1518,
+         "phi_holomorphic", "totally_real"),
         (Loop(lambda ns: _Row(ns, *_point(ns), _vectors("x", ns, len(SOLVER_BRANCHES)),
                               ("radicand", (RADICAND_CANDIDATES, 3))),
               _solver, build=_solver_run),),
     ),
     # the expanded canonical curvature, theta*(xi) squared in its first coefficient, vs the
     # compositional route, and the latter is Kaehlerian
-    "expanded_coefficients": Battery(("kaehlerian", "reading_squared"), 2202, (Loop(
+    "expanded_coefficients": Battery(("kaehlerian", "reading_squared", "R_lambda_mu"), (Loop(
         lambda ns: _Row(ns, *_point(ns), T, SCALARS), _readings),)),
 }
 
 
-def _stream(seed: int, key: int, l: int, row: _Row, trials: int):
-    """Loop l's blocks (n, rows) in draw order: its generator PCG64([seed, key, l]) draws the rows of
-    each size in turn (`_Row.counts`), CHUNK rows per call."""
-    gen = np.random.Generator(np.random.PCG64([seed, key, l]))
+def _stream(seed: int, battery: str, l: int, row: _Row, trials: int):
+    """Loop l's blocks (n, rows) in draw order: PCG64([seed, key, l]), key the sum of the ord() of the
+    battery name's characters, draws the rows of each size in turn (`_Row.counts`), CHUNK per call."""
+    gen = np.random.Generator(np.random.PCG64([seed, sum(map(ord, battery)), l]))
     for n, count in zip(row.sizes, row.counts(trials)):
         for start in range(0, count, CHUNK):
             yield n, row.values(gen.random((min(CHUNK, count - start), row.width)))
@@ -524,7 +552,7 @@ def _drive(name: str, seed: int, trials: int, n_values: Iterable[int], fault: fl
     w = _Worst(name, battery.names)
     for l, loop in enumerate(battery.loops):
         row = loop.layout(n_values)
-        for n, rows in _stream(seed, battery.key, l, row, trials):
+        for n, rows in _stream(seed, name, l, row, trials):
             run = loop.build(row, n, rows, fault)
             for group in loop.groups:
                 if not w.decided(group):
@@ -553,8 +581,8 @@ def run_suite(
     """Run every battery from one seed; identical inputs give identical reports."""
     if not (_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (_integer(trials) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not (_integer(trials) and 1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be an integer in 1..{MAX_TRIALS}, got {trials!r}")
     if isinstance(fault, bool) or not isinstance(fault, numbers.Real) or not math.isfinite(fault):
         raise ValueError(f"fault must be a finite number, got {fault!r}")
     if not (isinstance(n_values, Iterable) and (n_values := tuple(n_values))

@@ -15,6 +15,7 @@ from nordenhyp.contact_norden import (
     F4_F5,
     PI_UNITS,
     canonical_difference,
+    class_form,
     kaehler_residual,
     pi,
     sectional_curvature,
@@ -39,7 +40,6 @@ from nordenhyp.main_class import (
     K_cor32,
     canonical_difference_F45,
     curvature_F45,
-    main_class_form,
     nu_from_scalars,
     shape_F45,
     solve_theta,
@@ -300,7 +300,7 @@ def test_criterion_08_canonical_connection(capsys):
         for i in range(20):
             p, sc = random_main_class_data(gen, n)
             T_explicit = canonical_difference_F45(p, sc)
-            T_generic = canonical_difference(main_class_form(p, sc), p)
+            T_generic = canonical_difference(class_form(F4_F5, p, sc.theta_xi, sc.theta_star_xi), p)
             if np.max(np.abs(T_explicit - T_generic)) > 1e-10:
                 failures.append((n, i, float(np.max(np.abs(T_explicit - T_generic)))))
     verdict(capsys, 8, "canonical-connection difference tensor matches its explicit display", failures)

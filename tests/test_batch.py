@@ -24,6 +24,7 @@ from nordenhyp.contact_norden import (
     ContactNordenPoint,
     ContactSectionKind,
     canonical_difference,
+    class_form,
     classify_section,
     is_curvature_like,
     kaehler_residual,
@@ -39,6 +40,7 @@ from nordenhyp.hypersurface import (
     canonical_K_from_R,
     canonical_K_model,
     closed_form_scalars,
+    gauss_identities_residual,
     gauss_induced_R,
     induce,
     pi_relations_residual,
@@ -50,9 +52,10 @@ from nordenhyp.main_class import (
     K_F45_0,
     K_cor32,
     SolverBranch,
+    R_lambda_mu,
     canonical_difference_F45,
     curvature_F45,
-    main_class_form,
+    lambda_mu,
     nu_from_scalars,
     shape_F45,
     solve_theta,
@@ -74,10 +77,10 @@ from nordenhyp.sampling import (
     RADICAND_CANDIDATES,
     PointDraw,
     contact_point,
-    draw_normal,
     hyper_scalars,
     random_contact_point,
     random_hyper_scalars,
+    random_timelike_frame,
     rng,
     solver_angles,
     timelike_normals,
@@ -138,6 +141,10 @@ def _arrays(value) -> list[np.ndarray]:
     return [np.asarray(value, dtype=float)]
 
 
+def _main_class_form(i: Inputs) -> MultilinearForm:
+    return class_form(F4_F5, i.p, i.sc.theta_xi, i.sc.theta_star_xi)
+
+
 CASES = {
     "g_inv, g_phi": lambda i: (i.p.g_inv, i.p.g_phi),
     "pi_factors": lambda i: tuple(i.p.pi_factors),
@@ -162,15 +169,18 @@ CASES = {
     "special_sectional phi": lambda i: special_sectional(
         i.p, i.A, i.sc, i.nu, i.nut, ContactSectionKind.PHI_HOLOMORPHIC, i.x
     ),
-    "main_class_form": lambda i: main_class_form(i.p, i.sc),
-    "nabla_xi_from_F": lambda i: nabla_xi_from_F(main_class_form(i.p, i.sc), i.p),
-    "canonical_difference": lambda i: canonical_difference(main_class_form(i.p, i.sc), i.p),
+    "class_form F4+F5": _main_class_form,
+    "nabla_xi_from_F": lambda i: nabla_xi_from_F(_main_class_form(i), i.p),
+    "canonical_difference": lambda i: canonical_difference(_main_class_form(i), i.p),
     "canonical_difference_F45": lambda i: canonical_difference_F45(i.p, i.sc),
     "shape_F45": lambda i: shape_F45(i.p, i.sc),
     "curvature_F45": lambda i: curvature_F45(i.p, i.sc, i.nu, i.nut),
     "K_F45_0": lambda i: K_F45_0(i.p, i.sc, curvature_F45(i.p, i.sc, i.nu, i.nut).R),
     "K_cor32": lambda i: K_cor32(i.p, i.sc, i.nu, i.nut),
     "nu_from_scalars": lambda i: nu_from_scalars(i.p, i.sc),
+    "lambda_mu": lambda i: lambda_mu(i.p, i.sc),
+    "R_lambda_mu": lambda i: R_lambda_mu(i.p, i.sc),
+    "gauss_identities_residual": lambda i: gauss_identities_residual(i.p, i.R, i.A, i.sc, i.nu, i.nut),
 }
 
 
@@ -230,7 +240,7 @@ def test_classify_section_batch(n):
 
 def _generator(battery: str, seed: int, loop: int = 0) -> np.random.Generator:
     """A fresh generator on a loop's stream of a battery, PCG64([seed, key, loop])."""
-    return np.random.Generator(np.random.PCG64([seed, suite.TABLE[battery].key, loop]))
+    return np.random.Generator(np.random.PCG64([seed, sum(map(ord, battery)), loop]))
 
 
 def _sizes(trials: int, n_values, every_n: bool = False) -> list[int]:
@@ -368,7 +378,7 @@ def test_predrawn_inputs_match_per_trial_draws(monkeypatch, fault, options):
     battery = next(b for b, o in CONTACT_LAYOUTS if o == options)
     loop = suite.TABLE[battery].loops[0]
     row = loop.layout(n_values)
-    blocks = list(suite._stream(11, suite.TABLE[battery].key, 0, row, 7))
+    blocks = list(suite._stream(11, battery, 0, row, 7))
     reference = _contact_oracle(battery, 11, 7, n_values, fault, **options)
     for (n, rows), trials in zip(blocks, _dealt([(n, len(rows)) for n, rows in blocks], reference), strict=True):
         _assert_contact_run(loop.build(row, n, rows, fault), n, trials, fault)
@@ -382,16 +392,16 @@ def test_sizes_take_their_rows_in_turn():
     assert suite._Row((1, 2, 3), ("rest", 2)).counts(20) == [7, 7, 6]
     assert suite._Row((2, 3), ("rest", 2)).counts(20) == [10, 10]
     assert suite._Row((1, 2, 3), ("rest", 2), every_n=True).counts(20) == [20, 20, 20]
-    assert list(suite._stream(1, 5, 0, suite._Row((), ("rest", 2)), 20)) == []
+    assert list(suite._stream(1, "b", 0, suite._Row((), ("rest", 2)), 20)) == []
     for values in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4)]:
         for seed in range(20):
             for every_n in (False, True):
                 for trials in (1, 20, 150):
-                    blocks = list(suite._stream(seed, 5, 0, suite._Row(values, ("rest", 2), every_n=every_n), trials))
+                    blocks = list(suite._stream(seed, "b", 0, suite._Row(values, ("rest", 2), every_n=every_n), trials))
                     sizes = _sizes(trials, values, every_n)
                     assert all(type(n) is int for n, _ in blocks)
                     _dealt([(n, len(rows)) for n, rows in blocks], [(n,) for n in sizes])
-                    rows = np.random.Generator(np.random.PCG64([seed, 5, 0])).random((len(sizes), 2))
+                    rows = np.random.Generator(np.random.PCG64([seed, ord("b"), 0])).random((len(sizes), 2))
                     np.testing.assert_array_equal(np.concatenate([rows for _, rows in blocks]), rows)
 
 
@@ -409,7 +419,7 @@ def test_fault_entry_is_the_size_two_stream():
     battery = suite.TABLE["scalar_calibration"]
     row = battery.loops[0].layout((1, 2, 3))
     for seed in range(20):
-        for n, rows in suite._stream(seed, battery.key, 0, row, 30):
+        for n, rows in suite._stream(seed, "scalar_calibration", 0, row, 30):
             (U, entry), (U_f, entry_f) = (suite._point_draw(row, rows, n, f) for f in (0.0, 1e-3))
             assert entry is None and entry_f.shape == (len(rows), 2)
             assert entry_f.min() >= 0 and entry_f.max() <= 2 * n
@@ -425,10 +435,10 @@ def test_advanced_generator_reproduces_each_row():
     the block and the size it was drawn in: the replay of one trial is one advance."""
     row = suite._Row((1, 2, 3), ("rest", 51))
     for seed in (3, 21):
-        rows = np.concatenate([rows for _, rows in suite._stream(seed, 1820, 1, row, 450)])
+        rows = np.concatenate([rows for _, rows in suite._stream(seed, "induced_curvature", 1, row, 450)])
         assert len(rows) == 450
         for r in (0, 1, suite.CHUNK - 1, suite.CHUNK, 2 * suite.CHUNK + 5, 149, 150, 151, 449):
-            replay = np.random.Generator(np.random.PCG64([seed, 1820, 1]))
+            replay = np.random.Generator(np.random.PCG64([seed, sum(map(ord, "induced_curvature")), 1]))
             replay.bit_generator.advance(r * row.width)
             np.testing.assert_array_equal(replay.random(row.width), rows[r])
 
@@ -440,7 +450,7 @@ def _replayed_row(battery, l, seed, i, j, trials, n_values):
     spec = suite.TABLE[battery]
     row = spec.loops[l].layout(n_values)
     sizes = _sizes(trials, row.sizes, row.every_n)
-    bits = np.random.PCG64([seed, spec.key, l])
+    bits = np.random.PCG64([seed, sum(map(ord, battery)), l])
     bits.advance((sizes.index(row.sizes[i]) + j) * row.width)
     return row.values(np.random.Generator(bits).random((1, row.width)))[0]
 
@@ -466,13 +476,13 @@ def test_table_replays_each_trial(monkeypatch, battery):
 def test_loop_streams_are_distinct():
     """The table's keys are distinct, and for seeds 0 to 999 no two (seed, battery, loop) streams start
     from the same PCG64 state."""
-    keys = [spec.key for spec in suite.TABLE.values()]
-    assert len(set(keys)) == len(keys)
+    keys = {name: sum(map(ord, name)) for name in suite.TABLE}
+    assert len(set(keys.values())) == len(keys)
     states = set()
     for seed in range(1000):
-        for spec in suite.TABLE.values():
+        for name, spec in suite.TABLE.items():
             for l in range(len(spec.loops)):
-                state = np.random.PCG64([seed, spec.key, l]).state["state"]
+                state = np.random.PCG64([seed, keys[name], l]).state["state"]
                 states.add((state["state"], state["inc"]))
     assert len(states) == 1000 * sum(len(spec.loops) for spec in suite.TABLE.values())
 
@@ -541,7 +551,7 @@ def _drained_peak(trials: int) -> int:
     row = spec.loops[0].layout((1, 2, 3))
     tracemalloc.start()
     try:
-        for n, rows in suite._stream(4, spec.key, 0, row, trials):
+        for n, rows in suite._stream(4, "induced_curvature", 0, row, trials):
             spec.loops[0].build(row, n, rows, 1e-3)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -594,7 +604,7 @@ def test_group_with_one_faulted_entry_raises():
     with pytest.raises(InconsistentStructure):
         shape_from_class(p, F4_F5, batched.sc)
     with pytest.raises(InconsistentStructure):
-        canonical_difference(main_class_form(p, batched.sc), p)
+        canonical_difference(class_form(F4_F5, p, batched.sc.theta_xi, batched.sc.theta_star_xi), p)
 
 
 @pytest.mark.parametrize(
@@ -653,7 +663,7 @@ def test_induce_and_pullback_batch(n_prime):
     gen = rng(200 + n_prime)
     ambient = ComplexNordenPoint.standard(n_prime)
     for B in (1, 3, 7):
-        normals = [draw_normal(gen, n_prime) for _ in range(B)]
+        normals = [random_timelike_frame(gen, n_prime).N for _ in range(B)]
         singles = [induce(TimelikeNormalFrame(ambient, N)) for N in normals]
         batched = induce(TimelikeNormalFrame(ambient, np.array(normals)))
         assert batched.point.batch == (B,)
@@ -669,7 +679,7 @@ def test_induce_and_pullback_batch(n_prime):
 
 def test_induce_batch_raises_for_one_bad_normal():
     gen = rng(3)
-    normals = np.array([draw_normal(gen, 2) for _ in range(3)])
+    normals = np.array([random_timelike_frame(gen, 2).N for _ in range(3)])
     normals[1] *= 1.1
     with pytest.raises(NotTimelike):
         induce(TimelikeNormalFrame(ComplexNordenPoint.standard(2), normals))
@@ -846,11 +856,13 @@ def _literal_ambient(n_prime, trials, fault):
 
 
 def _literal_solver(n, trials, fault):
-    """Each trial on branch +1, then each on branch -1: the stacked points, (eps, nu, nu~, t) and x vectors."""
-    draws = [(U, entry) for _, U, entry, *_ in trials]
+    """Each trial on branch +1, then each on branch -1: the stacked points, (eps, nu, nu~, t), x vectors
+    and the plane (S^-1 e_1, S^-1 e_2) of each point's congruence S = I + 0.3 U."""
+    draws = [(U, entry) for _, U, entry, *_ in trials] * len(suite.SOLVER_BRANCHES)
     entries = [(eps, *angles) for eps in suite.SOLVER_BRANCHES for _, _, _, angles, _ in trials]
     xs = np.stack([pair[b] for b in range(len(suite.SOLVER_BRANCHES)) for *_, pair in trials])
-    return _stacked_points(n, draws * len(suite.SOLVER_BRANCHES), fault), entries, xs
+    planes = np.stack([np.linalg.inv(np.eye(2 * n + 1) + 0.3 * U)[:, :2].T for U, _ in draws], axis=1)
+    return _stacked_points(n, draws, fault), entries, xs, planes
 
 
 # Each battery's literal rows, and the run its trials build, made trial by trial.
@@ -964,6 +976,23 @@ def test_solver_pairs_each_point_with_its_trial_and_branch(monkeypatch, fault):
             np.testing.assert_array_equal(x[j], x_plus if eps == 1 else x_minus)
 
 
+@pytest.mark.parametrize("battery", ["main_class", "solver_theorem"])
+def test_real_pair_is_a_totally_real_plane_of_each_point(battery):
+    """The plane a run carries last is the standard point's {e_1, e_2} moved by each point's congruence
+    S = I + 0.3 U: S maps it back to e_1 and e_2, and at n >= 2 each point classifies it totally real."""
+    loop = suite.TABLE[battery].loops[0]
+    row = loop.layout((1, 2, 3))
+    for n, rows in suite._stream(5, battery, 0, row, 12):
+        run = loop.build(row, n, rows, 0.0)
+        p, pair = run[0], run[-1]
+        U = np.concatenate([suite._point_draw(row, rows, n, 0.0).U] * (len(p.g) // len(rows)))
+        np.testing.assert_allclose((np.eye(2 * n + 1) + 0.3 * U) @ pair.transpose(1, 2, 0),
+                                   np.broadcast_to(np.eye(2 * n + 1)[:, :2], (len(U), 2 * n + 1, 2)), atol=1e-13)
+        kinds = classify_section(p, *pair)
+        assert all(k == (ContactSectionKind.TOTALLY_REAL if n >= 2 else ContactSectionKind.PHI_HOLOMORPHIC)
+                   for k in kinds)
+
+
 def _first_trial_of_each_size(monkeypatch, battery, corrupt):
     """Has the battery's loop build its first run of every size n through corrupt, which corrupts
     the run's first trial."""
@@ -991,7 +1020,7 @@ CORRUPT = {
     # a plane spanned by one vector: its area factor vanishes, DegenerateSection
     "model_curvature": lambda run: (run[0], run[1], _first(run[2], run[1][0]), run[3]),
     # a zero section vector: k_xi's denominator vanishes, DegenerateSection
-    "solver_theorem": lambda run: (*run[:2], _first(run[2], np.zeros_like(run[2][0]))),
+    "solver_theorem": lambda run: (*run[:2], _first(run[2], np.zeros_like(run[2][0])), run[3]),
 }
 
 

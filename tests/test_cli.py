@@ -1,11 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nordenhyp import cli
-from nordenhyp.suite import MAX_N
+from nordenhyp.suite import MAX_N, MAX_TRIALS
 
 
 def run(tmp_path, capsys, scenario, *flags):
@@ -41,6 +42,7 @@ def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert cli.main([str(path), "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error: Expecting property name")
 
 
 def test_unknown_kind_exit_2(tmp_path, capsys):
@@ -272,6 +274,34 @@ def test_run_suite_rejects_mistyped_fields_before_any_battery(monkeypatch, field
     monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
     with pytest.raises(ValueError, match=f"^{field} must be"):
         suite.run_suite(**{"seed": 1, "trials": 2, **fields})
+
+
+@pytest.mark.parametrize("trials", [10**20, 10**400], ids=["1e20", "401-digit"])
+def test_huge_trials_exit_2_at_once(tmp_path, capsys, monkeypatch, trials):
+    """A trials past MAX_TRIALS, which would run for years, exits 2 naming trials before any battery runs."""
+    from nordenhyp import suite
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a battery")
+
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
+    start = time.perf_counter()
+    line = _exit_2_one_line(tmp_path, capsys, json.dumps({"kind": "suite", "trials": trials}))
+    assert time.perf_counter() - start < 1.0
+    assert line.startswith(f"error: trials must be at most {MAX_TRIALS}, got ")
+
+
+def test_run_suite_bounds_trials_before_any_battery(monkeypatch):
+    from nordenhyp import suite
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a battery")
+
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, refuse))
+    with pytest.raises(ValueError, match=f"^trials must be an integer in 1..{MAX_TRIALS}"):
+        suite.run_suite(1, MAX_TRIALS + 1)
+    monkeypatch.setattr(suite, "BATTERIES", dict.fromkeys(suite.BATTERIES, lambda *a, **k: []))
+    assert suite.run_suite(1, MAX_TRIALS).checks == ()
 
 
 def test_run_suite_accepts_numpy_numbers(monkeypatch):

@@ -50,7 +50,6 @@ from nordenhyp.hypersurface import (
 )
 from nordenhyp.multilinear import Tolerance, substitute_endo_first_two, substitute_endo_last_two
 from nordenhyp.sampling import (
-    draw_normal,
     random_contact_point,
     random_hyper_scalars,
     random_timelike_frame,
@@ -151,7 +150,7 @@ def pullback_oracle(st) -> np.ndarray:
 @pytest.mark.parametrize("n_prime", [2, 3, 4])
 def test_pullback_matches_independent_oracle(gen, n_prime, batch):
     """The pullback check against the identities rebuilt with none of its kernels."""
-    normals = np.array([draw_normal(gen, n_prime) for _ in range(batch or 1)])
+    normals = np.array([random_timelike_frame(gen, n_prime).N for _ in range(batch or 1)])
     st = induce(TimelikeNormalFrame(ComplexNordenPoint.standard(n_prime), normals if batch else normals[0]))
     want = pullback_oracle(st)
     assert np.max(want) < 1e-12

@@ -6,6 +6,7 @@ from nordenhyp.contact_norden import (
     F4_F5,
     PI_UNITS,
     canonical_difference,
+    class_form,
     class_residual,
     kaehler_residual,
     sectional_curvature,
@@ -26,7 +27,6 @@ from nordenhyp.main_class import (
     canonical_difference_F45,
     curvature_F45,
     lambda_mu,
-    main_class_form,
     nu_from_scalars,
     shape_F45,
     solve_theta,
@@ -53,13 +53,13 @@ class TestShapeAndForm:
 
     def test_form_in_class(self, gen):
         p, sc = random_main_class_data(gen, 2)
-        F = main_class_form(p, sc)
+        F = class_form(F4_F5, p, sc.theta_xi, sc.theta_star_xi)
         assert class_residual(F, p, F4_F5) < 1e-10
 
     def test_canonical_difference_matches_generic(self, gen):
         p, sc = random_main_class_data(gen, 2)
         T = canonical_difference_F45(p, sc)
-        T_generic = canonical_difference(main_class_form(p, sc), p)
+        T_generic = canonical_difference(class_form(F4_F5, p, sc.theta_xi, sc.theta_star_xi), p)
         assert np.allclose(T, T_generic, atol=1e-10)
 
 

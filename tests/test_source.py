@@ -15,8 +15,8 @@ TREES = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "nordenh
 ALLOWED = {
     # imported or traced by the benchmark
     "rng", "random_timelike_frame", "random_main_class_data", "pi_prime",
-    # checks that the shape-to-class map and the Gauss identities are still to be run on
-    "class_residual", "F_from_A", "validate_F6_shape", "gauss_identities_residual", "R_lambda_mu",
+    # checks that the shape-to-class map is still to be run on
+    "class_residual", "F_from_A", "validate_F6_shape",
 }
 
 

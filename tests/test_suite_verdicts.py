@@ -11,6 +11,14 @@ Both lists lost `expanded_coefficients.exactly_one_reading_matches` when the
 library kept only the squared reading of the Corollary 3.2 display:
 acceptance criterion 10 asserts what that check said, that exactly one
 reading agrees with the compositional route.
+
+Both lists gained the checks of the closed forms that had run on no battery:
+the Gauss companion identities (`induced_curvature.F4+F5.gauss_identities`),
+the main class's special sections (`main_class.phi_holomorphic` and
+`totally_real`), the flat regime's totally real section
+(`solver_theorem.totally_real`) and the lambda/mu form of the main-class
+curvature (`expanded_coefficients.R_lambda_mu`, a coefficient identity, so
+it passes under fault); every earlier entry is unchanged.
 """
 import pytest
 
@@ -33,6 +41,7 @@ CLEAN = [
     ('induced_curvature.F11.tau_twisted', 1e-08, True),
     ('induced_curvature.F11.xi_section', 1e-08, True),
     ('induced_curvature.F4+F5.curvature_symmetries', 1e-09, True),
+    ('induced_curvature.F4+F5.gauss_identities', 1e-09, True),
     ('induced_curvature.F4+F5.phi_holomorphic', 1e-08, True),
     ('induced_curvature.F4+F5.tau', 1e-08, True),
     ('induced_curvature.F4+F5.tau_twisted', 1e-08, True),
@@ -47,8 +56,10 @@ CLEAN = [
     ('canonical_curvature.F4+F5.tau', 1e-08, True),
     ('canonical_curvature.F4+F5.tau_twisted', 1e-08, True),
     ('main_class.R_routes_agree', 1e-08, True),
+    ('main_class.phi_holomorphic', 1e-08, True),
     ('main_class.tau', 1e-08, True),
     ('main_class.tau_twisted', 1e-08, True),
+    ('main_class.totally_real', 1e-08, True),
     ('main_class.trace_A', 1e-10, True),
     ('main_class.trace_A_phi', 1e-10, True),
     ('canonical_connection.difference_tensor', 1e-10, True),
@@ -58,7 +69,9 @@ CLEAN = [
     ('solver_theorem.roundtrip_nu_twisted', 1e-08, True),
     ('solver_theorem.tau', 1e-08, True),
     ('solver_theorem.tau_twisted', 1e-08, True),
+    ('solver_theorem.totally_real', 1e-08, True),
     ('solver_theorem.xi_section', 1e-08, True),
+    ('expanded_coefficients.R_lambda_mu', 1e-08, True),
     ('expanded_coefficients.kaehlerian', 1e-09, True),
     ('expanded_coefficients.reading_squared', 1e-08, True),
 ]
@@ -80,6 +93,7 @@ FAULTED = [
     ('induced_curvature.F11.tau_twisted', 1e-08, False),
     ('induced_curvature.F11.xi_section', 1e-08, False),
     ('induced_curvature.F4+F5.curvature_symmetries', 1e-09, False),
+    ('induced_curvature.F4+F5.gauss_identities', 1e-09, False),
     ('induced_curvature.F4+F5.phi_holomorphic', 1e-08, False),
     ('induced_curvature.F4+F5.tau', 1e-08, False),
     ('induced_curvature.F4+F5.tau_twisted', 1e-08, False),
@@ -94,8 +108,10 @@ FAULTED = [
     ('canonical_curvature.F4+F5.tau', 1e-08, False),
     ('canonical_curvature.F4+F5.tau_twisted', 1e-08, False),
     ('main_class.R_routes_agree', 1e-08, False),
+    ('main_class.phi_holomorphic', 1e-08, False),
     ('main_class.tau', 1e-08, False),
     ('main_class.tau_twisted', 1e-08, False),
+    ('main_class.totally_real', 1e-08, False),
     ('main_class.trace_A', 1e-10, False),
     ('main_class.trace_A_phi', 1e-10, False),
     ('canonical_connection.difference_tensor', 1e-10, False),
@@ -105,7 +121,9 @@ FAULTED = [
     ('solver_theorem.roundtrip_nu_twisted', 1e-08, True),
     ('solver_theorem.tau', 1e-08, False),
     ('solver_theorem.tau_twisted', 1e-08, False),
+    ('solver_theorem.totally_real', 1e-08, False),
     ('solver_theorem.xi_section', 1e-08, False),
+    ('expanded_coefficients.R_lambda_mu', 1e-08, True),
     ('expanded_coefficients.kaehlerian', 1e-09, False),
     ('expanded_coefficients.reading_squared', 1e-08, True),
 ]
