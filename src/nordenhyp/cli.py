@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -258,12 +259,8 @@ def _run_theorem31(payload: dict, args) -> tuple[ValidationReport, dict]:
     th, ths, t = (_as_real(payload.get(k, 0.0), k) for k in ("theta_xi", "theta_star_xi", "t"))
     point = ContactNordenPoint.standard(n)
     res = theorem31(point, th, ths, t=t, tol=args.tol)
-    results = {
-        "tau": res.tau,
-        "tau_twisted": res.tau_tilde,
-        "k_phi_holomorphic": res.k_phi_holomorphic,
-        "k_totally_real": res.k_totally_real,
-    }
+    results = {"tau": res.tau, "tau_twisted": res.tau_tilde, "k_phi_holomorphic": res.k_phi_holomorphic,
+               "k_totally_real": res.k_totally_real}
     return family_report(theorem31_checks(point, res, th, ths)), results
 
 
@@ -292,13 +289,18 @@ _KINDS = {
 }
 
 
+def _parse_int(literal: str):
+    """A JSON integer; past int()'s digit limit (4,300 by default), an infinity that field checks reject by name."""
+    try:
+        return int(literal)
+    except ValueError:
+        return -math.inf if literal.startswith("-") else math.inf
+
+
 def _load_scenario(path: str) -> dict:
     try:
-        if path == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(path) as fh:
-                doc = json.load(fh)
+        text = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
+        doc = json.loads(text, parse_int=_parse_int)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(str(exc)) from exc
     if not isinstance(doc, dict):

@@ -185,15 +185,20 @@ def pi(i: int, point: ContactNordenPoint) -> MultilinearForm:
     return point.pi_combination(PI_UNITS[i - 1])
 
 
-def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> tuple[float, float, np.ndarray]:
-    """(theta(xi), theta*(xi), omega) contracted out of a rank-3 structure tensor."""
+def one_forms(F: MultilinearForm, point: ContactNordenPoint) -> tuple:
+    """(theta(xi), theta*(xi), omega) contracted out of a rank-3 structure tensor: (B,), (B,), (B, d) for a batch."""
     if F.rank != 3:
         raise BadIndex(f"F must have rank 3, got {F.rank}")
-    g_inv = point.g_inv
-    theta = np.einsum("ij,ijk->k", g_inv, F.entries)
-    theta_star = np.einsum("ij,iak,aj->k", g_inv, F.entries, point.phi)
-    omega = np.einsum("abk,a,b->k", F.entries, point.xi, point.xi)
-    return float(theta @ point.xi), float(theta_star @ point.xi), omega
+    F_xi = np.einsum("...ijk,...k->...ij", F.entries, point.xi)  # F(x, y, xi)
+    theta = np.einsum("...ij,...ij->...", point.g_inv, F_xi)
+    theta_star = np.einsum("...ij,...ij->...", point.g_inv, F_xi @ point.phi)
+    omega = np.einsum("...abk,...a,...b->...k", F.entries, point.xi, point.xi)
+    return theta[()], theta_star[()], omega
+
+
+def _eta_sym(M: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """M(x, y) eta(z) + M(x, z) eta(y), the form every class tensor is built from."""
+    return np.einsum("...ij,...k->...ijk", M, eta) + np.einsum("...ik,...j->...ijk", M, eta)
 
 
 def class_form(
@@ -211,22 +216,18 @@ def class_form(
     d = point.dim
     eta = point.eta
     ent = np.zeros(point.batch + (d, d, d))
-
-    def sym(M: np.ndarray) -> np.ndarray:  # M(x, y) eta(z) + M(x, z) eta(y)
-        return np.einsum("...ij,...k->...ijk", M, eta) + np.einsum("...ik,...j->...ijk", M, eta)
-
     if tag in (F4, F4_F5):
         # g(phi x, phi y) as a matrix
-        ent += per_entry(-theta_xi / (2 * point.n), 3) * sym(transpose(point.phi) @ point.g @ point.phi)
+        ent += per_entry(-theta_xi / (2 * point.n), 3) * _eta_sym(transpose(point.phi) @ point.g @ point.phi, eta)
     if tag in (F5, F4_F5):
-        ent += per_entry(-theta_star_xi / (2 * point.n), 3) * sym(point.g_phi)
+        ent += per_entry(-theta_star_xi / (2 * point.n), 3) * _eta_sym(point.g_phi, eta)
     if tag == F11 and omega is not None:
-        ent += sym(eta[..., :, None] * np.asarray(omega, dtype=float)[..., None, :])
+        ent += _eta_sym(eta[..., :, None] * np.asarray(omega, dtype=float)[..., None, :], eta)
     return MultilinearForm(ent, len(point.batch))
 
 
-def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> float:
-    """Max-norm distance from F to its best representative in the class.
+def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> float | np.ndarray:
+    """Max-norm distance from F to its best representative in the class; one per entry of a batch.
 
     The class forms are linear in theta(xi), theta*(xi) and omega, and the
     1-form contraction is exactly the projection onto those parameters, so
@@ -236,16 +237,11 @@ def class_residual(F: MultilinearForm, point: ContactNordenPoint, tag: str) -> f
     theta_xi, theta_star_xi, omega = one_forms(F, point)
     if tag != F6:
         return (F - class_form(tag, point, theta_xi, theta_star_xi, omega)).max_norm
-    ent = F.entries
-    eta, xi, phi = point.eta, point.xi, point.phi
-    F_xy_xi = np.einsum("ijk,k->ij", ent, xi)
-    res = [abs(theta_xi), abs(theta_star_xi)]
-    res.append(float(np.max(np.abs(F_xy_xi - F_xy_xi.T))))
-    res.append(float(np.max(np.abs(np.einsum("ab,ai,bj->ij", F_xy_xi, phi, phi) + F_xy_xi))))
-    F_x_xi_z = np.einsum("iak,a->ik", ent, xi)
-    rebuilt = np.einsum("ij,k->ijk", F_xy_xi, eta) + np.einsum("ik,j->ijk", F_x_xi_z, eta)
-    res.append(float(np.max(np.abs(ent - rebuilt))))
-    return max(res)
+    F_xy_xi, F_x_xi_z = (np.einsum(s, F.entries, point.xi) for s in ("...ijk,...k->...ij", "...iak,...a->...ik"))
+    rebuilt = np.einsum("...ij,...k->...ijk", F_xy_xi, point.eta) + np.einsum("...ik,...j->...ijk", F_x_xi_z, point.eta)
+    return np.maximum.reduce([np.abs(theta_xi), np.abs(theta_star_xi), matrix_max(F_xy_xi - transpose(F_xy_xi)),
+                              matrix_max(transpose(point.phi) @ F_xy_xi @ point.phi + F_xy_xi),
+                              np.abs(F.entries - rebuilt).max(axis=(-3, -2, -1))])
 
 
 def is_curvature_like(L: MultilinearForm) -> float:

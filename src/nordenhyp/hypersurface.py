@@ -27,6 +27,7 @@ from .contact_norden import (
     F6,
     F11,
     F4_F5,
+    _eta_sym,
     classify_section,
 )
 from .errors import (
@@ -288,20 +289,13 @@ def validate_F6_shape(
     ])
 
 
-def F_from_A(point: ContactNordenPoint, A: np.ndarray, t: float) -> MultilinearForm:
-    """Structure tensor induced by the shape operator at hypersurface angle t."""
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    g, eta = point.g, point.eta
-    AgP = A.T @ point.g @ point.phi  # [i, j] = g(A e_i, phi e_j)
-    Ag = A.T @ g  # [i, j] = g(A e_i, e_j)
-    eta_A = A.T @ eta  # eta(A e_i)
-    ent = sin_t * (np.einsum("ij,k->ijk", AgP, eta) + np.einsum("ik,j->ijk", AgP, eta))
-    ent -= cos_t * (
-        np.einsum("ij,k->ijk", Ag, eta)
-        + np.einsum("ik,j->ijk", Ag, eta)
-        - 2.0 * np.einsum("i,j,k->ijk", eta_A, eta, eta)
-    )
-    return MultilinearForm(ent)
+def F_from_A(point: ContactNordenPoint, A: np.ndarray, scalars: HyperScalars) -> MultilinearForm:
+    """Structure tensor induced by the shape operator at the angle t of the scalars, one per batch entry:
+    F(x, y, z) = S(x, y) eta(z) + S(x, z) eta(y), S = sin t g(Ax, phi y) - cos t (g(Ax, y) - eta(Ax) eta(y))."""
+    cos_t, sin_t = per_entry(scalars.cos_t, 2), per_entry(scalars.sin_t, 2)
+    AT, eta = transpose(A), point.eta
+    S = sin_t * (AT @ point.g @ point.phi) - cos_t * (AT @ point.g - apply(AT, eta)[..., :, None] * eta[..., None, :])
+    return MultilinearForm(_eta_sym(S, point.eta), len(point.batch))
 
 
 def _pi_sum(point: ContactNordenPoint, *terms) -> MultilinearForm:

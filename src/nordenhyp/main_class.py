@@ -296,12 +296,7 @@ def theorem31(
     nu, nu_tilde = nu_from_scalars(point, scalars)
     K = K_cor32(point, scalars, nu, nu_tilde)
     four_n2 = 4 * n**2
-    th1, ths1 = per_entry(th, 1), per_entry(ths, 1)
-    R = point.pi_combination(
-        -(th1**2 / four_n2) * (P2 - P4)
-        - (ths1**2 / four_n2) * P1
-        + ((th1 * ths1) / four_n2) * (P3 - P5)
-    )
+    R = R_lambda_mu(point, scalars)  # lambda = mu = 0, as the derivative scalars vanish
     tau = th**2 / (2 * n) - (2 * n + 1) * ths**2 / (2 * n)
     # twisted traces give (p3 - p5) -> 4n^2, so the 1/(4n^2) prefactor cancels
     tau_tilde = th * ths

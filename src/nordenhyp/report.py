@@ -44,12 +44,6 @@ class ValidationReport:
     def max_residual(self) -> float:
         return max((abs(c.residual) for c in self.checks), default=0.0)
 
-    def __getitem__(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "passed": bool(self.passed),

@@ -57,13 +57,16 @@ from .contact_norden import (
     PI_TWISTED,
     canonical_difference,
     class_form,
+    class_residual,
     is_curvature_like,
     kaehler_residual,
+    one_forms,
     sectional_curvature,
     validate_contact_axioms,
 )
 from .errors import GeometryError
 from .hypersurface import (
+    F_from_A,
     HyperScalars,
     ScalarCurvatures,
     TimelikeNormalFrame,
@@ -77,6 +80,7 @@ from .hypersurface import (
     scalar_curvatures,
     shape_from_class,
     special_sectional,
+    validate_F6_shape,
 )
 from .main_class import (
     K_F45_0,
@@ -130,10 +134,10 @@ THRESHOLD = {
                      "reading_squared", "R_lambda_mu"), 1e-8),
     # symmetries and axioms, and the model's totally real sections
     **dict.fromkeys(("axioms", "pullback_identities", "ambient_axioms", "curvature_symmetries", "kaehlerian",
-                     "totally_real_k", "totally_real_k_assoc", "gauss_identities"), 1e-9),
+                     "totally_real_k", "totally_real_k_assoc", "gauss_identities", "F0_in_F6"), 1e-9),
     # exact identities
     **dict.fromkeys(("pi1_minus_pi2_minus_pi4", "pi3_plus_pi5", "holomorphic_k", "trace_A", "trace_A_phi",
-                     "difference_tensor"), 1e-10),
+                     "difference_tensor", "class_map"), 1e-10),
     "solvable": 1.0,  # residual infinite when the solver has no stable branch
 }
 
@@ -218,6 +222,17 @@ def canonical_checks(p, A, sc: HyperScalars, nu, nut) -> tuple[float, float, dic
         "kaehlerian": kaehler_residual(K2, p),
         **scalar_checks(scalar_curvatures(K2, p), tau_K, tau_K_t),
     }
+
+
+def _class_map(p, A, sc: HyperScalars, tag: str):
+    """F = F_from_A lies in tag's class with the drawn parameters: the larger of F's class residual over 1 + |F|
+    and the gaps of (theta(xi), theta*(xi), omega) to theirs, omega = 0 for F4+F5 and 0, 0, g Omega for F11."""
+    F = F_from_A(p, A, sc)
+    th, ths, omega = one_forms(F, p)
+    want = (sc.theta_xi, sc.theta_star_xi, np.zeros_like(omega)) if tag == F4_F5 else (0.0, 0.0, apply(p.g, sc.Omega))
+    omega_gap = np.abs(omega - want[2]).max(axis=-1) / (1.0 + np.abs(want[2]).max(axis=-1))
+    return np.maximum.reduce([class_residual(F, p, tag) / (1.0 + F.max_norm), _rel(th, want[0]),
+                              _rel(ths, want[1]), omega_gap])
 
 
 def section_checks(R: MultilinearForm, p, x, k_xi, k_phi_holomorphic, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -393,7 +408,9 @@ def _calibration(run, group, tol):
     A = shape_from_class(p, "F0", sc, tol)
     R = gauss_induced_R(p, A, sc, nu, nut)
     want = closed_form_scalars(A, sc, nu, nut, p)
-    return scalar_checks(scalar_curvatures(R, p), want.tau, want.tau_tilde)
+    # F = 0 lies in every class, so the rank-one shape meets the F6 conditions on A
+    return {**scalar_checks(scalar_curvatures(R, p), want.tau, want.tau_tilde),
+            "F0_in_F6": validate_F6_shape(p, A, sc)}
 
 
 def _induced(run, group, tol):
@@ -401,6 +418,7 @@ def _induced(run, group, tol):
     x = xs[TAG_GROUPS.index(group)]
     A = shape_from_class(p, group[:-1], sc, tol)
     R, _, residuals = curvature_checks(p, A, sc, nu, nut)
+    residuals["class_map"] = _class_map(p, A, sc, group[:-1])
     if group == TAG_GROUPS[0]:  # the identities hold for any A, and two dense d^4 comparisons cost more than R
         residuals["gauss_identities"] = gauss_identities_residual(p, R, A, sc, nu, nut)
     k_xi = special_sectional(p, A, sc, nu, nut, ContactSectionKind.XI_SECTION, x, tol=tol)
@@ -497,11 +515,11 @@ TABLE: dict[str, Battery] = {
                              ("pair", (PAIR_CANDIDATES, 2 * max(ns) + 2)), every_n=True),
              _model, build=_ambient),)),
     # double contraction of the induced curvature vs the trace closed forms, on the rank-one class
-    "scalar_calibration": Battery(("tau", "tau_twisted"), (Loop(
+    "scalar_calibration": Battery(("tau", "tau_twisted", "F0_in_F6"), (Loop(
         lambda ns: _Row(ns, *_point(ns), T, SCALARS_NU), _calibration),)),
     # scalar and special sectional curvatures of the two closed-form classes
     "induced_curvature": Battery(
-        (*_per_tag(("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic")),
+        (*_per_tag(("tau", "tau_twisted", "curvature_symmetries", "xi_section", "phi_holomorphic", "class_map")),
          f"{F4_F5}.gauss_identities", "totally_real"),
         (Loop(lambda ns: _Row(ns, *_point(ns), T, _vectors("Omega", ns), SCALARS_NU, _vectors("x", ns, 2)),
               _induced, TAG_GROUPS),

@@ -1,8 +1,8 @@
 """Mutants of the suite's layers, for negative controls that reach each residual.
 
 Each mutant patches one function in `nordenhyp.suite`'s namespace, where the batteries look their
-layers up at call time, and perturbs what it returns by a relative 1e-6 (1e-6 Id for the shape
-operator).  `fails` names the checks that must then fail with a finite residual; every other check
+layers up at call time, and perturbs what it returns by a relative 1e-6 (1e-6 Id for the main-class
+shape operator).  `fails` names the checks that must then fail with a finite residual; every other check
 of their batteries must pass (`tests/test_mutants.py`).
 """
 import dataclasses
@@ -35,6 +35,11 @@ def scaled_form(real):
     return mutated
 
 
+def scaled_shape(real):
+    """The shape operator scaled by 1 + EPS."""
+    return lambda *args, **kwargs: real(*args, **kwargs) * (1 + EPS)
+
+
 def shifted_shape(real):
     """The shape operator plus EPS times the identity, which stays g-self-adjoint."""
     return lambda *args, **kwargs: (A := real(*args, **kwargs)) + EPS * np.eye(A.shape[-1])
@@ -63,6 +68,11 @@ MUTANTS = [
     Mutant("closed_form_tau", "closed_form_scalars", scaled_field("tau"),
            {"scalar_calibration.tau", "induced_curvature.F4+F5.tau", "induced_curvature.F11.tau"}),
     Mutant("shape_F45_identity", "shape_F45", shifted_shape, {"main_class.trace_A", "main_class.R_routes_agree"}),
+    # eta(A xi) = -dt(xi) / (2 cos t) breaks; the tau checks read the one scaled A on both routes
+    Mutant("shape_from_class", "shape_from_class", scaled_shape, {"scalar_calibration.F0_in_F6"}),
+    # a scaled F stays in its class, but its one-forms miss the drawn parameters
+    Mutant("F_from_A", "F_from_A", scaled_form,
+           {"induced_curvature.F4+F5.class_map", "induced_curvature.F11.class_map"}),
     Mutant("solve_theta", "solve_theta", scaled_theta,
            {"solver_theorem.roundtrip_nu", "solver_theorem.roundtrip_nu_twisted"}),
 ]

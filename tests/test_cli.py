@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nordenhyp import cli
+from nordenhyp.multilinear import MAX_DIM
 from nordenhyp.suite import MAX_N, MAX_TRIALS
 
 
@@ -567,6 +568,85 @@ def test_theorem31_overflowing_angles_exit_2(tmp_path, capsys, n, angle):
     """Finite angles whose squares leave the double range are bad input, not a crash."""
     scenario = {"kind": "theorem31", "n": n, "theta_xi": angle, "theta_star_xi": angle, "t": 0.1}
     assert "theorem31" in _exit_2_one_line(tmp_path, capsys, json.dumps(scenario))
+
+
+# an integer literal of 5,001 digits, past the 4,300 that int() converts by default since Python 3.11:
+# read as an infinity of its sign, it meets the check of the field it sits in
+LONG = "1" + "0" * 5000
+LONG_CASES = {
+    "suite-trials": ('{"kind": "suite", "trials": %s}', "trials"),
+    "solve-nu": ('{"kind": "solve", "n": 1, "t": 0.1, "nu": %s, "nu_tilde": 0}', "nu"),
+    "solve-nu-negative": ('{"kind": "solve", "n": 1, "t": 0.1, "nu": -%s, "nu_tilde": 0}', "nu"),
+    "induce-N-entry": ('{"kind": "induce", "ambient": {"n_prime": 2}, "N": [0, 0, %s, 0]}', "N"),
+}
+
+
+@pytest.mark.parametrize("template, field", LONG_CASES.values(), ids=LONG_CASES)
+def test_integer_past_the_digit_limit_exit_2_naming_field(tmp_path, capsys, template, field):
+    assert _exit_2_one_line(tmp_path, capsys, template % LONG).startswith(f"error: {field} must be ")
+
+
+# one valid payload of each kind per form it takes (a bare point, each point type, an embedding),
+# which the walk below sends with each bounded integer field one past its bound
+FRAME = {"ambient": {"n_prime": 2}, "N": [0.75, 0.0, 1.25, 0.0]}
+HYPER = {"nu": 1.0, "nu_tilde": 0.0}
+WALK = {
+    "validate": [{"n": 1}, {"n_prime": 1}],
+    "induce": [FRAME],
+    "classify": [{"n": 1, "x": [1, 0, 0], "y": [0, 0, 1]}, {"n_prime": 1, "x": [1, 0], "y": [0, 1]}],
+    "curvature": [{"n": 1, **HYPER, "scalars": {"t": 0.1}}, {**FRAME, **HYPER}],
+    "canonical": [{"n": 1, **HYPER, "scalars": {"t": 0.1}}, {**FRAME, **HYPER}],
+    "solve": [{"n": 1, "t": 0.0, **HYPER}],
+    "theorem31": [{"n": 1}],
+    "suite": [{"trials": 1, "n_values": [1]}],
+}
+BOUNDED = ("n", "n_prime", "ambient", "trials", "n_values")  # the fields that hold or nest a bounded integer
+
+
+def _bounded_fields(kind: str, payload: dict):
+    """(path, bound, the name its error gives) of each bounded integer field of payload."""
+    for key, bound in (("n", cli.MAX_SIZE["n"]), ("n_prime", cli.MAX_SIZE["n_prime"]), ("trials", MAX_TRIALS)):
+        if key in payload:
+            yield (key,), bound, key
+    if "n_values" in payload:
+        yield ("n_values", 0), MAX_N, "n_values entry"
+    if "ambient" in payload:  # induce's pullback check builds the ambient pi' family, of dimension 2 n_prime
+        yield ("ambient", "n_prime"), *((MAX_DIM // 2, "ambient n_prime") if kind == "induce"
+                                        else (cli.MAX_SIZE["n_prime"], "n_prime"))
+
+
+def test_every_bounded_integer_field_exits_2_one_past_its_bound(tmp_path, capsys, monkeypatch):
+    """Each kind, in each form, takes its payload; one past the bound of any of its integer fields
+    exits 2 naming the field, before a point is built or the suite starts, in under 1 s for all."""
+    assert set(WALK) == set(cli._KINDS)
+    for kind, (_, fields) in cli._KINDS.items():
+        assert {key for key in BOUNDED if key in fields} == {key for p in WALK[kind] for key in p if key in BOUNDED}
+        for payload in WALK[kind]:
+            assert run(tmp_path, capsys, {"kind": kind, **payload})[0] == 0
+    from nordenhyp.complex_norden import ComplexNordenPoint
+    from nordenhyp.contact_norden import ContactNordenPoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a point or started the suite for an input past its bound")
+
+    for cls in (ContactNordenPoint, ComplexNordenPoint):
+        monkeypatch.setattr(cls, "standard", classmethod(refuse))
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    start, sent = time.perf_counter(), 0
+    for kind, payloads in WALK.items():
+        for payload in payloads:
+            for path, bound, name in _bounded_fields(kind, payload):
+                scenario = json.loads(json.dumps({"kind": kind, **payload}))
+                target = scenario
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = bound + 1
+                line = _exit_2_one_line(tmp_path, capsys, json.dumps(scenario))
+                assert line.startswith(f"error: {name} must be at most {bound}, got {bound + 1}"), (kind, path)
+                sent += 1
+    assert time.perf_counter() - start < 1.0
+    assert sent == 13
 
 
 def test_deeply_nested_payload_is_a_parse_error(tmp_path, capsys):

@@ -45,7 +45,8 @@ def test_perturbed_J_fails(gen):
     p = random_complex_point(gen, 2, fault=1e-3)
     rep = validate_complex_norden(p)
     assert not rep.passed
-    assert rep["J_squared"].residual > 1e-4 or rep["norden_compatibility"].residual > 1e-4
+    checks = {c.name: c for c in rep.checks}
+    assert checks["J_squared"].residual > 1e-4 or checks["norden_compatibility"].residual > 1e-4
 
 
 def test_associated_metric_symmetric(gen):

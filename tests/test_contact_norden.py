@@ -62,8 +62,8 @@ def test_signature_check_catches_wrong_metric():
     p = ContactNordenPoint.standard(1)
     g = np.diag([1.0, 1.0, 1.0])
     bad = ContactNordenPoint(1, g, p.phi, p.xi, p.eta)
-    rep = validate_contact_axioms(bad)
-    assert not rep["norden_compatibility"].passed or not rep["signature"].passed
+    checks = {c.name: c for c in validate_contact_axioms(bad).checks}
+    assert not checks["norden_compatibility"].passed or not checks["signature"].passed
 
 
 class TestPiFamily:

@@ -206,7 +206,7 @@ class TestShapeFromClass:
         sc = random_hyper_scalars(gen, p)
         # the F0 shape induces F = 0, which lies in every class, F6 among them
         A0 = shape_from_class(p, F0, sc)
-        assert class_residual(F_from_A(p, A0, sc.t), p, F6) < 1e-10
+        assert class_residual(F_from_A(p, A0, sc), p, F6) < 1e-10
         assert validate_F6_shape(p, A0, sc) < 1e-10
         A4 = shape_from_class(p, F4, sc)
         if abs(sc.theta_xi) > 0.1:
@@ -249,7 +249,7 @@ class TestStructureTensorFromShape:
             theta_star_xi=base.theta_star_xi if tag == F5 else 0.0,
         )
         A = shape_from_class(p, tag, sc)
-        F = F_from_A(p, A, sc.t)
+        F = F_from_A(p, A, sc)
         assert class_residual(F, p, tag) < 1e-10
         got = dict(zip(("theta_xi", "theta_star_xi"), one_forms(F, p)))[attr]
         assert got == pytest.approx(getattr(sc, attr))

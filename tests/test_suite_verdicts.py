@@ -19,6 +19,12 @@ the main class's special sections (`main_class.phi_holomorphic` and
 (`solver_theorem.totally_real`) and the lambda/mu form of the main-class
 curvature (`expanded_coefficients.R_lambda_mu`, a coefficient identity, so
 it passes under fault); every earlier entry is unchanged.
+
+Both lists gained the checks of the shape-to-class map: the structure tensor
+each closed-form shape operator induces lies in its class with the drawn
+parameters (`induced_curvature.F4+F5.class_map` and `F11.class_map`), and
+the rank-one F0 shape operator meets the F6 conditions
+(`scalar_calibration.F0_in_F6`); every earlier entry is unchanged.
 """
 import pytest
 
@@ -33,13 +39,16 @@ CLEAN = [
     ('model_curvature.holomorphic_k', 1e-10, True),
     ('model_curvature.totally_real_k', 1e-09, True),
     ('model_curvature.totally_real_k_assoc', 1e-09, True),
+    ('scalar_calibration.F0_in_F6', 1e-09, True),
     ('scalar_calibration.tau', 1e-08, True),
     ('scalar_calibration.tau_twisted', 1e-08, True),
+    ('induced_curvature.F11.class_map', 1e-10, True),
     ('induced_curvature.F11.curvature_symmetries', 1e-09, True),
     ('induced_curvature.F11.phi_holomorphic', 1e-08, True),
     ('induced_curvature.F11.tau', 1e-08, True),
     ('induced_curvature.F11.tau_twisted', 1e-08, True),
     ('induced_curvature.F11.xi_section', 1e-08, True),
+    ('induced_curvature.F4+F5.class_map', 1e-10, True),
     ('induced_curvature.F4+F5.curvature_symmetries', 1e-09, True),
     ('induced_curvature.F4+F5.gauss_identities', 1e-09, True),
     ('induced_curvature.F4+F5.phi_holomorphic', 1e-08, True),
@@ -85,13 +94,16 @@ FAULTED = [
     ('model_curvature.holomorphic_k', 1e-10, False),
     ('model_curvature.totally_real_k', 1e-09, False),
     ('model_curvature.totally_real_k_assoc', 1e-09, False),
+    ('scalar_calibration.F0_in_F6', 1e-09, False),
     ('scalar_calibration.tau', 1e-08, False),
     ('scalar_calibration.tau_twisted', 1e-08, False),
+    ('induced_curvature.F11.class_map', 1e-10, False),
     ('induced_curvature.F11.curvature_symmetries', 1e-09, False),
     ('induced_curvature.F11.phi_holomorphic', 1e-08, False),
     ('induced_curvature.F11.tau', 1e-08, False),
     ('induced_curvature.F11.tau_twisted', 1e-08, False),
     ('induced_curvature.F11.xi_section', 1e-08, False),
+    ('induced_curvature.F4+F5.class_map', 1e-10, False),
     ('induced_curvature.F4+F5.curvature_symmetries', 1e-09, False),
     ('induced_curvature.F4+F5.gauss_identities', 1e-09, False),
     ('induced_curvature.F4+F5.phi_holomorphic', 1e-08, False),
