@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import pathlib
+import reprlib
 import sys
 
 import numpy as np
@@ -53,46 +54,48 @@ def _need(payload: dict, *keys):
 def _known(payload: dict, fields, where: str) -> dict:
     """payload itself, once it holds no key outside fields; a misspelt field would read its default."""
     unknown = sorted(set(payload) - set(fields))
-    if unknown:
-        raise SchemaError(f"unknown fields in {where}: {', '.join(unknown)}; accepted: {', '.join(sorted(fields))}")
+    if unknown:  # each name cut short by reprlib, without its quotes, and at most six of them
+        names = ", ".join(reprlib.repr(name)[1:-1] for name in unknown[:6]) + ", ..." * (len(unknown) > 6)
+        raise SchemaError(f"unknown fields in {where}: {names}; accepted: {', '.join(sorted(fields))}")
     return payload
 
 
 def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    """An integer field; booleans, floats and null are schema errors."""
+    """An integer field; booleans, floats and null are schema errors.  Errors echo the value through
+    reprlib.repr, which cuts a long one short."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key} must be an integer, got {value!r}")
+        raise SchemaError(f"{key} must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
-        raise SchemaError(f"{key} must be at least {minimum}, got {value}")
+        raise SchemaError(f"{key} must be at least {minimum}, got {reprlib.repr(value)}")
     if maximum is not None and value > maximum:
-        raise SchemaError(f"{key} must be at most {maximum}, got {value}")
+        raise SchemaError(f"{key} must be at most {maximum}, got {reprlib.repr(value)}")
     return value
 
 
 def _as_real(value, key: str) -> float:
     """A finite number field; booleans, null, NaN, infinities and integers past the double range are schema errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{key} must be a finite number, got {value!r}")
+        raise SchemaError(f"{key} must be a finite number, got {reprlib.repr(value)}")
     try:
         real = float(value)
     except OverflowError:
         raise SchemaError(f"{key} must be a finite number, got an integer past the double range") from None
     if not math.isfinite(real):
-        raise SchemaError(f"{key} must be a finite number, got {value!r}")
+        raise SchemaError(f"{key} must be a finite number, got {reprlib.repr(value)}")
     return real
 
 
 def _as_object(value, key: str) -> dict:
     """A JSON-object field such as ambient or scalars."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{key} must be a JSON object, got {value!r}")
+        raise SchemaError(f"{key} must be a JSON object, got {reprlib.repr(value)}")
     return value
 
 
 def _as_array(value, key: str, ndim: int) -> np.ndarray:
     """A numeric field given as nested JSON arrays of rank ndim (1 vector, 2 matrix)."""
     if not isinstance(value, list):
-        raise SchemaError(f"{key} must be an array, got {value!r}")
+        raise SchemaError(f"{key} must be an array, got {reprlib.repr(value)}")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -269,7 +272,7 @@ def _run_suite(payload: dict, args) -> tuple[ValidationReport, dict]:
     trials = _as_int(payload.get("trials", 20), "trials", minimum=1, maximum=MAX_TRIALS)
     n_values = payload.get("n_values", [1, 2, 3])
     if not isinstance(n_values, list) or not n_values:
-        raise SchemaError(f"n_values must be a non-empty list, got {n_values!r}")
+        raise SchemaError(f"n_values must be a non-empty list, got {reprlib.repr(n_values)}")
     n_values = [_as_int(v, "n_values entry", minimum=1, maximum=MAX_N) for v in n_values]  # the suite's own cap
     fault = _as_real(payload.get("fault", 0.0), "fault")
     report = run_suite(seed=seed, trials=trials, n_values=n_values, fault=fault, tol=args.tol)
@@ -337,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = _load_scenario(args.scenario)
         kind = scenario.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise SchemaError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
+            raise SchemaError(f"kind must be one of {sorted(_KINDS)}, got {reprlib.repr(kind)}")
         handler, fields = _KINDS[kind]
         _known(scenario, {"kind", *fields}, f"a {kind} scenario")
         try:

@@ -1,13 +1,45 @@
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
+from cli_cases import BATTERIES, CASES, Case, problems, run_in_process
 from nordenhyp import cli
 from nordenhyp.multilinear import MAX_DIM
 from nordenhyp.suite import MAX_N, MAX_TRIALS
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_one_shot_case(case):
+    """Each case of the one-shot table, run in process: CI runs the same table in fresh interpreters."""
+    assert problems(case, *run_in_process(case)) == []
+
+
+def test_checker_reports_each_broken_expectation():
+    """For each expectation, a run that meets it gives no problem and one that breaks it a problem: a wrong
+    exit code, output outside the contract, and the negation of each predicate kind."""
+    checks = [{"name": f"{battery}.x", "passed": False} for battery in BATTERIES]
+
+    def report(checks=checks, trials=3):
+        return json.dumps({"kind": "suite", "passed": False, "checks": checks, "results": {"trials": trials}})
+
+    seed, trials = "error: seed must be at least 0, got -1\n", "error: trials must be at most 10000, got 20000\n"
+    names, suite = tuple(c["name"] for c in checks), '{"kind":"suite"}'
+    one_passes = [{**checks[0], "passed": True}, *checks[1:]]
+    runs = [  # (expectation, a run that meets it, a run that breaks it)
+        (Case("", suite, 1), (1, report(), ""), (2, "", seed)),
+        (Case("", suite, 1), (1, report(), ""), (1, report().replace("false", "NaN", 1), "")),
+        (Case("", suite, 2), (2, "", seed), (2, "", "error: " + "x" * 300 + "\n")),
+        (Case("", suite, 2, error="error: seed must be"), (2, "", seed), (2, "", trials)),
+        (Case("", suite, 2, words=("seed",)), (2, "", seed), (2, "", trials)),
+        (Case("", suite, 1, names=names), (1, report(), ""), (1, report(checks[1:]), "")),
+        (Case("", suite, 1, results={"trials": 3}), (1, report(), ""), (1, report(trials=4), "")),
+        (Case("", suite, 1, every_battery_fails=True), (1, report(), ""), (1, report(one_passes), "")),
+    ]
+    for case, met, broken in runs:
+        assert problems(case, *met) == [], case
+        assert problems(case, *broken) != [], case
 
 
 def run(tmp_path, capsys, scenario, *flags):
@@ -16,13 +48,6 @@ def run(tmp_path, capsys, scenario, *flags):
     code = cli.main([str(path), "--json", *flags])
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
-
-
-def test_validate_standard_passes(tmp_path, capsys):
-    code, doc = run(tmp_path, capsys, {"kind": "validate", "n": 2})
-    assert code == 0
-    assert doc["passed"] is True
-    assert doc["kind"] == "validate"
 
 
 def test_validate_riemannian_metric_fails(tmp_path, capsys):
@@ -54,33 +79,6 @@ def test_unknown_kind_exit_2(tmp_path, capsys):
 def test_missing_field_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, capsys, {"kind": "solve", "n": 1})
     assert code == 2
-
-
-def test_solve_anchor(tmp_path, capsys):
-    scenario = {"kind": "solve", "n": 1, "t": 0.0, "nu": 1.0, "nu_tilde": 0.0}
-    code, doc = run(tmp_path, capsys, scenario)
-    assert code == 0
-    assert doc["results"]["theta_xi"] == pytest.approx(2.0)
-    assert doc["results"]["theta_star_xi"] == pytest.approx(0.0)
-
-
-def test_solve_flat_resolution(tmp_path, capsys):
-    scenario = {"kind": "solve", "n": 1, "t": 0.0, "nu": 0.0, "nu_tilde": 0.0}
-    code, doc = run(tmp_path, capsys, scenario)
-    assert code == 0
-    assert doc["results"]["theta_xi"] == 0.0
-
-
-def test_classify_results(tmp_path, capsys):
-    scenario = {
-        "kind": "classify",
-        "n": 2,
-        "x": [1, 0, 0, 0, 0],
-        "y": [0, 1, 0, 0, 0],
-    }
-    code, doc = run(tmp_path, capsys, scenario)
-    assert code == 0
-    assert doc["results"]["section"] == "totally_real"
 
 
 def test_curvature_scenario(tmp_path, capsys):
@@ -351,16 +349,6 @@ def test_unknown_field_or_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, 
     assert captured.out == ""
     error = captured.err.splitlines()[-1]
     assert "error: " in error and all(name in error for name in names)
-
-
-def test_induce_degenerate_tangent_metric_exit_2(tmp_path, capsys):
-    scenario = {"kind": "induce", "ambient": {"n_prime": 2}, "N": [math.sinh(12), 0.0, math.cosh(12), 0.0]}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
-    assert cli.main([str(path), "--json", "--rel-tol", "1e-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: induced metric is degenerate on the tangent space\n"
 
 
 def test_stdin_scenario(tmp_path, capsys, monkeypatch):
